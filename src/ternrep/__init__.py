@@ -38,6 +38,7 @@ from .oracle import (
 from .pipeline import (
     Witness,
     build_witness,
+    construction_frame,
     enumerate_point,
     find_q,
     solve_bh,
@@ -58,8 +59,9 @@ __all__ = [
     "cornacchia_prime", "compose", "represent_binary",
     "brute_force_ternary", "brute_force_binary",
     "ScanRow", "ScanReport", "scan_compare",
-    "Witness", "build_witness", "find_q", "solve_t", "solve_bh",
-    "enumerate_point", "verify_witness", "witness_problems",
+    "Witness", "build_witness", "construction_frame", "find_q",
+    "solve_t", "solve_bh", "enumerate_point", "verify_witness",
+    "witness_problems",
     "TernrepError", "NonResidueError", "NotInvertibleError",
     "NonCoprimeModuliError", "NotRepresentableError",
     "ResourceCapError", "InternalError",

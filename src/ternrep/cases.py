@@ -17,9 +17,9 @@ For the even-core profiles of x^2+2y^2+2z^2 the lattice is restricted to
 even x; the substitution x = 2x' is already folded into the coefficients,
 so the enumeration runs over free integers x'.
 
-The even-core profile of x^2+y^2+2z^2 (T2D) carries no construction of its
-own: it delegates to the x^2+2y^2+2z^2 pipeline on m1 and maps (u, v, w)
-to (2v, 2w, u).
+Even cores of x^2+y^2+2z^2 (case T2D) have no row here: they reuse the
+x^2+2y^2+2z^2 profile of m1 = core/2 and map its (u, v, w) to (2v, 2w, u),
+as stated once in pipeline.construction_frame.
 """
 
 from dataclasses import dataclass
@@ -55,13 +55,12 @@ class CaseProfile:
     y_bound: tuple            # (num, den): scan bound y^2 < num * q / den
     c: int                    # binary descent constant
     assembly: str
-    delegate: bool = False
 
     @property
     def x_substituted(self) -> bool:
         """True when the lattice x-coordinate is 2x' and the enumeration
         runs over the free variable x'."""
-        return self.core_parity == "even" and not self.delegate
+        return self.core_parity == "even"
 
     def n0(self, core: int) -> int:
         return core // 2 if self.core_parity == "even" else core
@@ -93,7 +92,6 @@ class CaseProfile:
 
 def _profile(**kw) -> CaseProfile:
     kw.setdefault("h_odd", False)
-    kw.setdefault("delegate", False)
     return CaseProfile(**kw)
 
 
@@ -158,13 +156,6 @@ PROFILES = {
             q_residue=(1, 8), char_factor=1, t_den_factor=1, gamma=2, b_parity="free",
             d_factor=1, delta_factor=1, alpha=1, rho=1, y_bound=(1, 1), c=2,
             assembly=ASSEMBLY_R_A_B,
-        ),
-        # even core: delegate to the x^2+2y^2+2z^2 pipeline on m1.
-        _profile(
-            id="T2D", form=TernaryForm.D112, core_parity="even", core_residues=(1, 3, 5),
-            q_residue=(0, 0), char_factor=0, t_den_factor=0, gamma=0, b_parity="free",
-            d_factor=0, delta_factor=0, alpha=0, rho=0, y_bound=(0, 1), c=2,
-            assembly=ASSEMBLY_R_A_B, delegate=True,
         ),
         # x^2 + y^2 + 7z^2, core = 5 (mod 8), 7 not dividing the core:
         #   F = R^2 + q x^2 + b xy + h y^2, R = 2tq x + bt y + core z, h odd

@@ -300,19 +300,14 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--form", required=True, choices=forms)
         p.add_argument("--m", required=True, type=int)
 
-    p_rep = sub.add_parser("represent", help="construct one representation")
-    add_form_m(p_rep)
-    p_rep.add_argument("--json", action="store_true")
-    p_rep.add_argument("--fallback-oracle", action="store_true")
-    p_rep.add_argument("--max-prime-candidates", type=int,
-                       default=DEFAULT_CANDIDATE_CAP, metavar="N")
-
-    p_wit = sub.add_parser("witness", help="represent with the full audit trail")
-    add_form_m(p_wit)
-    p_wit.add_argument("--json", action="store_true")
-    p_wit.add_argument("--fallback-oracle", action="store_true")
-    p_wit.add_argument("--max-prime-candidates", type=int,
-                       default=DEFAULT_CANDIDATE_CAP, metavar="N")
+    for name, help_text in (("represent", "construct one representation"),
+                            ("witness", "represent with the full audit trail")):
+        p_rep = sub.add_parser(name, help=help_text)
+        add_form_m(p_rep)
+        p_rep.add_argument("--json", action="store_true")
+        p_rep.add_argument("--fallback-oracle", action="store_true")
+        p_rep.add_argument("--max-prime-candidates", type=int,
+                           default=DEFAULT_CANDIDATE_CAP, metavar="N")
 
     p_chk = sub.add_parser("check", help="eligibility only")
     add_form_m(p_chk)
@@ -351,18 +346,15 @@ def dispatch(argv, out=None, err=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
 
     try:
+        if args.command in ("represent", "witness", "check") and args.m < 1:
+            err.write("--m must be at least 1\n")
+            return EXIT_USAGE
         if args.command in ("represent", "witness"):
-            if args.m < 1:
-                err.write("--m must be at least 1\n")
-                return EXIT_USAGE
             if args.max_prime_candidates < 1:
                 err.write("--max-prime-candidates must be at least 1\n")
                 return EXIT_USAGE
             return _cmd_represent(args, out, err, trail=args.command == "witness")
         if args.command == "check":
-            if args.m < 1:
-                err.write("--m must be at least 1\n")
-                return EXIT_USAGE
             return _cmd_check(args, out, err)
         if args.command == "oracle":
             if args.m < 0:

@@ -5,6 +5,7 @@ measured against; their scan orders are fixed so results are reproducible.
 """
 
 import math
+import os
 from dataclasses import dataclass, field
 
 from .forms import Eligibility, TernaryForm, eligibility, evaluate
@@ -142,6 +143,7 @@ def scan_compare(
     both find or both miss; for the covered-case forms a pipeline find must
     be backed by an oracle find.  Rows are independent, so the range may be
     partitioned across processes; output is identical for any job count.
+    The pool never holds more workers than CPUs or chunks.
     """
     if lo < 1 or hi < lo:
         raise ValueError("scan_compare requires 1 <= lo <= hi")
@@ -152,13 +154,15 @@ def scan_compare(
     else:
         import concurrent.futures
 
+        workers = min(jobs, os.cpu_count() or 1)
         span = hi - lo + 1
-        chunk = max(1, -(-span // (jobs * 4)))
+        chunk = max(1, -(-span // (workers * 4)))
         tasks = [
             (form.name, start, min(hi, start + chunk - 1), max_candidates)
             for start in range(lo, hi + 1, chunk)
         ]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        workers = min(workers, len(tasks))
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             pieces = list(pool.map(_scan_chunk, tasks))
         rows = [row for piece in pieces for row in piece]
     return ScanReport(form, lo, hi, tuple(rows))

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .arith import crt, inv_mod, is_prime, jacobi, sqrt_mod_prime
-from .cases import CaseProfile, PROFILES, select_case
+from .cases import CaseProfile, select_case
 from .descent import represent_binary
 from .errors import (
     InternalError,
@@ -26,9 +26,8 @@ from .errors import (
     NotRepresentableError,
     ResourceCapError,
 )
-from .factor import factorize, squarefree_decompose
+from .factor import factorize
 from .forms import (
-    EligibilityVerdict,
     TernaryForm,
     checked_representation,
     eligibility,
@@ -42,6 +41,7 @@ __all__ = [
     "DEFAULT_CANDIDATE_CAP",
     "SMALL_CORE",
     "Witness",
+    "construction_frame",
     "find_q",
     "solve_t",
     "solve_bh",
@@ -64,9 +64,10 @@ _SMALL_CORE_LIMIT = 2
 class Witness:
     """Full audit trail for one represented integer.
 
-    For the small-core path every construction field is None.  For the
-    delegating case (T2D) the construction fields describe the run on
-    m1 = core / 2 under the x^2+2y^2+2z^2 profile selected by m1.
+    For the small-core path every construction field is None.  Otherwise
+    the construction fields describe the run on the frame core of
+    construction_frame(form, core): for the even cores of x^2+y^2+2z^2
+    (case T2D) that is m1 = core / 2 under the x^2+2y^2+2z^2 profile of m1.
     """
 
     form: TernaryForm
@@ -93,8 +94,6 @@ def find_q(profile: CaseProfile, core: int, max_candidates: int = DEFAULT_CANDID
     Raises ResourceCapError after max_candidates values of the residue
     class have been examined.
     """
-    if profile.delegate:
-        raise InternalError("delegating profile has no q of its own")
     r, modulus = profile.q_residue
     odd_part = profile.n0(core) if profile.core_parity == "even" else core
     char_primes = [p for p, _ in factorize(odd_part)]
@@ -231,27 +230,25 @@ def enumerate_point(
     )
 
 
-def _construct(profile: CaseProfile, core: int, max_candidates: int) -> dict:
-    """Run the q/t/b/h/point/descent chain for one squarefree core."""
-    q = find_q(profile, core, max_candidates)
-    target = profile.target(core)
-    t = solve_t(profile, target, q)
-    b, h = solve_bh(profile, profile.n0(core), q)
-    point = enumerate_point(profile, core, q, t, b, h)
-    r1, n, f_val = composed_values(profile, core, q, t, b, h, point)
-    if f_val != target:
-        raise InternalError("enumerated point does not hit the target")
-    try:
-        binary = represent_binary(n, profile.c)
-    except NotRepresentableError as exc:
-        raise InternalError(
-            "descent failed for n = %d, c = %d: %s" % (n, profile.c, exc)
-        ) from exc
-    return {
-        "q": q, "t": t, "b": b, "h": h, "point": point,
-        "r1": r1, "n": n, "binary": binary,
-        "base": profile.assemble(binary[0], binary[1], r1),
-    }
+def construction_frame(form: TernaryForm, core: int) -> tuple:
+    """(case id, profile, frame core) of the construction for a core.
+
+    Even cores of x^2+y^2+2z^2 (case T2D) run the x^2+2y^2+2z^2
+    construction on m1 = core / 2 and permute its result (see _assemble);
+    every other core runs its own profile on itself.  Raises InternalError
+    when no profile covers the core.
+    """
+    if form is TernaryForm.D112 and core % 2 == 0:
+        return "T2D", select_case(TernaryForm.D122, core // 2), core // 2
+    profile = select_case(form, core)
+    return profile.id, profile, core
+
+
+def _assemble(case_id: str, profile: CaseProfile, binary: tuple, r1: int) -> tuple:
+    """Representation of the core from the descent output (a, beta) and R1;
+    case T2D maps the x^2+2y^2+2z^2 triple (u, v, w) of m1 to (2v, 2w, u)."""
+    u, v, w = profile.assemble(binary[0], binary[1], r1)
+    return (2 * v, 2 * w, u) if case_id == "T2D" else (u, v, w)
 
 
 def build_witness(
@@ -275,34 +272,25 @@ def build_witness(
         return Witness(form, m, k, s, core, SMALL_CORE,
                        None, None, None, None, None, None, None, None, rep)
 
-    if form is TernaryForm.D112 and core % 2 == 0:
-        inner = build_witness(TernaryForm.D122, core // 2, max_candidates)
-        if not isinstance(inner, Witness) or inner.case_id == SMALL_CORE:
-            raise InternalError("delegation expected a constructive inner witness")
-        iu, iv, iw = inner.representation
-        rep = checked_representation(
-            form, m, lift_representation((2 * iv, 2 * iw, iu), k, s)
-        )
-        return Witness(form, m, k, s, core, "T2D",
-                       inner.q, inner.t, inner.b, inner.h, inner.point,
-                       inner.r1, inner.n, inner.binary, rep)
-
-    profile = select_case(form, core)
-    parts = _construct(profile, core, max_candidates)
-    rep = checked_representation(
-        form, m, lift_representation(parts["base"], k, s)
-    )
-    return Witness(form, m, k, s, core, profile.id,
-                   parts["q"], parts["t"], parts["b"], parts["h"],
-                   parts["point"], parts["r1"], parts["n"], parts["binary"], rep)
-
-
-def _construction_profile(w: Witness):
-    """Profile whose identities the witness's construction fields obey,
-    plus the core those identities are stated for."""
-    if w.case_id == "T2D":
-        return select_case(TernaryForm.D122, w.core // 2), w.core // 2
-    return PROFILES[w.case_id], w.core
+    case_id, profile, frame_core = construction_frame(form, core)
+    q = find_q(profile, frame_core, max_candidates)
+    target = profile.target(frame_core)
+    t = solve_t(profile, target, q)
+    b, h = solve_bh(profile, profile.n0(frame_core), q)
+    point = enumerate_point(profile, frame_core, q, t, b, h)
+    r1, n, f_val = composed_values(profile, frame_core, q, t, b, h, point)
+    if f_val != target:
+        raise InternalError("enumerated point does not hit the target")
+    try:
+        binary = represent_binary(n, profile.c)
+    except NotRepresentableError as exc:
+        raise InternalError(
+            "descent failed for n = %d, c = %d: %s" % (n, profile.c, exc)
+        ) from exc
+    base = _assemble(case_id, profile, binary, r1)
+    rep = checked_representation(form, m, lift_representation(base, k, s))
+    return Witness(form, m, k, s, core, case_id,
+                   q, t, b, h, point, r1, n, binary, rep)
 
 
 def witness_problems(w: Witness) -> list:
@@ -320,7 +308,10 @@ def witness_problems(w: Witness) -> list:
     if w.s % 2 == 0:
         problems.append("s is even")
     odd_core = w.core // 2 if w.core % 2 == 0 else w.core
-    if odd_core % 2 == 0 or squarefree_decompose(odd_core)[0] != 1:
+    # Factored once: for a core of the expected shape its odd part is also
+    # the modulus of the character condition on q.
+    odd_factors = factorize(odd_core) if odd_core > 0 else []
+    if odd_core < 1 or odd_core % 2 == 0 or any(e > 1 for _, e in odd_factors):
         problems.append("core is not squarefree of the expected shape")
     if evaluate(w.form, w.representation) != w.m:
         problems.append("representation does not evaluate to m")
@@ -330,33 +321,26 @@ def witness_problems(w: Witness) -> list:
             problems.append("small-core marker on a core above the limit")
         return problems
 
-    if w.case_id == "T2D" and (w.form is not TernaryForm.D112 or w.core % 2 != 0):
-        problems.append("delegation marker outside even cores of x2+y2+2z2")
-        return problems
     try:
-        profile, prof_core = _construction_profile(w)
-    except (KeyError, InternalError):
-        return problems + ["unknown case id %r" % (w.case_id,)]
-    if w.case_id != "T2D" and (
-        profile.form is not w.form or select_case(w.form, w.core) is not profile
-    ):
-        problems.append("case id does not match the core")
-        return problems
+        case_id, profile, frame_core = construction_frame(w.form, w.core)
+    except (InternalError, ValueError):
+        return problems + ["no case covers core %d" % w.core]
+    if w.case_id != case_id:
+        return problems + ["unknown case id %r for core %d" % (w.case_id, w.core)]
 
     if None in (w.q, w.t, w.b, w.h, w.point, w.r1, w.n, w.binary):
         return problems + ["construction fields are incomplete"]
 
-    target = profile.target(prof_core)
-    n0 = profile.n0(prof_core)
+    target = profile.target(frame_core)
+    n0 = profile.n0(frame_core)
     if not is_prime(w.q):
         problems.append("q is not prime")
-    if w.q <= max(prof_core, 2):
+    if w.q <= max(frame_core, 2):
         problems.append("q is not above the core")
     r, modulus = profile.q_residue
     if w.q % modulus != r:
         problems.append("q is outside its residue class")
-    odd = n0 if profile.core_parity == "even" else prof_core
-    for p, _ in factorize(odd):
+    for p, _ in odd_factors:
         if jacobi(-profile.char_factor * w.q, p) != 1:
             problems.append("character condition fails at p = %d" % p)
 
@@ -387,7 +371,7 @@ def witness_problems(w: Witness) -> list:
         return problems
     try:
         r1, n, f_val = composed_values(
-            profile, prof_core, w.q, w.t, w.b, w.h, w.point
+            profile, frame_core, w.q, w.t, w.b, w.h, w.point
         )
     except ValueError as exc:
         return problems + [str(exc)]
@@ -404,10 +388,7 @@ def witness_problems(w: Witness) -> list:
     if a * a + profile.c * beta * beta != w.n:
         problems.append("binary rep does not evaluate to n")
 
-    base = profile.assemble(a, beta, w.r1)
-    if w.case_id == "T2D":
-        bu, bv, bw = base
-        base = (2 * bv, 2 * bw, bu)
+    base = _assemble(case_id, profile, w.binary, w.r1)
     if w.representation != lift_representation(base, w.k, w.s):
         problems.append("representation does not match the assembly")
     return problems

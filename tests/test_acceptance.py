@@ -24,12 +24,10 @@ from ternrep import (
     eligibility,
     represent_binary,
     scan_compare,
-    select_case,
     verify_witness,
 )
-from ternrep.cases import PROFILES
 from ternrep.cli import dispatch
-from ternrep.pipeline import SMALL_CORE
+from ternrep.pipeline import SMALL_CORE, construction_frame
 
 SWEEP_LIMIT = 50000
 ORACLE_LIMIT = 5000
@@ -57,12 +55,6 @@ def arithmetic_obstructed(form, m):
     raise AssertionError("no exact criterion for %s" % form)
 
 
-def construction_frame(w):
-    if w.case_id == "T2D":
-        return select_case(TernaryForm.D122, w.core // 2), w.core // 2
-    return PROFILES[w.case_id], w.core
-
-
 def audit_witness(w, rng):
     """None when the witness passes re-verification and the congruence
     sampling; otherwise a short reason."""
@@ -70,7 +62,7 @@ def audit_witness(w, rng):
         return "re-verification failed"
     if w.case_id == SMALL_CORE:
         return None
-    profile, core = construction_frame(w)
+    _, profile, core = construction_frame(w.form, w.core)
     target = profile.target(core)
     u, wc, v = profile.binary_coefficients(core, w.q, w.b, w.h)
     c1 = profile.alpha * w.t * w.q

@@ -8,32 +8,32 @@ from ternrep import (
     reduce_to_core,
     select_case,
 )
-from ternrep.pipeline import find_q, solve_bh
+from ternrep.pipeline import construction_frame, find_q, solve_bh
 
 # Double entry of the normative recipe table.  Each row:
 # (form, parity, residues, q_residue, char, t_den, gamma, b_parity,
-#  d, h_odd, delta, alpha, rho, y_bound, c, assembly, delegate)
+#  d, h_odd, delta, alpha, rho, y_bound, c, assembly)
 TABLE = {
     "T1A": (TernaryForm.D122, "odd", (3,), (1, 8), 2, 2, 1, "odd",
-            2, False, 1, 1, 2, (2, 1), 2, "a_b_r", False),
+            2, False, 1, 1, 2, (2, 1), 2, "a_b_r"),
     "T1B": (TernaryForm.D122, "odd", (1, 5), (1, 8), 1, 4, 1, "odd",
-            2, False, 2, 2, 2, (4, 1), 2, "a_b_r", False),
+            2, False, 2, 2, 2, (4, 1), 2, "a_b_r"),
     "T1C": (TernaryForm.D122, "even", (1, 3), (1, 8), 2, 2, 2, "even",
-            2, False, 2, 2, 1, (2, 1), 2, "2b_a_r", False),
+            2, False, 2, 2, 1, (2, 1), 2, "2b_a_r"),
     "T1D": (TernaryForm.D122, "even", (5,), (5, 8), 2, 2, 2, "even",
-            2, False, 2, 2, 1, (2, 1), 2, "2b_a_r", False),
+            2, False, 2, 2, 1, (2, 1), 2, "2b_a_r"),
     "T1E": (TernaryForm.D122, "even", (7,), (3, 8), 2, 2, 2, "even",
-            2, False, 2, 2, 1, (2, 1), 2, "2b_a_r", False),
+            2, False, 2, 2, 1, (2, 1), 2, "2b_a_r"),
     "T2A": (TernaryForm.D112, "odd", (3,), (1, 8), 2, 2, 2, "even",
-            2, False, 2, 2, 1, (2, 1), 2, "r_a_b", False),
+            2, False, 2, 2, 1, (2, 1), 2, "r_a_b"),
     "T2B": (TernaryForm.D112, "odd", (7,), (3, 8), 2, 2, 2, "even",
-            2, False, 2, 2, 1, (2, 1), 2, "r_a_b", False),
+            2, False, 2, 2, 1, (2, 1), 2, "r_a_b"),
     "T2C": (TernaryForm.D112, "odd", (1, 5), (1, 8), 1, 1, 2, "free",
-            1, False, 1, 1, 1, (1, 1), 2, "r_a_b", False),
+            1, False, 1, 1, 1, (1, 1), 2, "r_a_b"),
     "T3A": (TernaryForm.D117, "odd", (5,), (1, 28), 1, 4, 7, "odd",
-            4, True, 4, 2, 1, (8, 7), 7, "a_r_b", False),
+            4, True, 4, 2, 1, (8, 7), 7, "a_r_b"),
     "T3B": (TernaryForm.D113, "odd", (1,), (1, 12), 1, 4, 3, "odd",
-            4, True, 4, 2, 1, (8, 3), 3, "a_r_b", False),
+            4, True, 4, 2, 1, (8, 3), 3, "a_r_b"),
 }
 
 
@@ -46,7 +46,7 @@ def eligible_cores(form, limit):
 
 class TestProfileTable:
     def test_ids(self):
-        assert set(PROFILES) == set(TABLE) | {"T2D"}
+        assert set(PROFILES) == set(TABLE)
 
     @pytest.mark.parametrize("case_id", sorted(TABLE))
     def test_row(self, case_id):
@@ -54,15 +54,7 @@ class TestProfileTable:
         assert (p.form, p.core_parity, p.core_residues, p.q_residue,
                 p.char_factor, p.t_den_factor, p.gamma, p.b_parity,
                 p.d_factor, p.h_odd, p.delta_factor, p.alpha, p.rho,
-                p.y_bound, p.c, p.assembly, p.delegate) == TABLE[case_id]
-
-    def test_delegation_row(self):
-        p = PROFILES["T2D"]
-        assert p.form is TernaryForm.D112
-        assert p.core_parity == "even"
-        assert p.core_residues == (1, 3, 5)
-        assert p.delegate
-        assert not p.x_substituted
+                p.y_bound, p.c, p.assembly) == TABLE[case_id]
 
     def test_x_substitution_marks_even_core_rows(self):
         for p in PROFILES.values():
@@ -73,20 +65,26 @@ class TestSelectCase:
     def test_pinned_values(self):
         assert select_case(TernaryForm.D122, 3).id == "T1A"
         assert select_case(TernaryForm.D122, 10).id == "T1D"
-        assert select_case(TernaryForm.D112, 6).id == "T2D"
+        assert construction_frame(TernaryForm.D112, 6) == ("T2D", PROFILES["T1A"], 3)
 
     def test_unique_applicable_profile(self):
+        # even cores of x2+y2+2z2 run the x2+2y2+2z2 profile of core / 2
         for form in TernaryForm:
             for core in eligible_cores(form, 2000):
-                parity = "even" if core % 2 == 0 else "odd"
-                odd = core // 2 if core % 2 == 0 else core
+                t2d = form is TernaryForm.D112 and core % 2 == 0
+                frame_form = TernaryForm.D122 if t2d else form
+                frame_core = core // 2 if t2d else core
+                parity = "even" if frame_core % 2 == 0 else "odd"
+                odd = frame_core // 2 if frame_core % 2 == 0 else frame_core
                 hits = [
                     p.id for p in PROFILES.values()
-                    if p.form is form and p.core_parity == parity
+                    if p.form is frame_form and p.core_parity == parity
                     and odd % 8 in p.core_residues
                 ]
                 assert len(hits) == 1
-                assert select_case(form, core).id == hits[0]
+                assert construction_frame(form, core) == (
+                    "T2D" if t2d else hits[0], PROFILES[hits[0]], frame_core
+                )
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -118,7 +116,7 @@ class TestProfileHelpers:
             p = PROFILES[case_id]
             core = next(
                 c for c in eligible_cores(p.form, 500)
-                if select_case(p.form, c) is p and c > 2
+                if construction_frame(p.form, c)[1] is p and c > 2
             )
             q = find_q(p, core)
             b, h = solve_bh(p, p.n0(core), q)

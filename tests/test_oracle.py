@@ -1,4 +1,5 @@
 import math
+import os
 
 from hypothesis import given, strategies as st
 
@@ -107,6 +108,34 @@ class TestScanCompare:
         parallel = scan_compare(TernaryForm.D112, 1, 240, jobs=4)
         assert serial == parallel
         assert serial.to_csv() == parallel.to_csv()
+
+    def test_large_jobs_clamp_the_pool(self, monkeypatch):
+        # A stand-in pool records its size and maps inline: no process starts.
+        import concurrent.futures
+
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        serial = scan_compare(TernaryForm.D112, 1, 240)
+        assert scan_compare(TernaryForm.D112, 1, 240, jobs=10000) == serial
+        assert scan_compare(TernaryForm.D112, 5, 5, jobs=10000).rows == serial.rows[4:5]
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert scan_compare(TernaryForm.D112, 1, 240, jobs=10000) == serial
+        assert sizes == [3, 1, 1]
 
     def test_resource_cap_flagged_not_fatal(self):
         report = scan_compare(TernaryForm.D122, 3, 3, max_candidates=1)

@@ -19,13 +19,17 @@ from ternrep import (
     find_q,
     is_prime,
     jacobi,
-    select_case,
     solve_bh,
     solve_t,
     verify_witness,
     witness_problems,
 )
-from ternrep.pipeline import SMALL_CORE, composed_values, enumerate_point
+from ternrep.pipeline import (
+    SMALL_CORE,
+    composed_values,
+    construction_frame,
+    enumerate_point,
+)
 
 T1A = PROFILES["T1A"]
 T1B = PROFILES["T1B"]
@@ -37,13 +41,6 @@ def constructive_witnesses(form, lo, hi):
         w = build_witness(form, m)
         if isinstance(w, Witness) and w.case_id != SMALL_CORE:
             yield w
-
-
-def construction_frame(w):
-    """Profile and core governing the stored construction fields."""
-    if w.case_id == "T2D":
-        return select_case(TernaryForm.D122, w.core // 2), w.core // 2
-    return PROFILES[w.case_id], w.core
 
 
 class TestFindQ:
@@ -86,11 +83,6 @@ class TestFindQ:
     def test_cap(self):
         with pytest.raises(ResourceCapError):
             find_q(T1A, 3, max_candidates=1)
-
-    def test_delegating_profile_has_no_q(self):
-        with pytest.raises(InternalError):
-            find_q(PROFILES["T2D"], 6)
-
 
 class TestSolveT:
     def test_pinned_values(self):
@@ -194,7 +186,7 @@ class TestEnumeratePoint:
     def test_hits_target(self):
         for form in TernaryForm:
             for w in constructive_witnesses(form, 1, 260):
-                profile, core = construction_frame(w)
+                _, profile, core = construction_frame(w.form, w.core)
                 point = enumerate_point(profile, core, w.q, w.t, w.b, w.h)
                 _, _, f = composed_values(profile, core, w.q, w.t, w.b, w.h, point)
                 assert f == profile.target(core)
@@ -202,14 +194,14 @@ class TestEnumeratePoint:
     def test_agrees_with_reference_scan(self):
         for form in TernaryForm:
             for w in constructive_witnesses(form, 1, 260):
-                profile, core = construction_frame(w)
+                _, profile, core = construction_frame(w.form, w.core)
                 assert first_point_reference(
                     profile, core, w.q, w.t, w.b, w.h
                 ) == w.point
 
     def test_substituted_lattice_coordinate_is_even(self):
         for w in constructive_witnesses(TernaryForm.D122, 1, 300):
-            profile, _ = construction_frame(w)
+            _, profile, _ = construction_frame(w.form, w.core)
             if profile.x_substituted:
                 assert w.point[0] % 2 == 0
 
@@ -335,13 +327,24 @@ class TestVerifyWitness:
         assert not verify_witness(bad)
         assert any("unknown case" in p for p in witness_problems(bad))
 
+    @pytest.mark.parametrize("form, m, core", [
+        (TernaryForm.D122, 3, 7),
+        (TernaryForm.D122, 3, 15),
+        (TernaryForm.D112, 6, 14),
+    ])
+    def test_uncovered_core(self, form, m, core):
+        w = build_witness(form, m)
+        bad = dataclasses.replace(w, core=core)
+        assert not verify_witness(bad)
+        assert "no case covers core %d" % core in witness_problems(bad)
+
 
 class TestWitnessIdentities:
     def test_congruence_at_random_triples(self):
         rng = random.Random(20240817)
         for form in TernaryForm:
             for w in constructive_witnesses(form, 1, 200):
-                profile, core = construction_frame(w)
+                _, profile, core = construction_frame(w.form, w.core)
                 target = profile.target(core)
                 for _ in range(100):
                     x = rng.randrange(-1000, 1001)
@@ -357,7 +360,7 @@ class TestWitnessIdentities:
     def test_binary_part_positive_definite(self):
         for form in TernaryForm:
             for w in constructive_witnesses(form, 1, 300):
-                profile, core = construction_frame(w)
+                _, profile, core = construction_frame(w.form, w.core)
                 u, wc, v = profile.binary_coefficients(core, w.q, w.b, w.h)
                 assert u > 0 and v > 0
                 assert wc * wc - 4 * u * v < 0
@@ -367,7 +370,7 @@ class TestWitnessIdentities:
         # power must pass jacobi(-c, p) = 1
         for form in TernaryForm:
             for w in constructive_witnesses(form, 1, 300):
-                profile, _ = construction_frame(w)
+                _, profile, _ = construction_frame(w.form, w.core)
                 if w.n == 0:
                     continue
                 v = profile.d_factor * w.q * w.q * w.n
@@ -379,7 +382,7 @@ class TestWitnessIdentities:
     def test_r_and_binary_recomputed(self):
         for form in TernaryForm:
             for w in constructive_witnesses(form, 1, 200):
-                profile, core = construction_frame(w)
+                _, profile, core = construction_frame(w.form, w.core)
                 r1, n, f = composed_values(
                     profile, core, w.q, w.t, w.b, w.h, w.point
                 )
