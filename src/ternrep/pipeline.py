@@ -301,6 +301,8 @@ def witness_problems(w: Witness) -> list:
     problems = []
     if w.m < 1:
         return ["m < 1"]
+    if w.k < 0:
+        return ["k < 0"]
     if not eligibility(w.form, w.m).eligible:
         problems.append("m is not eligible for this form")
     if (1 << (2 * w.k)) * w.s * w.s * w.core != w.m:
@@ -309,8 +311,9 @@ def witness_problems(w: Witness) -> list:
         problems.append("s is even")
     odd_core = w.core // 2 if w.core % 2 == 0 else w.core
     # Factored once: for a core of the expected shape its odd part is also
-    # the modulus of the character condition on q.
-    odd_factors = factorize(odd_core) if odd_core > 0 else []
+    # the modulus of the character condition on q.  A core of the wrong
+    # shape is reported below and its character condition is not checked.
+    odd_factors = factorize(odd_core) if odd_core > 0 and odd_core % 2 else []
     if odd_core < 1 or odd_core % 2 == 0 or any(e > 1 for _, e in odd_factors):
         problems.append("core is not squarefree of the expected shape")
     if evaluate(w.form, w.representation) != w.m:
@@ -331,6 +334,8 @@ def witness_problems(w: Witness) -> list:
     if None in (w.q, w.t, w.b, w.h, w.point, w.r1, w.n, w.binary):
         return problems + ["construction fields are incomplete"]
 
+    if w.q < 2:
+        return problems + ["q is not prime"]
     target = profile.target(frame_core)
     n0 = profile.n0(frame_core)
     if not is_prime(w.q):

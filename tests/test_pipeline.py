@@ -338,6 +338,39 @@ class TestVerifyWitness:
         assert not verify_witness(bad)
         assert "no case covers core %d" % core in witness_problems(bad)
 
+    @pytest.mark.parametrize("form, m, core", [
+        (TernaryForm.D112, 6, 4),
+        (TernaryForm.D112, 6, 12),
+        (TernaryForm.D112, 6, 20),
+    ])
+    def test_misshapen_core(self, form, m, core):
+        w = build_witness(form, m)
+        bad = dataclasses.replace(w, core=core)
+        assert not verify_witness(bad)
+        assert ("core is not squarefree of the expected shape"
+                in witness_problems(bad))
+
+    @pytest.mark.parametrize("field, value, problem", [
+        ("k", -1, "k < 0"),
+        ("q", 0, "q is not prime"),
+        ("q", 1, "q is not prime"),
+    ])
+    def test_out_of_range_field(self, field, value, problem):
+        w = build_witness(TernaryForm.D112, 6)
+        bad = dataclasses.replace(w, **{field: value})
+        assert not verify_witness(bad)
+        assert problem in witness_problems(bad)
+
+    def test_every_substituted_core_is_judged(self):
+        by_case = {}
+        for form in TernaryForm:
+            for w in constructive_witnesses(form, 1, 200):
+                by_case.setdefault(w.case_id, w)
+        for w in by_case.values():
+            for core in range(-2, 80):
+                bad = dataclasses.replace(w, core=core)
+                assert verify_witness(bad) == (core == w.core)
+
 
 class TestWitnessIdentities:
     def test_congruence_at_random_triples(self):
