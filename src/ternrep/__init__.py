@@ -6,7 +6,7 @@ x^2+y^2+3z^2 and x^2+y^2+7z^2, and ships an independent brute-force oracle
 for auditing every claim.
 """
 
-from .arith import crt, inv_mod, is_prime, jacobi, sqrt_mod_prime
+from .arith import PRIMALITY_LIMIT, crt, inv_mod, is_prime, jacobi, sqrt_mod_prime
 from .cases import CaseProfile, PROFILES, select_case
 from .descent import compose, cornacchia_prime, represent_binary
 from .errors import (
@@ -51,7 +51,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "jacobi", "is_prime", "sqrt_mod_prime", "inv_mod", "crt",
+    "jacobi", "is_prime", "sqrt_mod_prime", "inv_mod", "crt", "PRIMALITY_LIMIT",
     "factorize", "squarefree_decompose", "ord_p",
     "TernaryForm", "Eligibility", "EligibilityVerdict",
     "eligibility", "evaluate", "reduce_to_core", "lift_representation",

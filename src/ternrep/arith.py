@@ -6,7 +6,7 @@ All functions work on plain Python ints and are pure.
 
 from .errors import NonCoprimeModuliError, NonResidueError, NotInvertibleError
 
-__all__ = ["jacobi", "is_prime", "sqrt_mod_prime", "inv_mod", "crt"]
+__all__ = ["jacobi", "is_prime", "sqrt_mod_prime", "inv_mod", "crt", "PRIMALITY_LIMIT"]
 
 
 def jacobi(a: int, n: int) -> int:
@@ -48,11 +48,14 @@ _MR_TIERS = (
     (3317044064679887385961981, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)),
 )
 
+# is_prime is proven exactly for n below this bound (~3.3e24, ~2**81.4).
+PRIMALITY_LIMIT = _MR_TIERS[-1][0]
+
 _TINY_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
-    """Exact primality test, deterministic for all n below ~3.3e24.
+    """Exact primality test, deterministic for all n below PRIMALITY_LIMIT.
 
     Uses trial division by tiny primes followed by Miller-Rabin with a
     proven witness set.  No randomness anywhere.
@@ -64,7 +67,7 @@ def is_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
-    if n >= _MR_TIERS[-1][0]:
+    if n >= PRIMALITY_LIMIT:
         raise ValueError("is_prime: %d exceeds the deterministic witness range" % n)
     for bound, bases in _MR_TIERS:
         if n < bound:

@@ -63,11 +63,9 @@ class CaseProfile:
         return self.core_parity == "even"
 
     def n0(self, core: int) -> int:
+        """Odd part of the core: the value F must take, the modulus of t
+        and R's z-coefficient."""
         return core // 2 if self.core_parity == "even" else core
-
-    def target(self, core: int) -> int:
-        """Value F must take; also the modulus for t and R's z-coefficient."""
-        return self.n0(core)
 
     def binary_coefficients(self, core: int, q: int, b: int, h: int) -> tuple:
         """(u, w, v) with binary part u*x^2 + w*x*y + v*y^2."""

@@ -349,10 +349,10 @@ def dispatch(argv, out=None, err=None) -> int:
         if args.command in ("represent", "witness", "check") and args.m < 1:
             err.write("--m must be at least 1\n")
             return EXIT_USAGE
+        if args.command in ("represent", "witness", "scan") and args.max_prime_candidates < 1:
+            err.write("--max-prime-candidates must be at least 1\n")
+            return EXIT_USAGE
         if args.command in ("represent", "witness"):
-            if args.max_prime_candidates < 1:
-                err.write("--max-prime-candidates must be at least 1\n")
-                return EXIT_USAGE
             return _cmd_represent(args, out, err, trail=args.command == "witness")
         if args.command == "check":
             return _cmd_check(args, out, err)

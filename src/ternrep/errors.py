@@ -26,7 +26,7 @@ class NotRepresentableError(TernrepError, ValueError):
 
 
 class ResourceCapError(TernrepError, RuntimeError):
-    """A configured search or factoring budget was exhausted."""
+    """q search hit --max-prime-candidates, or a number to factor reached PRIMALITY_LIMIT."""
 
 
 class InternalError(TernrepError, RuntimeError):

@@ -1,4 +1,4 @@
-"""Integer factorization sized for inputs up to ~2**96.
+"""Integer factorization of inputs below arith.PRIMALITY_LIMIT (~3.3e24).
 
 Trial division by a 2-3-5 wheel up to 10**6, then Brent's variant of
 Pollard rho with fixed, documented parameters so results are reproducible.
@@ -6,14 +6,10 @@ Pollard rho with fixed, documented parameters so results are reproducible.
 
 import math
 
-from .arith import is_prime
+from .arith import PRIMALITY_LIMIT, is_prime
 from .errors import ResourceCapError
 
-__all__ = ["factorize", "squarefree_decompose", "ord_p", "DEFAULT_FACTOR_BUDGET"]
-
-# Largest input factorize accepts by default.  Covers every integer the
-# witness pipeline and its audits ever factor at the supported scale.
-DEFAULT_FACTOR_BUDGET = 2**96
+__all__ = ["factorize", "squarefree_decompose", "ord_p"]
 
 _TRIAL_LIMIT = 10**6
 
@@ -55,16 +51,16 @@ def _pollard_rho(n: int) -> int:
         c += 1
 
 
-def factorize(n: int, budget: int = DEFAULT_FACTOR_BUDGET) -> list:
+def factorize(n: int) -> list:
     """Prime factorization of n >= 1 as [(p, e), ...] with p strictly
     increasing.  factorize(1) == [].
 
-    Raises ResourceCapError when n exceeds `budget`.
+    Raises ResourceCapError when n is at or above PRIMALITY_LIMIT.
     """
     if n < 1:
         raise ValueError("factorize requires n >= 1, got %r" % (n,))
-    if n > budget:
-        raise ResourceCapError("factorize: %d exceeds budget %d" % (n, budget))
+    if n >= PRIMALITY_LIMIT:
+        raise ResourceCapError("factorize: %d is at or above the proven primality bound" % n)
     factors = {}
     for p in (2, 3, 5):
         while n % p == 0:
@@ -100,10 +96,10 @@ def factorize(n: int, budget: int = DEFAULT_FACTOR_BUDGET) -> list:
     return sorted(factors.items())
 
 
-def squarefree_decompose(n: int, budget: int = DEFAULT_FACTOR_BUDGET) -> tuple:
+def squarefree_decompose(n: int) -> tuple:
     """Write n = s**2 * core with core squarefree; returns (s, core)."""
     s, core = 1, 1
-    for p, e in factorize(n, budget):
+    for p, e in factorize(n):
         s *= p ** (e // 2)
         if e % 2:
             core *= p

@@ -16,7 +16,7 @@ that bound permits and takes the first hit.
 import math
 from dataclasses import dataclass
 
-from .arith import crt, inv_mod, is_prime, jacobi, sqrt_mod_prime
+from .arith import PRIMALITY_LIMIT, crt, inv_mod, is_prime, jacobi, sqrt_mod_prime
 from .cases import CaseProfile, select_case
 from .descent import represent_binary
 from .errors import (
@@ -87,23 +87,23 @@ class Witness:
     representation: tuple
 
 
-def find_q(profile: CaseProfile, core: int, max_candidates: int = DEFAULT_CANDIDATE_CAP) -> int:
+def find_q(profile: CaseProfile, core: int, primes, max_candidates=DEFAULT_CANDIDATE_CAP) -> int:
     """Smallest prime q > max(core, 2) in the profile's residue class with
-    jacobi(-char_factor * q, p) = 1 for every odd prime p of the core.
+    jacobi(-char_factor * q, p) = 1 for each p in primes, those of n0(core).
 
     Raises ResourceCapError after max_candidates values of the residue
-    class have been examined.
+    class have been examined, or when q reaches PRIMALITY_LIMIT.
     """
     r, modulus = profile.q_residue
-    odd_part = profile.n0(core) if profile.core_parity == "even" else core
-    char_primes = [p for p, _ in factorize(odd_part)]
     q = max(core, 2) + 1
     q += (r - q) % modulus
-    examined = 0
-    while examined < max_candidates:
-        examined += 1
+    for _ in range(max_candidates):
+        if q >= PRIMALITY_LIMIT:
+            raise ResourceCapError(
+                "no auxiliary prime for core %d below the proven primality bound" % core
+            )
         if is_prime(q) and all(
-            jacobi(-profile.char_factor * q, p) == 1 for p in char_primes
+            jacobi(-profile.char_factor * q, p) == 1 for p in primes
         ):
             return q
         q += modulus
@@ -112,16 +112,16 @@ def find_q(profile: CaseProfile, core: int, max_candidates: int = DEFAULT_CANDID
     )
 
 
-def solve_t(profile: CaseProfile, modulus: int, q: int) -> int:
-    """t in [0, modulus) with t^2 = -1/(t_den_factor * q) (mod modulus).
+def solve_t(profile: CaseProfile, primes, q: int) -> int:
+    """t in [0, prod(primes)) with t^2 = -1/(t_den_factor * q) modulo each of
+    the distinct odd primes: the canonical roots at each prime, combined by CRT.
 
-    modulus is odd and squarefree; the congruence is solved prime by prime
-    with the canonical root and recombined by CRT.  The character condition
-    on q guarantees solvability, so failure here is an internal error.
+    The character condition on q guarantees solvability, so failure here
+    is an internal error.
     """
     den = profile.t_den_factor * q
     pairs = []
-    for p, _ in factorize(modulus):
+    for p in primes:
         try:
             a = -inv_mod(den % p, p) % p
             pairs.append((sqrt_mod_prime(a, p), p))
@@ -178,7 +178,7 @@ def composed_values(
         x //= 2
     u, w, v = profile.binary_coefficients(core, q, b, h)
     binary = u * x * x + w * x * y + v * y * y
-    r_val = profile.alpha * t * q * x + b * t * y + profile.target(core) * z
+    r_val = profile.alpha * t * q * x + b * t * y + profile.n0(core) * z
     return r_val, binary, profile.rho * r_val * r_val + binary
 
 
@@ -192,8 +192,8 @@ def enumerate_point(
     the binary part's budget; z ascending over the at most two values
     solving the R-budget.  All bounds are evaluated in exact integers.
     """
-    target = profile.target(core)
-    gn = profile.gamma * profile.n0(core)
+    target = profile.n0(core)
+    gn = profile.gamma * target
     delta = profile.delta_factor * q
     lam = profile.alpha * q
     u, w, v = profile.binary_coefficients(core, q, b, h)
@@ -273,13 +273,14 @@ def build_witness(
                        None, None, None, None, None, None, None, None, rep)
 
     case_id, profile, frame_core = construction_frame(form, core)
-    q = find_q(profile, frame_core, max_candidates)
-    target = profile.target(frame_core)
-    t = solve_t(profile, target, q)
-    b, h = solve_bh(profile, profile.n0(frame_core), q)
+    n0 = profile.n0(frame_core)
+    primes = [p for p, _ in factorize(n0)]
+    q = find_q(profile, frame_core, primes, max_candidates)
+    t = solve_t(profile, primes, q)
+    b, h = solve_bh(profile, n0, q)
     point = enumerate_point(profile, frame_core, q, t, b, h)
     r1, n, f_val = composed_values(profile, frame_core, q, t, b, h, point)
-    if f_val != target:
+    if f_val != n0:
         raise InternalError("enumerated point does not hit the target")
     try:
         binary = represent_binary(n, profile.c)
@@ -336,9 +337,10 @@ def witness_problems(w: Witness) -> list:
 
     if w.q < 2:
         return problems + ["q is not prime"]
-    target = profile.target(frame_core)
     n0 = profile.n0(frame_core)
-    if not is_prime(w.q):
+    if w.q >= PRIMALITY_LIMIT:
+        problems.append("q is beyond the proven primality range")
+    elif not is_prime(w.q):
         problems.append("q is not prime")
     if w.q <= max(frame_core, 2):
         problems.append("q is not above the core")
@@ -350,11 +352,11 @@ def witness_problems(w: Witness) -> list:
             problems.append("character condition fails at p = %d" % p)
 
     den = profile.t_den_factor * w.q
-    if not 0 <= w.t < max(target, 1):
+    if not 0 <= w.t < max(n0, 1):
         problems.append("t out of range")
-    if math.gcd(den, target) != 1:
+    if math.gcd(den, n0) != 1:
         problems.append("t denominator shares a factor with the modulus")
-    elif (w.t * w.t + inv_mod(den % target, target)) % target != 0:
+    elif (w.t * w.t + inv_mod(den % n0, n0)) % n0 != 0:
         problems.append("t^2 != -1/den (mod modulus)")
 
     if profile.b_parity == "odd" and w.b % 2 == 0:
@@ -380,7 +382,7 @@ def witness_problems(w: Witness) -> list:
         )
     except ValueError as exc:
         return problems + [str(exc)]
-    if f_val != target:
+    if f_val != n0:
         problems.append("F(point) != target")
     if r1 != w.r1:
         problems.append("R does not match the point")

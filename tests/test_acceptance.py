@@ -63,7 +63,7 @@ def audit_witness(w, rng):
     if w.case_id == SMALL_CORE:
         return None
     _, profile, core = construction_frame(w.form, w.core)
-    target = profile.target(core)
+    target = profile.n0(core)
     u, wc, v = profile.binary_coefficients(core, w.q, w.b, w.h)
     c1 = profile.alpha * w.t * w.q
     c2 = w.b * w.t

@@ -105,6 +105,16 @@ class TestRepresent:
         assert code == 5
         assert "resource cap" in err
 
+    @pytest.mark.parametrize("command", ["represent", "witness"])
+    def test_primality_bound_exit(self, command):
+        # 3 * (2^89 - 1): the core is above the proven primality bound, so
+        # it is rejected before any search
+        code, out, err = run_cli(
+            [command, "--form", "x2+2y2+2z2", "--m", "1856910058928070412348686333"])
+        assert code == 5
+        assert out == ""
+        assert err.startswith("resource cap:")
+
     def test_usage_errors(self):
         assert run_cli(["represent", "--form", "bogus", "--m", "3"])[0] == 4
         assert run_cli(["represent", "--form", "x2+2y2+2z2"])[0] == 4
@@ -214,6 +224,15 @@ class TestScan:
              "--max-prime-candidates", "1"])
         assert code == 5
         assert "resource-cap" in out
+
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_max_prime_candidates_at_least_one(self, cap):
+        code, out, err = run_cli(
+            ["scan", "--form", "x2+2y2+2z2", "--lo", "1", "--hi", "3",
+             "--max-prime-candidates", cap])
+        assert code == 4
+        assert out == ""
+        assert err == "--max-prime-candidates must be at least 1\n"
 
 
 class TestSelftest:

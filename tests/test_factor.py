@@ -3,7 +3,14 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from ternrep import ResourceCapError, factorize, is_prime, ord_p, squarefree_decompose
+from ternrep import (
+    PRIMALITY_LIMIT,
+    ResourceCapError,
+    factorize,
+    is_prime,
+    ord_p,
+    squarefree_decompose,
+)
 
 
 class TestFactorize:
@@ -42,7 +49,7 @@ class TestFactorize:
 
     def test_budget_cap(self):
         with pytest.raises(ResourceCapError):
-            factorize(10**10, budget=10**6)
+            factorize(PRIMALITY_LIMIT)
 
 
 class TestSquarefreeDecompose:

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from ternrep import (
     Eligibility,
     InternalError,
+    PRIMALITY_LIMIT,
     PROFILES,
     ResourceCapError,
     TernaryForm,
@@ -36,6 +37,10 @@ T1B = PROFILES["T1B"]
 T3A = PROFILES["T3A"]
 
 
+def primes_of(profile, core):
+    return [p for p, _ in factorize(profile.n0(core))]
+
+
 def constructive_witnesses(form, lo, hi):
     for m in range(lo, hi):
         w = build_witness(form, m)
@@ -45,9 +50,9 @@ def constructive_witnesses(form, lo, hi):
 
 class TestFindQ:
     def test_pinned_values(self):
-        assert find_q(T1A, 3) == 73
-        assert find_q(T1A, 1) == 17
-        assert find_q(T3A, 5) == 29
+        assert find_q(T1A, 3, [3]) == 73
+        assert find_q(T1A, 1, []) == 17
+        assert find_q(T3A, 5, [5]) == 29
 
     def test_smallest_in_class_with_character(self):
         # independent re-derivation of the q = 73 pin: walk the class by hand
@@ -62,7 +67,7 @@ class TestFindQ:
         # 17 = 1 (mod 8) is prime but jacobi(-17, 5) = -1, so core 5 under
         # the odd-core x2+2y2+2z2 profile must skip it
         assert jacobi(-17, 5) == -1
-        assert find_q(T1B, 5) == 41
+        assert find_q(T1B, 5, [5]) == 41
 
     def test_postconditions_sample(self):
         for profile, core in [
@@ -71,7 +76,7 @@ class TestFindQ:
             (PROFILES["T2A"], 19), (PROFILES["T2B"], 23),
             (PROFILES["T2C"], 13), (T3A, 13), (PROFILES["T3B"], 17),
         ]:
-            q = find_q(profile, core)
+            q = find_q(profile, core, primes_of(profile, core))
             r, modulus = profile.q_residue
             assert is_prime(q)
             assert q > core
@@ -82,20 +87,43 @@ class TestFindQ:
 
     def test_cap(self):
         with pytest.raises(ResourceCapError):
-            find_q(T1A, 3, max_candidates=1)
+            find_q(T1A, 3, [3], max_candidates=1)
+
+    def test_stops_at_the_primality_limit(self):
+        with pytest.raises(ResourceCapError):
+            find_q(T1A, PRIMALITY_LIMIT - 2, [])
+
+    def test_find_q_and_solve_t_never_factor(self, monkeypatch):
+        # one witness per profile; q and t are recomputed from its primes
+        # with factorize disabled
+        runs = {}
+        for form in TernaryForm:
+            for w in constructive_witnesses(form, 1, 200):
+                _, profile, core = construction_frame(w.form, w.core)
+                runs.setdefault(profile.id, (profile, core, primes_of(profile, core), w))
+        assert sorted(runs) == sorted(PROFILES)
+
+        def no_factoring(n):
+            raise AssertionError("factorize(%d) called" % n)
+
+        monkeypatch.setattr("ternrep.pipeline.factorize", no_factoring)
+        for profile, core, primes, w in runs.values():
+            assert find_q(profile, core, primes) == w.q
+            assert solve_t(profile, primes, w.q) == w.t
+
 
 class TestSolveT:
     def test_pinned_values(self):
-        assert solve_t(T1A, 3, 73) == 1
-        assert solve_t(T1A, 1, 73) == 0
-        assert solve_t(T1B, 1, 17) == 0
+        assert solve_t(T1A, [3], 73) == 1
+        assert solve_t(T1A, [], 73) == 0
+        assert solve_t(T1B, [], 17) == 0
 
     def test_congruence_holds(self):
         for profile, core in [(T1A, 11), (T1B, 13), (PROFILES["T2C"], 29),
                               (T3A, 13), (PROFILES["T3B"], 17)]:
-            q = find_q(profile, core)
-            modulus = profile.target(core)
-            t = solve_t(profile, modulus, q)
+            q = find_q(profile, core, primes_of(profile, core))
+            modulus = profile.n0(core)
+            t = solve_t(profile, primes_of(profile, core), q)
             assert 0 <= t < modulus
             den = profile.t_den_factor * q
             assert (t * t * den + 1) % modulus == 0
@@ -104,7 +132,7 @@ class TestSolveT:
         # q = 17 fails the character condition at p = 5, so the congruence
         # t^2 = -1/(4q) (mod 5) has no root
         with pytest.raises(InternalError):
-            solve_t(T1B, 5, 17)
+            solve_t(T1B, [5], 17)
 
 
 class TestSolveBH:
@@ -118,7 +146,7 @@ class TestSolveBH:
             (PROFILES["T2C"], 13), (T3A, 13), (PROFILES["T3B"], 17),
         ]:
             n0 = profile.n0(core)
-            q = find_q(profile, core)
+            q = find_q(profile, core, primes_of(profile, core))
             b, h = solve_bh(profile, n0, q)
             assert 0 <= b < 2 * q
             assert b * b + profile.gamma * n0 == profile.d_factor * q * h
@@ -134,7 +162,7 @@ class TestSolveBH:
         # congruence b^2 = -gamma*n0 (mod q)
         for profile, core in [(T1A, 3), (T1B, 13), (T3A, 13)]:
             n0 = profile.n0(core)
-            q = find_q(profile, core)
+            q = find_q(profile, core, primes_of(profile, core))
             b, _ = solve_bh(profile, n0, q)
             for smaller in range(b):
                 if profile.b_parity == "odd" and smaller % 2 == 0:
@@ -150,7 +178,7 @@ def first_point_reference(profile, core, q, t, b, h):
     Iterates the same normative order but derives the x-range from a
     conservative symmetric bound instead of the tight interval.
     """
-    target = profile.target(core)
+    target = profile.n0(core)
     u, w, v = profile.binary_coefficients(core, q, b, h)
     c1 = profile.alpha * t * q
     c2 = b * t
@@ -189,7 +217,7 @@ class TestEnumeratePoint:
                 _, profile, core = construction_frame(w.form, w.core)
                 point = enumerate_point(profile, core, w.q, w.t, w.b, w.h)
                 _, _, f = composed_values(profile, core, w.q, w.t, w.b, w.h, point)
-                assert f == profile.target(core)
+                assert f == profile.n0(core)
 
     def test_agrees_with_reference_scan(self):
         for form in TernaryForm:
@@ -354,6 +382,7 @@ class TestVerifyWitness:
         ("k", -1, "k < 0"),
         ("q", 0, "q is not prime"),
         ("q", 1, "q is not prime"),
+        ("q", 2**89 - 1, "q is beyond the proven primality range"),
     ])
     def test_out_of_range_field(self, field, value, problem):
         w = build_witness(TernaryForm.D112, 6)
@@ -378,7 +407,7 @@ class TestWitnessIdentities:
         for form in TernaryForm:
             for w in constructive_witnesses(form, 1, 200):
                 _, profile, core = construction_frame(w.form, w.core)
-                target = profile.target(core)
+                target = profile.n0(core)
                 for _ in range(100):
                     x = rng.randrange(-1000, 1001)
                     if profile.x_substituted:
@@ -420,7 +449,7 @@ class TestWitnessIdentities:
                     profile, core, w.q, w.t, w.b, w.h, w.point
                 )
                 assert (r1, n) == (w.r1, w.n)
-                assert f == profile.target(core)
+                assert f == profile.n0(core)
                 a, beta = w.binary
                 assert a * a + profile.c * beta * beta == w.n
 
