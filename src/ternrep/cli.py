@@ -10,6 +10,7 @@ cap hit.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -287,7 +288,9 @@ def _cmd_selftest(args, out, err) -> int:
     return EXIT_INTERNAL if failed else EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built once per process; parse_args leaves it unchanged."""
     parser = _Parser(prog="ternrep",
                      description="Constructive representation by the ternary "
                                  "forms x^2+2y^2+2z^2, x^2+y^2+2z^2, "

@@ -1,7 +1,9 @@
 """Integer factorization of inputs below arith.PRIMALITY_LIMIT (~3.3e24).
 
-Trial division by a 2-3-5 wheel up to 10**6, then Brent's variant of
+Trial division by a 2-3-5 wheel up to 2**12, then Brent's variant of
 Pollard rho with fixed, documented parameters so results are reproducible.
+Trial division stops early because rho finds a factor p in about sqrt(p)
+steps, so past a few thousand it beats dividing by every prime up to p.
 """
 
 import math
@@ -11,7 +13,7 @@ from .errors import ResourceCapError
 
 __all__ = ["factorize", "squarefree_decompose", "ord_p"]
 
-_TRIAL_LIMIT = 10**6
+_TRIAL_LIMIT = 2**12
 
 # Gaps of the 2-3-5 wheel starting at 7.
 _WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
@@ -78,7 +80,7 @@ def factorize(n: int) -> list:
             factors[p] = e
         p += _WHEEL[i]
         i = (i + 1) % 8
-    # Whatever is left has no prime factor below 10**6.
+    # Whatever is left has no prime factor below _TRIAL_LIMIT.
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()

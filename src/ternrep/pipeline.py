@@ -311,6 +311,8 @@ def witness_problems(w: Witness) -> list:
     if w.s % 2 == 0:
         problems.append("s is even")
     odd_core = w.core // 2 if w.core % 2 == 0 else w.core
+    if odd_core >= PRIMALITY_LIMIT:
+        return problems + ["core is beyond the proven primality range"]
     # Factored once: for a core of the expected shape its odd part is also
     # the modulus of the character condition on q.  A core of the wrong
     # shape is reported below and its character condition is not checked.

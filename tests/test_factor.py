@@ -47,6 +47,34 @@ class TestFactorize:
         square = 1000003 * 1000003
         assert factorize(square) == [(1000003, 2)]
 
+    # Each n is built from known primes, so its factorization is known by
+    # construction.  Trial division stops at 2**12; these shapes leave
+    # Pollard rho and the perfect-square check to finish: prime powers and
+    # products of p, q in (2**12, 10**6), Carmichael numbers (the last has
+    # every factor above 2**12), and the bigsquare shape 4^k * s^2 * c * P
+    # with a prime s above 10**6.
+    @pytest.mark.parametrize("pairs", [
+        [(4099, 2)], [(65537, 3)], [(999983, 4)], [(4099, 5)], [(4099, 6)],
+        [(4099, 1), (999983, 1)],
+        [(65537, 2), (524287, 1)],
+        [(4099, 3), (999983, 2)],
+        [(3, 1), (11, 1), (17, 1)],
+        [(5, 1), (13, 1), (17, 1)],
+        [(7, 1), (13, 1), (19, 1)],
+        [(5, 1), (17, 1), (29, 1)],
+        [(7, 1), (13, 1), (31, 1)],
+        [(7, 1), (23, 1), (41, 1)],
+        [(7, 1), (19, 1), (67, 1)],
+        [(4261, 1), (8521, 1), (12781, 1)],
+        [(2, 4), (3, 1), (5, 1), (7, 1), (1000003, 2), (3999971, 1)],
+        [(2, 2), (11, 1), (1000003, 1), (1000033, 2)],
+        [(3, 1), (1000003, 2), (2147483647, 1)],
+        [(2, 4), (5, 1), (13, 1), (1000033, 2)],
+    ])
+    def test_rho_regime(self, pairs):
+        assert all(is_prime(p) for p, _ in pairs)
+        assert factorize(math.prod(p**e for p, e in pairs)) == pairs
+
     def test_budget_cap(self):
         with pytest.raises(ResourceCapError):
             factorize(PRIMALITY_LIMIT)

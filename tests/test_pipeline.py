@@ -390,6 +390,14 @@ class TestVerifyWitness:
         assert not verify_witness(bad)
         assert problem in witness_problems(bad)
 
+    @pytest.mark.parametrize("core", [2**89 - 1, 2 * (2**89 - 1)])
+    def test_core_beyond_primality_range(self, core):
+        w = build_witness(TernaryForm.D122, 3)
+        bad = dataclasses.replace(w, core=core)
+        assert not verify_witness(bad)
+        assert ("core is beyond the proven primality range"
+                in witness_problems(bad))
+
     def test_every_substituted_core_is_judged(self):
         by_case = {}
         for form in TernaryForm:
