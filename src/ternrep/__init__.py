@@ -33,6 +33,7 @@ from .oracle import (
     ScanRow,
     brute_force_binary,
     brute_force_ternary,
+    descent_mismatches,
     scan_compare,
 )
 from .pipeline import (
@@ -57,7 +58,7 @@ __all__ = [
     "eligibility", "evaluate", "reduce_to_core", "lift_representation",
     "CaseProfile", "PROFILES", "select_case",
     "cornacchia_prime", "compose", "represent_binary",
-    "brute_force_ternary", "brute_force_binary",
+    "brute_force_ternary", "brute_force_binary", "descent_mismatches",
     "ScanRow", "ScanReport", "scan_compare",
     "Witness", "build_witness", "construction_frame", "find_q",
     "solve_t", "solve_bh", "enumerate_point", "verify_witness",

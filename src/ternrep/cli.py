@@ -14,10 +14,9 @@ import functools
 import json
 import sys
 
-from .descent import represent_binary
-from .errors import InternalError, NotRepresentableError, ResourceCapError
+from .errors import InternalError, ResourceCapError
 from .forms import Eligibility, FORM_BY_NAME, TernaryForm, eligibility, evaluate
-from .oracle import brute_force_binary, brute_force_ternary, scan_compare
+from .oracle import brute_force_ternary, descent_mismatches, scan_compare
 from .pipeline import (
     DEFAULT_CANDIDATE_CAP,
     Witness,
@@ -256,16 +255,7 @@ def _selftest_suites():
         return True
 
     def descent():
-        for c in (2, 3, 7):
-            for n in range(500):
-                try:
-                    a, beta = represent_binary(n, c)
-                    found = (a * a + c * beta * beta == n)
-                except NotRepresentableError:
-                    found = False
-                if found != (brute_force_binary(c, n) is not None):
-                    return False
-        return True
+        return not descent_mismatches(500)
 
     def audits():
         for form in TernaryForm:

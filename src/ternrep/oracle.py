@@ -1,16 +1,22 @@
-"""Exhaustive-search ground truth and the pipeline-vs-oracle scan.
+"""Exhaustive-search ground truth and the pipeline-vs-oracle checks.
 
 The brute-force searches are the reference the constructive pipeline is
 measured against; their scan orders are fixed so results are reproducible.
+This module sits downstream of the pipeline: it imports the pipeline and
+the descent, and neither of them imports it.
 """
 
 import math
 import os
 from dataclasses import dataclass, field
 
-from .forms import Eligibility, TernaryForm, eligibility, evaluate
+from .descent import represent_binary
+from .errors import NotRepresentableError, ResourceCapError
+from .forms import TernaryForm, eligibility
+from .pipeline import DEFAULT_CANDIDATE_CAP, Witness, build_witness
 
-__all__ = ["brute_force_ternary", "brute_force_binary", "ScanRow", "ScanReport", "scan_compare"]
+__all__ = ["brute_force_ternary", "brute_force_binary", "descent_mismatches",
+           "ScanRow", "ScanReport", "scan_compare"]
 
 CSV_HEADER = "m,verdict,pipeline_found,oracle_found,agree,x,y,z,q,elapsed_micros"
 
@@ -47,6 +53,24 @@ def brute_force_binary(c: int, n: int):
             if b * b == b2:
                 return (a, b)
     return None
+
+
+def descent_mismatches(limit: int) -> list:
+    """(c, n) for each c in (2, 3, 7) and 0 <= n <= limit where the descent
+    and brute_force_binary disagree on solvability, or the descent returns
+    a pair that is negative or does not evaluate to n."""
+    failures = []
+    for c in (2, 3, 7):
+        for n in range(limit + 1):
+            try:
+                a, beta = represent_binary(n, c)
+                sound = a >= 0 and beta >= 0 and a * a + c * beta * beta == n
+            except NotRepresentableError:
+                sound = None
+            oracle = brute_force_binary(c, n)
+            if (sound is None) != (oracle is None) or sound is False:
+                failures.append((c, n))
+    return failures
 
 
 @dataclass(frozen=True)
@@ -93,10 +117,6 @@ class ScanReport:
 
 
 def _scan_rows(form: TernaryForm, lo: int, hi: int, max_candidates: int) -> list:
-    # Imported here: pipeline depends on this module for the small-core path.
-    from .errors import ResourceCapError
-    from .pipeline import Witness, build_witness
-
     rows = []
     for m in range(lo, hi + 1):
         verdict = eligibility(form, m)
@@ -134,7 +154,7 @@ def _scan_chunk(args) -> list:
 
 
 def scan_compare(
-    form: TernaryForm, lo: int, hi: int, jobs: int = 1, max_candidates: int = 10**6
+    form: TernaryForm, lo: int, hi: int, jobs: int = 1, max_candidates: int = DEFAULT_CANDIDATE_CAP
 ) -> ScanReport:
     """Compare pipeline, brute-force oracle and the local conditions for
     every m in [lo, hi].

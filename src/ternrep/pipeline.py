@@ -35,7 +35,6 @@ from .forms import (
     lift_representation,
     reduce_to_core,
 )
-from .oracle import brute_force_ternary
 
 __all__ = [
     "DEFAULT_CANDIDATE_CAP",
@@ -55,9 +54,17 @@ __all__ = [
 DEFAULT_CANDIDATE_CAP = 10**6
 
 # Cores whose odd part is 1 make every modulus in the construction
-# degenerate, so they are answered from the exhaustive search instead.
+# degenerate, so they are settled by inspection: each base is the first hit
+# of the exhaustive search (oracle.brute_force_ternary).  No eligible core
+# of x^2+y^2+7z^2 is below 5, and 2 is not an eligible core of x^2+y^2+3z^2.
 SMALL_CORE = "SMALL_CORE"
-_SMALL_CORE_LIMIT = 2
+_SMALL_CORE_BASE = {
+    (TernaryForm.D122, 1): (1, 0, 0),
+    (TernaryForm.D122, 2): (0, 0, 1),
+    (TernaryForm.D112, 1): (0, 1, 0),
+    (TernaryForm.D112, 2): (0, 0, 1),
+    (TernaryForm.D113, 1): (0, 1, 0),
+}
 
 
 @dataclass(frozen=True)
@@ -264,10 +271,8 @@ def build_witness(
         return verdict
     k, s, core = reduce_to_core(form, m)
 
-    if core <= _SMALL_CORE_LIMIT:
-        base = brute_force_ternary(form, core)
-        if base is None:
-            raise InternalError("tiny eligible core %d has no representation" % core)
+    base = _SMALL_CORE_BASE.get((form, core))
+    if base is not None:
         rep = checked_representation(form, m, lift_representation(base, k, s))
         return Witness(form, m, k, s, core, SMALL_CORE,
                        None, None, None, None, None, None, None, None, rep)
@@ -319,12 +324,20 @@ def witness_problems(w: Witness) -> list:
     odd_factors = factorize(odd_core) if odd_core > 0 and odd_core % 2 else []
     if odd_core < 1 or odd_core % 2 == 0 or any(e > 1 for _, e in odd_factors):
         problems.append("core is not squarefree of the expected shape")
-    if evaluate(w.form, w.representation) != w.m:
+    if len(w.representation) != 3:
+        problems.append("representation is not a triple")
+    elif evaluate(w.form, w.representation) != w.m:
         problems.append("representation does not evaluate to m")
 
+    fields = (w.q, w.t, w.b, w.h, w.point, w.r1, w.n, w.binary)
     if w.case_id == SMALL_CORE:
-        if w.core > _SMALL_CORE_LIMIT:
-            problems.append("small-core marker on a core above the limit")
+        base = _SMALL_CORE_BASE.get((w.form, w.core))
+        if base is None:
+            problems.append("no small-core base for core %d" % w.core)
+        elif w.representation != lift_representation(base, w.k, w.s):
+            problems.append("representation does not match the small-core base")
+        if any(f is not None for f in fields):
+            problems.append("small-core witness carries construction fields")
         return problems
 
     try:
@@ -334,7 +347,7 @@ def witness_problems(w: Witness) -> list:
     if w.case_id != case_id:
         return problems + ["unknown case id %r for core %d" % (w.case_id, w.core)]
 
-    if None in (w.q, w.t, w.b, w.h, w.point, w.r1, w.n, w.binary):
+    if None in fields:
         return problems + ["construction fields are incomplete"]
 
     if w.q < 2:
@@ -375,9 +388,6 @@ def witness_problems(w: Witness) -> list:
     if w.point == (0, 0, 0):
         problems.append("point is zero")
         return problems
-    if profile.x_substituted and w.point[0] % 2 != 0:
-        problems.append("lattice x-coordinate is odd")
-        return problems
     try:
         r1, n, f_val = composed_values(
             profile, frame_core, w.q, w.t, w.b, w.h, w.point
@@ -391,6 +401,8 @@ def witness_problems(w: Witness) -> list:
     if n != w.n:
         problems.append("binary value does not match the point")
 
+    if len(w.binary) != 2:
+        return problems + ["binary rep is not a pair"]
     a, beta = w.binary
     if a < 0 or beta < 0:
         problems.append("binary rep not normalized")

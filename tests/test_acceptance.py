@@ -16,13 +16,11 @@ import random
 import pytest
 
 from ternrep import (
-    NotRepresentableError,
     TernaryForm,
     Witness,
-    brute_force_binary,
     build_witness,
+    descent_mismatches,
     eligibility,
-    represent_binary,
     scan_compare,
     verify_witness,
 )
@@ -161,17 +159,7 @@ def test_witness_audit(sweeps, report):
 
 
 def test_descent_oracle_equivalence(report):
-    failures = []
-    for c in (2, 3, 7):
-        for n in range(0, DESCENT_LIMIT + 1):
-            try:
-                a, beta = represent_binary(n, c)
-                sound = a >= 0 and beta >= 0 and a * a + c * beta * beta == n
-            except NotRepresentableError:
-                sound = None
-            oracle = brute_force_binary(c, n)
-            if (sound is None) != (oracle is None) or sound is False:
-                failures.append((c, n))
+    failures = descent_mismatches(DESCENT_LIMIT)
     ok = not failures
     report("descent-oracle-equivalence", ok, "failures %r" % failures[:5])
     assert failures == []

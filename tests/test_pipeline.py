@@ -13,6 +13,7 @@ from ternrep import (
     ResourceCapError,
     TernaryForm,
     Witness,
+    brute_force_ternary,
     build_witness,
     eligibility,
     evaluate,
@@ -20,6 +21,7 @@ from ternrep import (
     find_q,
     is_prime,
     jacobi,
+    reduce_to_core,
     solve_bh,
     solve_t,
     verify_witness,
@@ -27,6 +29,7 @@ from ternrep import (
 )
 from ternrep.pipeline import (
     SMALL_CORE,
+    _SMALL_CORE_BASE,
     composed_values,
     construction_frame,
     enumerate_point,
@@ -260,6 +263,18 @@ class TestBuildWitness:
         assert w.q is None and w.point is None
         assert evaluate(TernaryForm.D113, w.representation) == 4
 
+    def test_small_core_bases_are_oracle_first_hits(self):
+        for (form, core), base in _SMALL_CORE_BASE.items():
+            assert base == brute_force_ternary(form, core)
+        small = set()
+        for form in TernaryForm:
+            for m in range(1, 20001):
+                if eligibility(form, m).eligible:
+                    core = reduce_to_core(form, m)[2]
+                    if core <= 2:
+                        small.add((form, core))
+        assert small == set(_SMALL_CORE_BASE)
+
     def test_smallest_covered_d117(self):
         w = build_witness(TernaryForm.D117, 5)
         assert w.case_id == "T3A"
@@ -397,6 +412,31 @@ class TestVerifyWitness:
         assert not verify_witness(bad)
         assert ("core is beyond the proven primality range"
                 in witness_problems(bad))
+
+    @pytest.mark.parametrize("form, m, changes, problem", [
+        (TernaryForm.D113, 4, dict(q=5, point=(9, 9, 9), binary=(7, 7)),
+         "small-core witness carries construction fields"),
+        (TernaryForm.D122, 1, dict(representation=(-1, 0, 0)),
+         "representation does not match the small-core base"),
+        (TernaryForm.D122, 1, dict(core=5), "no small-core base for core 5"),
+        (TernaryForm.D122, 6, dict(point=(3, -4, 5)),
+         "lattice x must be even for profile T1C"),
+        (TernaryForm.D122, 6, dict(point=()), None),
+        (TernaryForm.D122, 3, dict(representation=(1, 0)),
+         "representation is not a triple"),
+        (TernaryForm.D113, 4, dict(representation=(1, 0)),
+         "representation is not a triple"),
+        (TernaryForm.D122, 3, dict(binary=(1,)), "binary rep is not a pair"),
+        (TernaryForm.D122, 3, dict(binary=(1, 0, 0)), "binary rep is not a pair"),
+    ], ids=["small-core-stray-fields", "small-core-other-representation",
+            "small-core-no-base", "odd-lattice-x", "empty-point",
+            "representation-pair", "small-core-representation-pair",
+            "binary-single", "binary-triple"])
+    def test_hand_edited(self, form, m, changes, problem):
+        bad = dataclasses.replace(build_witness(form, m), **changes)
+        assert not verify_witness(bad)
+        if problem is not None:
+            assert problem in witness_problems(bad)
 
     def test_every_substituted_core_is_judged(self):
         by_case = {}
