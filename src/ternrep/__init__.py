@@ -29,11 +29,13 @@ from .forms import (
     reduce_to_core,
 )
 from .oracle import (
+    SCAN_HI_LIMIT,
     ScanReport,
     ScanRow,
     brute_force_binary,
     brute_force_ternary,
     descent_mismatches,
+    represented_bits,
     scan_compare,
 )
 from .pipeline import (
@@ -58,8 +60,8 @@ __all__ = [
     "eligibility", "evaluate", "reduce_to_core", "lift_representation",
     "CaseProfile", "PROFILES", "select_case",
     "cornacchia_prime", "compose", "represent_binary",
-    "brute_force_ternary", "brute_force_binary", "descent_mismatches",
-    "ScanRow", "ScanReport", "scan_compare",
+    "brute_force_ternary", "brute_force_binary", "represented_bits",
+    "descent_mismatches", "SCAN_HI_LIMIT", "ScanRow", "ScanReport", "scan_compare",
     "Witness", "build_witness", "construction_frame", "find_q",
     "solve_t", "solve_bh", "enumerate_point", "verify_witness",
     "witness_problems",

@@ -26,7 +26,8 @@ class NotRepresentableError(TernrepError, ValueError):
 
 
 class ResourceCapError(TernrepError, RuntimeError):
-    """q search hit --max-prime-candidates, or a number to factor reached PRIMALITY_LIMIT."""
+    """q search hit --max-prime-candidates, a number to factor reached
+    PRIMALITY_LIMIT, or a scan reached past SCAN_HI_LIMIT."""
 
 
 class InternalError(TernrepError, RuntimeError):

@@ -299,16 +299,50 @@ def build_witness(
                    q, t, b, h, point, r1, n, binary, rep)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _shape_problems(w: Witness) -> list:
+    """Fields of the wrong type or length: integers are ints but not bools,
+    and point, binary and representation are tuples of ints."""
+    problems = []
+    if not isinstance(w.form, TernaryForm):
+        problems.append("form is not a TernaryForm")
+    if not isinstance(w.case_id, str):
+        problems.append("case id is not a string")
+    for name in ("m", "k", "s", "core", "q", "t", "b", "h", "r1", "n"):
+        value = getattr(w, name)
+        optional = name not in ("m", "k", "s", "core")
+        if not (_is_int(value) or optional and value is None):
+            problems.append("%s is not an integer" % name)
+    for name, value, size in (("representation", w.representation, 3),
+                              ("point", w.point, 3),
+                              ("binary rep", w.binary, 2)):
+        if value is None and name != "representation":
+            continue
+        if not isinstance(value, tuple) or len(value) != size:
+            problems.append("%s is not a %s" % (name, "pair" if size == 2 else "triple"))
+        elif not all(_is_int(v) for v in value):
+            problems.append("%s has a non-integer entry" % name)
+    return problems
+
+
 def witness_problems(w: Witness) -> list:
     """Every invariant violation in the witness, recomputed from scratch.
 
-    An empty list means the witness verifies.
+    An empty list means the witness verifies.  A field of the wrong type or
+    length is reported, and nothing is recomputed from it.
     """
-    problems = []
+    problems = _shape_problems(w)
+    if problems:
+        return problems
     if w.m < 1:
         return ["m < 1"]
     if w.k < 0:
         return ["k < 0"]
+    if 2 * w.k >= w.m.bit_length():
+        return ["4^k * s^2 * core != m"]  # 4^k alone exceeds m
     if not eligibility(w.form, w.m).eligible:
         problems.append("m is not eligible for this form")
     if (1 << (2 * w.k)) * w.s * w.s * w.core != w.m:
@@ -324,9 +358,7 @@ def witness_problems(w: Witness) -> list:
     odd_factors = factorize(odd_core) if odd_core > 0 and odd_core % 2 else []
     if odd_core < 1 or odd_core % 2 == 0 or any(e > 1 for _, e in odd_factors):
         problems.append("core is not squarefree of the expected shape")
-    if len(w.representation) != 3:
-        problems.append("representation is not a triple")
-    elif evaluate(w.form, w.representation) != w.m:
+    if evaluate(w.form, w.representation) != w.m:
         problems.append("representation does not evaluate to m")
 
     fields = (w.q, w.t, w.b, w.h, w.point, w.r1, w.n, w.binary)
@@ -401,8 +433,6 @@ def witness_problems(w: Witness) -> list:
     if n != w.n:
         problems.append("binary value does not match the point")
 
-    if len(w.binary) != 2:
-        return problems + ["binary rep is not a pair"]
     a, beta = w.binary
     if a < 0 or beta < 0:
         problems.append("binary rep not normalized")

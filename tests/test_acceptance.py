@@ -6,7 +6,9 @@ gate can be read off the captured output at a glance.
 
 The four 50000-point sweeps are shared through a module fixture: every
 witness is built once and audited inline (full re-verification plus the
-100-random-triple congruence check) while the sweep streams.
+100-random-triple congruence check) while the sweep streams.  The
+independent cross-checks to BITSET_LIMIT read represented_bits, which marks
+every value a form takes up to the limit without any per-m search.
 """
 
 import dataclasses
@@ -21,6 +23,7 @@ from ternrep import (
     build_witness,
     descent_mismatches,
     eligibility,
+    represented_bits,
     scan_compare,
     verify_witness,
 )
@@ -30,6 +33,7 @@ from ternrep.pipeline import SMALL_CORE, construction_frame
 SWEEP_LIMIT = 50000
 ORACLE_LIMIT = 5000
 DESCENT_LIMIT = 100000
+BITSET_LIMIT = 10**6
 TRIPLES_PER_WITNESS = 100
 
 
@@ -51,6 +55,27 @@ def arithmetic_obstructed(form, m):
     if form is TernaryForm.D112:
         return m % 16 == 14
     raise AssertionError("no exact criterion for %s" % form)
+
+
+def dickson_exception(m):
+    """m = 9^k(9l+6): exactly the m >= 1 that x^2+y^2+3z^2 misses (Dickson)."""
+    while m % 9 == 0:
+        m //= 9
+    return m % 9 == 6
+
+
+def unrepresented(form):
+    """The m in 1..BITSET_LIMIT that the form does not represent."""
+    bits = represented_bits(form.coefficients, BITSET_LIMIT)
+    flags = format(bits, "0%db" % (BITSET_LIMIT + 1))[::-1]
+    return [m for m in range(1, BITSET_LIMIT + 1) if flags[m] == "0"]
+
+
+def criterion_misses(form, excluded):
+    """First m <= BITSET_LIMIT where representation by the form and the
+    criterion "m is represented iff not excluded(m)" disagree."""
+    expected = [m for m in range(1, BITSET_LIMIT + 1) if excluded(m)]
+    return sorted(set(unrepresented(form)).symmetric_difference(expected))[:5]
 
 
 def audit_witness(w, rng):
@@ -115,24 +140,38 @@ def run_cli(argv):
 def test_equivalence_x2_2y2_2z2(sweeps, report):
     res = sweeps[TernaryForm.D122]
     cross = scan_compare(TernaryForm.D122, 1, ORACLE_LIMIT)
+    misses = criterion_misses(
+        TernaryForm.D122, lambda m: arithmetic_obstructed(TernaryForm.D122, m))
     ok = (not res.equivalence_failures and cross.all_agree
-          and not cross.any_capped)
+          and not cross.any_capped and not misses)
     report("equivalence-x2+2y2+2z2", ok,
-           "failures %r" % res.equivalence_failures[:5])
+           "failures %r, criterion misses %r"
+           % (res.equivalence_failures[:5], misses))
     assert res.equivalence_failures == []
     assert cross.all_agree and not cross.any_capped
     assert len(cross.rows) == ORACLE_LIMIT
+    assert misses == []
 
 
 def test_equivalence_x2_y2_2z2(sweeps, report):
     res = sweeps[TernaryForm.D112]
     cross = scan_compare(TernaryForm.D112, 1, ORACLE_LIMIT)
+    misses = criterion_misses(
+        TernaryForm.D112, lambda m: arithmetic_obstructed(TernaryForm.D112, m))
     ok = (not res.equivalence_failures and cross.all_agree
-          and not cross.any_capped)
+          and not cross.any_capped and not misses)
     report("equivalence-x2+y2+2z2", ok,
-           "failures %r" % res.equivalence_failures[:5])
+           "failures %r, criterion misses %r"
+           % (res.equivalence_failures[:5], misses))
     assert res.equivalence_failures == []
     assert cross.all_agree and not cross.any_capped
+    assert misses == []
+
+
+def test_dickson_x2_y2_3z2(report):
+    misses = criterion_misses(TernaryForm.D113, dickson_exception)
+    report("dickson-x2+y2+3z2", not misses, "misses %r" % misses)
+    assert misses == []
 
 
 def test_sufficiency_covered_cases(sweeps, report):
@@ -140,10 +179,16 @@ def test_sufficiency_covered_cases(sweeps, report):
         form: sweeps[form].equivalence_failures
         for form in (TernaryForm.D117, TernaryForm.D113)
     }
-    ok = not any(failures.values())
-    report("sufficiency-covered-cases", ok, "failures %r" % failures)
+    missed = {
+        form: [m for m in unrepresented(form) if eligibility(form, m).eligible][:5]
+        for form in (TernaryForm.D117, TernaryForm.D113)
+    }
+    ok = not any(failures.values()) and not any(missed.values())
+    report("sufficiency-covered-cases", ok,
+           "failures %r, eligible but unrepresented %r" % (failures, missed))
     assert failures[TernaryForm.D117] == []
     assert failures[TernaryForm.D113] == []
+    assert missed == {TernaryForm.D117: [], TernaryForm.D113: []}
     assert sweeps[TernaryForm.D117].witnesses > 0
     assert sweeps[TernaryForm.D113].witnesses > 0
 

@@ -2,10 +2,11 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
-from ternrep import TernaryForm, evaluate
+from ternrep import SCAN_HI_LIMIT, TernaryForm, evaluate
 from ternrep.cli import dispatch
 from ternrep.oracle import CSV_HEADER
 
@@ -224,6 +225,18 @@ class TestScan:
              "--max-prime-candidates", "1"])
         assert code == 5
         assert "resource-cap" in out
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_hi_above_scan_limit_exits_5_at_once(self, jobs):
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            ["scan", "--form", "x2+y2+7z2", "--lo", str(SCAN_HI_LIMIT),
+             "--hi", str(SCAN_HI_LIMIT + 1), "--jobs", jobs])
+        assert time.perf_counter() - start < 1.0
+        assert code == 5
+        assert out == ""
+        assert err == "resource cap: scan hi %d is above the scan limit %d\n" % (
+            SCAN_HI_LIMIT + 1, SCAN_HI_LIMIT)
 
     @pytest.mark.parametrize("cap", ["0", "-1"])
     def test_max_prime_candidates_at_least_one(self, cap):

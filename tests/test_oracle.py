@@ -1,16 +1,33 @@
+import hashlib
 import math
 import os
+import time
 
+import pytest
 from hypothesis import given, strategies as st
 
 from ternrep import (
+    SCAN_HI_LIMIT,
+    InternalError,
+    ResourceCapError,
     TernaryForm,
     brute_force_binary,
     brute_force_ternary,
     evaluate,
+    represented_bits,
     scan_compare,
 )
+from ternrep import oracle
 from ternrep.oracle import CSV_HEADER
+
+# sha256 of scan_compare(form, 1, 3000).to_csv() as written when every row
+# still ran brute_force_ternary; the bitset scan must print the same bytes.
+SCAN_CSV_SHA256 = {
+    TernaryForm.D122: "e4da8bab1f1b6ec4195d4600f4fbae4b2f4bb09edcce31be9af0825793ad041f",
+    TernaryForm.D112: "26dbc59cc1e7eee24808959d4b20120c16e1fd1b74a30ff8abb11ed08a84140b",
+    TernaryForm.D113: "0700e6f33bff67452442cccef28fef9834ef4a24ab265ecfa4585063c228267d",
+    TernaryForm.D117: "e2ccdac848c5285ff891752c534668e24b9f4b848b1b349588b6f49e405d5350",
+}
 
 
 def all_representations(form, m):
@@ -68,6 +85,35 @@ class TestBruteForceBinary:
             a, b = rep
             assert a >= 0 and b >= 0
             assert a * a + c * b * b == n
+
+
+class TestRepresentedBits:
+    def test_agrees_with_ternary_search(self):
+        for form in TernaryForm:
+            bits = represented_bits(form.coefficients, 3000)
+            assert bits.bit_length() <= 3001
+            for m in range(3001):
+                found = brute_force_ternary(form, m) is not None
+                assert (bits >> m & 1 == 1) == found, (form, m)
+
+    def test_agrees_with_binary_search(self):
+        for c in (2, 3, 7):
+            bits = represented_bits((1, c), 5000)
+            assert bits.bit_length() <= 5001
+            for n in range(5001):
+                found = brute_force_binary(c, n) is not None
+                assert (bits >> n & 1 == 1) == found, (c, n)
+
+    def test_small_ranges(self):
+        assert represented_bits((1, 2, 2), 0) == 1
+        assert represented_bits((1, 1, 7), 3) == 0b0111
+        assert represented_bits((5,), 20) == (1 << 0) | (1 << 5) | (1 << 20)
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            represented_bits((1, 2, 2), -1)
+        with pytest.raises(ValueError):
+            represented_bits((1, 0, 2), 10)
 
 
 class TestScanCompare:
@@ -160,3 +206,43 @@ class TestScanCompare:
     def test_elapsed_micros_column_is_stable(self):
         report = scan_compare(TernaryForm.D113, 1, 40)
         assert all(row.elapsed_micros == 0 for row in report.rows)
+
+    @pytest.mark.parametrize("form", list(TernaryForm), ids=lambda f: f.name)
+    def test_csv_pinned(self, form):
+        text = scan_compare(form, 1, 3000).to_csv()
+        assert hashlib.sha256(text.encode()).hexdigest() == SCAN_CSV_SHA256[form]
+
+    def test_printed_oracle_triples_are_first_hits(self):
+        reports = [scan_compare(form, 1, 1500) for form in (TernaryForm.D113, TernaryForm.D117)]
+        reports.append(scan_compare(TernaryForm.D122, 1, 60, max_candidates=1))
+        printed = 0
+        for report in reports:
+            for row in report.rows:
+                if row.pipeline_found:
+                    continue
+                expected = brute_force_ternary(report.form, row.m)
+                assert row.representation == expected
+                assert row.oracle_found == (expected is not None)
+                printed += expected is not None
+        assert printed > 1000
+
+    def test_search_that_misses_a_marked_row_is_internal_error(self, monkeypatch):
+        monkeypatch.setattr(oracle, "brute_force_ternary", lambda form, m: None)
+        with pytest.raises(InternalError):
+            scan_compare(TernaryForm.D117, 11, 11)
+        # rows the pipeline represents never reach the search
+        assert scan_compare(TernaryForm.D122, 3, 3).rows[0].representation == (1, 0, 1)
+
+    @pytest.mark.parametrize("lo, hi", [(1, SCAN_HI_LIMIT + 1),
+                                        (SCAN_HI_LIMIT + 1, SCAN_HI_LIMIT + 1)])
+    def test_hi_above_limit_raises_before_work(self, lo, hi):
+        start = time.perf_counter()
+        with pytest.raises(ResourceCapError):
+            scan_compare(TernaryForm.D112, lo, hi, jobs=2)
+        assert time.perf_counter() - start < 1.0
+
+    def test_hi_at_limit_is_accepted(self, monkeypatch):
+        # A stand-in bitset keeps the run small; only the bound is under test.
+        monkeypatch.setattr(oracle, "represented_bits", lambda coefficients, hi: 0)
+        (row,) = scan_compare(TernaryForm.D112, SCAN_HI_LIMIT, SCAN_HI_LIMIT).rows
+        assert row.m == SCAN_HI_LIMIT and not row.oracle_found

@@ -308,6 +308,23 @@ class TestBuildWitness:
                 assert build_witness(form, m) == build_witness(form, m)
 
 
+WITNESS_FIELDS = [f.name for f in dataclasses.fields(Witness)]
+FUZZ_WITNESSES = [build_witness(form, m) for form, m in (
+    (TernaryForm.D122, 3), (TernaryForm.D122, 1), (TernaryForm.D112, 6),
+    (TernaryForm.D113, 4), (TernaryForm.D117, 5), (TernaryForm.D122, 48))]
+_FUZZ_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**64, 2**64),
+    st.floats(allow_nan=True), st.text(max_size=3),
+    st.sampled_from(list(TernaryForm)),
+)
+FUZZ_VALUES = st.one_of(
+    _FUZZ_SCALARS,
+    st.lists(_FUZZ_SCALARS, max_size=4).map(tuple),
+    st.lists(st.integers(-10**6, 10**6), min_size=2, max_size=3).map(tuple),
+    st.lists(st.integers(-10**6, 10**6), max_size=3),
+)
+
+
 class TestVerifyWitness:
     def test_accepts_pipeline_output(self):
         for form in TernaryForm:
@@ -437,6 +454,39 @@ class TestVerifyWitness:
         assert not verify_witness(bad)
         if problem is not None:
             assert problem in witness_problems(bad)
+
+    @pytest.mark.parametrize("changes, problem", [
+        (dict(representation=None), "representation is not a triple"),
+        (dict(point=5), "point is not a triple"),
+        (dict(q="x"), "q is not an integer"),
+        (dict(point=(1.5, 2, 3)), "point has a non-integer entry"),
+        (dict(point=[1, -4, -2]), "point is not a triple"),
+        (dict(representation=(True, 0, 1)), "representation has a non-integer entry"),
+        (dict(k=False), "k is not an integer"),
+        (dict(m=3.0), "m is not an integer"),
+        (dict(binary=(1.0, 0)), "binary rep has a non-integer entry"),
+        (dict(form="x2+2y2+2z2"), "form is not a TernaryForm"),
+        (dict(case_id=None), "case id is not a string"),
+        (dict(k=2**80), "4^k * s^2 * core != m"),
+    ], ids=["representation-none", "point-int", "q-str", "point-floats",
+            "point-list", "representation-bool", "k-bool", "m-float",
+            "binary-float", "form-str", "case-id-none", "k-huge"])
+    def test_wrongly_typed_field(self, changes, problem):
+        bad = dataclasses.replace(build_witness(TernaryForm.D122, 3), **changes)
+        assert witness_problems(bad) == [problem]
+        assert not verify_witness(bad)
+
+    @given(st.sampled_from(FUZZ_WITNESSES),
+           st.dictionaries(st.sampled_from(WITNESS_FIELDS), FUZZ_VALUES,
+                           min_size=1, max_size=3))
+    def test_field_type_fuzz_raises_nothing(self, w, changes):
+        bad = dataclasses.replace(w, **changes)
+        problems = witness_problems(bad)
+        assert isinstance(problems, list)
+        assert all(isinstance(p, str) for p in problems)
+        if any(type(v) is not type(getattr(w, k)) for k, v in changes.items()
+               if v is not None):
+            assert problems
 
     def test_every_substituted_core_is_judged(self):
         by_case = {}
