@@ -39,6 +39,7 @@ from .oracle import (
     scan_compare,
 )
 from .pipeline import (
+    Construction,
     Witness,
     build_witness,
     construction_frame,
@@ -62,7 +63,7 @@ __all__ = [
     "cornacchia_prime", "compose", "represent_binary",
     "brute_force_ternary", "brute_force_binary", "represented_bits",
     "descent_mismatches", "SCAN_HI_LIMIT", "ScanRow", "ScanReport", "scan_compare",
-    "Witness", "build_witness", "construction_frame", "find_q",
+    "Construction", "Witness", "build_witness", "construction_frame", "find_q",
     "solve_t", "solve_bh", "enumerate_point", "verify_witness",
     "witness_problems",
     "TernrepError", "NonResidueError", "NotInvertibleError",

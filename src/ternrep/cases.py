@@ -48,13 +48,13 @@ class CaseProfile:
     gamma: int                # b^2 = -gamma * n0 (mod q)
     b_parity: str             # "odd", "even" or "free"
     d_factor: int             # b^2 + gamma*n0 = (d_factor * q) * h
-    h_odd: bool               # extra side condition on h
     delta_factor: int         # binary part clears to ((alpha*q*x + b*y)^2
     alpha: int                #   + gamma*n0*y^2) / (delta_factor * q)
     rho: int                  # F = rho * R^2 + binary part
     y_bound: tuple            # (num, den): scan bound y^2 < num * q / den
     c: int                    # binary descent constant
     assembly: str
+    h_odd: bool = False       # extra side condition on h
 
     @property
     def x_substituted(self) -> bool:
@@ -88,17 +88,12 @@ class CaseProfile:
         raise InternalError("unknown assembly tag %r" % (self.assembly,))
 
 
-def _profile(**kw) -> CaseProfile:
-    kw.setdefault("h_odd", False)
-    return CaseProfile(**kw)
-
-
 PROFILES = {
     p.id: p
     for p in (
         # x^2 + 2y^2 + 2z^2, odd core = 3 (mod 8):
         #   F = 2R^2 + q x^2 + 2b xy + 2h y^2, R = tq x + bt y + core z
-        _profile(
+        CaseProfile(
             id="T1A", form=TernaryForm.D122, core_parity="odd", core_residues=(3,),
             q_residue=(1, 8), char_factor=2, t_den_factor=2, gamma=1, b_parity="odd",
             d_factor=2, delta_factor=1, alpha=1, rho=2, y_bound=(2, 1), c=2,
@@ -106,7 +101,7 @@ PROFILES = {
         ),
         # odd core = 1, 5 (mod 8):
         #   F = 2R^2 + 2q x^2 + 2b xy + h y^2, R = 2tq x + bt y + core z
-        _profile(
+        CaseProfile(
             id="T1B", form=TernaryForm.D122, core_parity="odd", core_residues=(1, 5),
             q_residue=(1, 8), char_factor=1, t_den_factor=4, gamma=1, b_parity="odd",
             d_factor=2, delta_factor=2, alpha=2, rho=2, y_bound=(4, 1), c=2,
@@ -114,19 +109,19 @@ PROFILES = {
         ),
         # even core 2*m1; the three profiles differ only in q's residue class.
         #   F = R^2 + 2q x'^2 + 2b x'y + h y^2, R = 2tq x' + bt y + m1 z
-        _profile(
+        CaseProfile(
             id="T1C", form=TernaryForm.D122, core_parity="even", core_residues=(1, 3),
             q_residue=(1, 8), char_factor=2, t_den_factor=2, gamma=2, b_parity="even",
             d_factor=2, delta_factor=2, alpha=2, rho=1, y_bound=(2, 1), c=2,
             assembly=ASSEMBLY_2B_A_R,
         ),
-        _profile(
+        CaseProfile(
             id="T1D", form=TernaryForm.D122, core_parity="even", core_residues=(5,),
             q_residue=(5, 8), char_factor=2, t_den_factor=2, gamma=2, b_parity="even",
             d_factor=2, delta_factor=2, alpha=2, rho=1, y_bound=(2, 1), c=2,
             assembly=ASSEMBLY_2B_A_R,
         ),
-        _profile(
+        CaseProfile(
             id="T1E", form=TernaryForm.D122, core_parity="even", core_residues=(7,),
             q_residue=(3, 8), char_factor=2, t_den_factor=2, gamma=2, b_parity="even",
             d_factor=2, delta_factor=2, alpha=2, rho=1, y_bound=(2, 1), c=2,
@@ -134,14 +129,14 @@ PROFILES = {
         ),
         # x^2 + y^2 + 2z^2, odd core = 3 (mod 8):
         #   F = R^2 + 2q x^2 + 2b xy + h y^2, R = 2tq x + bt y + core z
-        _profile(
+        CaseProfile(
             id="T2A", form=TernaryForm.D112, core_parity="odd", core_residues=(3,),
             q_residue=(1, 8), char_factor=2, t_den_factor=2, gamma=2, b_parity="even",
             d_factor=2, delta_factor=2, alpha=2, rho=1, y_bound=(2, 1), c=2,
             assembly=ASSEMBLY_R_A_B,
         ),
         # odd core = 7 (mod 8): as T2A but q = 3 (mod 8)
-        _profile(
+        CaseProfile(
             id="T2B", form=TernaryForm.D112, core_parity="odd", core_residues=(7,),
             q_residue=(3, 8), char_factor=2, t_den_factor=2, gamma=2, b_parity="even",
             d_factor=2, delta_factor=2, alpha=2, rho=1, y_bound=(2, 1), c=2,
@@ -149,7 +144,7 @@ PROFILES = {
         ),
         # odd core = 1, 5 (mod 8):
         #   F = R^2 + q x^2 + 2b xy + h y^2, R = tq x + bt y + core z
-        _profile(
+        CaseProfile(
             id="T2C", form=TernaryForm.D112, core_parity="odd", core_residues=(1, 5),
             q_residue=(1, 8), char_factor=1, t_den_factor=1, gamma=2, b_parity="free",
             d_factor=1, delta_factor=1, alpha=1, rho=1, y_bound=(1, 1), c=2,
@@ -157,14 +152,14 @@ PROFILES = {
         ),
         # x^2 + y^2 + 7z^2, core = 5 (mod 8), 7 not dividing the core:
         #   F = R^2 + q x^2 + b xy + h y^2, R = 2tq x + bt y + core z, h odd
-        _profile(
+        CaseProfile(
             id="T3A", form=TernaryForm.D117, core_parity="odd", core_residues=(5,),
             q_residue=(1, 28), char_factor=1, t_den_factor=4, gamma=7, b_parity="odd",
             d_factor=4, h_odd=True, delta_factor=4, alpha=2, rho=1, y_bound=(8, 7),
             c=7, assembly=ASSEMBLY_A_R_B,
         ),
         # x^2 + y^2 + 3z^2, core = 1 (mod 8), 3 not dividing the core.
-        _profile(
+        CaseProfile(
             id="T3B", form=TernaryForm.D113, core_parity="odd", core_residues=(1,),
             q_residue=(1, 12), char_factor=1, t_den_factor=4, gamma=3, b_parity="odd",
             d_factor=4, h_odd=True, delta_factor=4, alpha=2, rho=1, y_bound=(8, 3),

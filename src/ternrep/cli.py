@@ -19,6 +19,7 @@ from .forms import Eligibility, FORM_BY_NAME, TernaryForm, eligibility, evaluate
 from .oracle import brute_force_ternary, descent_mismatches, scan_compare
 from .pipeline import (
     DEFAULT_CANDIDATE_CAP,
+    Construction,
     Witness,
     build_witness,
     verify_witness,
@@ -64,9 +65,16 @@ def _equation(form: TernaryForm, m: int, rep) -> str:
 
 
 def _json_fields(form, m, *, eligible, verdict, case=None, k=None, s=None,
-                 core=None, q=None, t=None, b=None, h=None, point=None,
-                 r=None, binary_value=None, binary_rep=None,
-                 representation=None, verified=False) -> dict:
+                 core=None, construction=None, representation=None,
+                 verified=False) -> dict:
+    con = construction
+    if con is None:
+        built = dict.fromkeys(("q", "t", "b", "h", "point", "R",
+                               "binary_value", "binary_rep"))
+    else:
+        built = {"q": con.q, "t": con.t, "b": con.b, "h": con.h,
+                 "point": list(con.point), "R": con.r1,
+                 "binary_value": con.n, "binary_rep": list(con.binary)}
     return {
         "form": form.cli_name,
         "m": m,
@@ -76,14 +84,7 @@ def _json_fields(form, m, *, eligible, verdict, case=None, k=None, s=None,
         "k": k,
         "s": s,
         "core": core,
-        "q": q,
-        "t": t,
-        "b": b,
-        "h": h,
-        "point": None if point is None else list(point),
-        "R": r,
-        "binary_value": binary_value,
-        "binary_rep": None if binary_rep is None else list(binary_rep),
+        **built,
         "representation": None if representation is None else list(representation),
         "verified": verified,
     }
@@ -96,9 +97,7 @@ def _witness_fields(w: Witness) -> dict:
         verdict=Eligibility.ELIGIBLE.value,
         case=w.case_id,
         k=w.k, s=w.s, core=w.core,
-        q=w.q, t=w.t, b=w.b, h=w.h,
-        point=w.point, r=w.r1,
-        binary_value=w.n, binary_rep=w.binary,
+        construction=w.construction,
         representation=w.representation,
         verified=verify_witness(w),
     )
@@ -186,7 +185,9 @@ def _cmd_check(args, out, err) -> int:
 
 def _cmd_oracle(args, out, err) -> int:
     form = FORM_BY_NAME[args.form]
-    rep = brute_force_ternary(form, args.m)
+    # Obstructed m (exact forms only) are proven unrepresented: no search.
+    obstructed = args.m >= 1 and eligibility(form, args.m).kind is Eligibility.OBSTRUCTED
+    rep = None if obstructed else brute_force_ternary(form, args.m)
     if args.json:
         _emit_json(out, {
             "form": form.cli_name,
@@ -243,9 +244,8 @@ def _cmd_scan(args, out, err) -> int:
 def _selftest_suites():
     def golden():
         w = build_witness(TernaryForm.D122, 3)
-        return (isinstance(w, Witness) and w.q == 73 and w.t == 1
-                and w.b == 17 and w.h == 2 and w.point == (1, -4, -2)
-                and w.r1 == -1 and w.n == 1 and w.binary == (1, 0)
+        expected = Construction(73, 1, 17, 2, (1, -4, -2), -1, 1, (1, 0))
+        return (isinstance(w, Witness) and w.construction == expected
                 and w.representation == (1, 0, 1) and verify_witness(w))
 
     def scans():

@@ -61,13 +61,7 @@ def compose(r1: tuple, r2: tuple, c: int) -> tuple:
 
 
 def _two_part(e: int, c: int) -> list:
-    """Representation pieces for 2**e under a^2 + c*b^2, or raise."""
-    if c == 2:
-        # 2 = 0^2 + 2*1^2, so any power of two works.
-        pieces = [(1 << (e // 2), 0)]
-        if e % 2:
-            pieces.append((0, 1))
-        return pieces
+    """Representation pieces for 2**e under a^2 + c*b^2, c = 3 or 7, or raise."""
     if c == 3:
         # x^2 + 3y^2 is never 2 mod 4 or 8 mod 16: odd powers of two fail.
         if e % 2:
@@ -99,12 +93,12 @@ def represent_binary(n: int, c: int) -> tuple:
         return (0, 0)
     acc = (1, 0)
     for p, e in factorize(n):
-        if p == 2:
-            pieces = _two_part(e, c)
-        elif p == c:
+        if p == c:  # c = 0^2 + c*1^2; this covers p = 2 when c = 2
             pieces = [(p ** (e // 2), 0)]
             if e % 2:
                 pieces.append((0, 1))
+        elif p == 2:
+            pieces = _two_part(e, c)
         else:
             pieces = [(p ** (e // 2), 0)]
             if e % 2:

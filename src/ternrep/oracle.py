@@ -177,7 +177,8 @@ def _scan_rows(form: TernaryForm, lo: int, hi: int, window: int, max_candidates:
                 witness = None
             if isinstance(witness, Witness):
                 pipeline_rep = witness.representation
-                q = witness.q
+                if witness.construction is not None:
+                    q = witness.construction.q
         pipeline_found = pipeline_rep is not None
         oracle_found = represented(m - lo)
         if verdict_label == "resource-cap":

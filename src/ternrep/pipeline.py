@@ -39,6 +39,7 @@ from .forms import (
 __all__ = [
     "DEFAULT_CANDIDATE_CAP",
     "SMALL_CORE",
+    "Construction",
     "Witness",
     "construction_frame",
     "find_q",
@@ -68,14 +69,25 @@ _SMALL_CORE_BASE = {
 
 
 @dataclass(frozen=True)
-class Witness:
-    """Full audit trail for one represented integer.
+class Construction:
+    """The run of the construction on the frame core of
+    construction_frame(form, core): for case T2D that is m1 = core / 2
+    under the x^2+2y^2+2z^2 profile of m1."""
 
-    For the small-core path every construction field is None.  Otherwise
-    the construction fields describe the run on the frame core of
-    construction_frame(form, core): for the even cores of x^2+y^2+2z^2
-    (case T2D) that is m1 = core / 2 under the x^2+2y^2+2z^2 profile of m1.
-    """
+    q: int
+    t: int
+    b: int
+    h: int
+    point: tuple
+    r1: int
+    n: int
+    binary: tuple
+
+
+@dataclass(frozen=True)
+class Witness:
+    """Full audit trail for one represented integer; construction is None
+    exactly on the small-core path."""
 
     form: TernaryForm
     m: int
@@ -83,14 +95,7 @@ class Witness:
     s: int
     core: int
     case_id: str
-    q: int | None
-    t: int | None
-    b: int | None
-    h: int | None
-    point: tuple | None
-    r1: int | None
-    n: int | None
-    binary: tuple | None
+    construction: Construction | None
     representation: tuple
 
 
@@ -274,8 +279,7 @@ def build_witness(
     base = _SMALL_CORE_BASE.get((form, core))
     if base is not None:
         rep = checked_representation(form, m, lift_representation(base, k, s))
-        return Witness(form, m, k, s, core, SMALL_CORE,
-                       None, None, None, None, None, None, None, None, rep)
+        return Witness(form, m, k, s, core, SMALL_CORE, None, rep)
 
     case_id, profile, frame_core = construction_frame(form, core)
     n0 = profile.n0(frame_core)
@@ -296,7 +300,7 @@ def build_witness(
     base = _assemble(case_id, profile, binary, r1)
     rep = checked_representation(form, m, lift_representation(base, k, s))
     return Witness(form, m, k, s, core, case_id,
-                   q, t, b, h, point, r1, n, binary, rep)
+                   Construction(q, t, b, h, point, r1, n, binary), rep)
 
 
 def _is_int(v) -> bool:
@@ -305,22 +309,25 @@ def _is_int(v) -> bool:
 
 def _shape_problems(w: Witness) -> list:
     """Fields of the wrong type or length: integers are ints but not bools,
-    and point, binary and representation are tuples of ints."""
+    point, binary and representation are tuples of ints, and the
+    construction, when present, is a Construction."""
     problems = []
     if not isinstance(w.form, TernaryForm):
         problems.append("form is not a TernaryForm")
     if not isinstance(w.case_id, str):
         problems.append("case id is not a string")
-    for name in ("m", "k", "s", "core", "q", "t", "b", "h", "r1", "n"):
-        value = getattr(w, name)
-        optional = name not in ("m", "k", "s", "core")
-        if not (_is_int(value) or optional and value is None):
+    con = w.construction
+    if con is not None and not isinstance(con, Construction):
+        problems.append("construction is not a Construction")
+    ints = [(name, getattr(w, name)) for name in ("m", "k", "s", "core")]
+    tuples = [("representation", w.representation, 3)]
+    if isinstance(con, Construction):
+        ints += [(name, getattr(con, name)) for name in ("q", "t", "b", "h", "r1", "n")]
+        tuples += [("point", con.point, 3), ("binary rep", con.binary, 2)]
+    for name, value in ints:
+        if not _is_int(value):
             problems.append("%s is not an integer" % name)
-    for name, value, size in (("representation", w.representation, 3),
-                              ("point", w.point, 3),
-                              ("binary rep", w.binary, 2)):
-        if value is None and name != "representation":
-            continue
+    for name, value, size in tuples:
         if not isinstance(value, tuple) or len(value) != size:
             problems.append("%s is not a %s" % (name, "pair" if size == 2 else "triple"))
         elif not all(_is_int(v) for v in value):
@@ -347,8 +354,8 @@ def witness_problems(w: Witness) -> list:
         problems.append("m is not eligible for this form")
     if (1 << (2 * w.k)) * w.s * w.s * w.core != w.m:
         problems.append("4^k * s^2 * core != m")
-    if w.s % 2 == 0:
-        problems.append("s is even")
+    if w.s < 1 or w.s % 2 == 0:
+        problems.append("s is not a positive odd integer")
     odd_core = w.core // 2 if w.core % 2 == 0 else w.core
     if odd_core >= PRIMALITY_LIMIT:
         return problems + ["core is beyond the proven primality range"]
@@ -361,14 +368,13 @@ def witness_problems(w: Witness) -> list:
     if evaluate(w.form, w.representation) != w.m:
         problems.append("representation does not evaluate to m")
 
-    fields = (w.q, w.t, w.b, w.h, w.point, w.r1, w.n, w.binary)
     if w.case_id == SMALL_CORE:
         base = _SMALL_CORE_BASE.get((w.form, w.core))
         if base is None:
             problems.append("no small-core base for core %d" % w.core)
         elif w.representation != lift_representation(base, w.k, w.s):
             problems.append("representation does not match the small-core base")
-        if any(f is not None for f in fields):
+        if w.construction is not None:
             problems.append("small-core witness carries construction fields")
         return problems
 
@@ -379,67 +385,68 @@ def witness_problems(w: Witness) -> list:
     if w.case_id != case_id:
         return problems + ["unknown case id %r for core %d" % (w.case_id, w.core)]
 
-    if None in fields:
+    con = w.construction
+    if con is None:
         return problems + ["construction fields are incomplete"]
 
-    if w.q < 2:
+    if con.q < 2:
         return problems + ["q is not prime"]
     n0 = profile.n0(frame_core)
-    if w.q >= PRIMALITY_LIMIT:
+    if con.q >= PRIMALITY_LIMIT:
         problems.append("q is beyond the proven primality range")
-    elif not is_prime(w.q):
+    elif not is_prime(con.q):
         problems.append("q is not prime")
-    if w.q <= max(frame_core, 2):
+    if con.q <= max(frame_core, 2):
         problems.append("q is not above the core")
     r, modulus = profile.q_residue
-    if w.q % modulus != r:
+    if con.q % modulus != r:
         problems.append("q is outside its residue class")
     for p, _ in odd_factors:
-        if jacobi(-profile.char_factor * w.q, p) != 1:
+        if jacobi(-profile.char_factor * con.q, p) != 1:
             problems.append("character condition fails at p = %d" % p)
 
-    den = profile.t_den_factor * w.q
-    if not 0 <= w.t < max(n0, 1):
+    den = profile.t_den_factor * con.q
+    if not 0 <= con.t < max(n0, 1):
         problems.append("t out of range")
     if math.gcd(den, n0) != 1:
         problems.append("t denominator shares a factor with the modulus")
-    elif (w.t * w.t + inv_mod(den % n0, n0)) % n0 != 0:
+    elif (con.t * con.t + inv_mod(den % n0, n0)) % n0 != 0:
         problems.append("t^2 != -1/den (mod modulus)")
 
-    if profile.b_parity == "odd" and w.b % 2 == 0:
+    if profile.b_parity == "odd" and con.b % 2 == 0:
         problems.append("b parity violates the profile")
-    if profile.b_parity == "even" and w.b % 2 == 1:
+    if profile.b_parity == "even" and con.b % 2 == 1:
         problems.append("b parity violates the profile")
-    if not 0 <= w.b < 2 * w.q:
+    if not 0 <= con.b < 2 * con.q:
         problems.append("b is not in canonical range")
-    if w.b * w.b + profile.gamma * n0 != profile.d_factor * w.q * w.h:
+    if con.b * con.b + profile.gamma * n0 != profile.d_factor * con.q * con.h:
         problems.append("b^2 + gamma*n0 != d*h")
-    elif profile.h_odd and w.h % 2 == 0:
+    elif profile.h_odd and con.h % 2 == 0:
         problems.append("h should be odd")
 
-    if w.point == (0, 0, 0):
+    if con.point == (0, 0, 0):
         problems.append("point is zero")
         return problems
     try:
         r1, n, f_val = composed_values(
-            profile, frame_core, w.q, w.t, w.b, w.h, w.point
+            profile, frame_core, con.q, con.t, con.b, con.h, con.point
         )
     except ValueError as exc:
         return problems + [str(exc)]
     if f_val != n0:
         problems.append("F(point) != target")
-    if r1 != w.r1:
+    if r1 != con.r1:
         problems.append("R does not match the point")
-    if n != w.n:
+    if n != con.n:
         problems.append("binary value does not match the point")
 
-    a, beta = w.binary
+    a, beta = con.binary
     if a < 0 or beta < 0:
         problems.append("binary rep not normalized")
-    if a * a + profile.c * beta * beta != w.n:
+    if a * a + profile.c * beta * beta != con.n:
         problems.append("binary rep does not evaluate to n")
 
-    base = _assemble(case_id, profile, w.binary, w.r1)
+    base = _assemble(case_id, profile, con.binary, con.r1)
     if w.representation != lift_representation(base, w.k, w.s):
         problems.append("representation does not match the assembly")
     return problems

@@ -87,9 +87,10 @@ def audit_witness(w, rng):
         return None
     _, profile, core = construction_frame(w.form, w.core)
     target = profile.n0(core)
-    u, wc, v = profile.binary_coefficients(core, w.q, w.b, w.h)
-    c1 = profile.alpha * w.t * w.q
-    c2 = w.b * w.t
+    con = w.construction
+    u, wc, v = profile.binary_coefficients(core, con.q, con.b, con.h)
+    c1 = profile.alpha * con.t * con.q
+    c2 = con.b * con.t
     rho = profile.rho
     for _ in range(TRIPLES_PER_WITNESS):
         x = rng.randrange(-1000, 1001)
@@ -238,7 +239,7 @@ def test_golden_fixture(report):
     w = build_witness(TernaryForm.D122, 3)
     expected = dict(q=73, t=1, b=17, h=2, point=(1, -4, -2), r1=-1, n=1,
                     binary=(1, 0), representation=(1, 0, 1))
-    actual = {key: getattr(w, key) for key in expected}
+    actual = dict(dataclasses.asdict(w.construction), representation=w.representation)
     ok = isinstance(w, Witness) and actual == expected and verify_witness(w)
     report("golden-fixture", ok, "got %r" % (actual,))
     assert actual == expected

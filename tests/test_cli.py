@@ -6,7 +6,14 @@ import time
 
 import pytest
 
-from ternrep import SCAN_HI_LIMIT, TernaryForm, evaluate
+from ternrep import (
+    SCAN_HI_LIMIT,
+    Eligibility,
+    TernaryForm,
+    brute_force_ternary,
+    eligibility,
+    evaluate,
+)
 from ternrep.cli import dispatch
 from ternrep.oracle import CSV_HEADER
 
@@ -175,6 +182,28 @@ class TestOracleCommand:
         code, out, _ = run_cli(["oracle", "--form", "x2+2y2+2z2", "--m", "7"])
         assert code == 1
         assert "no representation" in out
+
+    # 7 * 4^14 and 14 * 4^14: a search would take Theta(m) steps
+    @pytest.mark.parametrize("form, m", [("x2+2y2+2z2", 1879048192),
+                                         ("x2+y2+2z2", 3758096384)])
+    def test_obstructed_exits_1_at_once(self, form, m):
+        for flag, expected in (
+            ([], "no representation: %d\n" % m),
+            (["--json"], '{\n  "form": "%s",\n  "m": %d,\n  "found": false,\n'
+                         '  "representation": null\n}\n' % (form, m)),
+        ):
+            start = time.perf_counter()
+            result = run_cli(["oracle", "--form", form, "--m", str(m)] + flag)
+            assert time.perf_counter() - start < 1.0
+            assert result == (1, expected, "")
+
+    def test_obstructed_agrees_with_the_search(self):
+        for form in (TernaryForm.D122, TernaryForm.D112):
+            for m in range(1, 2001):
+                if eligibility(form, m).kind is Eligibility.OBSTRUCTED:
+                    assert brute_force_ternary(form, m) is None
+                    assert run_cli(["oracle", "--form", form.cli_name, "--m", str(m)]
+                                   ) == (1, "no representation: %d\n" % m, "")
 
 
 class TestScan:

@@ -3,13 +3,14 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from ternrep import (
     Eligibility,
     InternalError,
     PRIMALITY_LIMIT,
     PROFILES,
+    Construction,
     ResourceCapError,
     TernaryForm,
     Witness,
@@ -38,10 +39,21 @@ from ternrep.pipeline import (
 T1A = PROFILES["T1A"]
 T1B = PROFILES["T1B"]
 T3A = PROFILES["T3A"]
+CONSTRUCTION_FIELDS = [f.name for f in dataclasses.fields(Construction)]
 
 
 def primes_of(profile, core):
     return [p for p, _ in factorize(profile.n0(core))]
+
+
+def edit(w, **changes):
+    """dataclasses.replace that routes the Construction fields into
+    w.construction."""
+    inner = {name: changes.pop(name) for name in CONSTRUCTION_FIELDS
+             if name in changes}
+    if inner:
+        changes["construction"] = dataclasses.replace(w.construction, **inner)
+    return dataclasses.replace(w, **changes)
 
 
 def constructive_witnesses(form, lo, hi):
@@ -111,8 +123,8 @@ class TestFindQ:
 
         monkeypatch.setattr("ternrep.pipeline.factorize", no_factoring)
         for profile, core, primes, w in runs.values():
-            assert find_q(profile, core, primes) == w.q
-            assert solve_t(profile, primes, w.q) == w.t
+            assert find_q(profile, core, primes) == w.construction.q
+            assert solve_t(profile, primes, w.construction.q) == w.construction.t
 
 
 class TestSolveT:
@@ -218,34 +230,38 @@ class TestEnumeratePoint:
         for form in TernaryForm:
             for w in constructive_witnesses(form, 1, 260):
                 _, profile, core = construction_frame(w.form, w.core)
-                point = enumerate_point(profile, core, w.q, w.t, w.b, w.h)
-                _, _, f = composed_values(profile, core, w.q, w.t, w.b, w.h, point)
+                con = w.construction
+                point = enumerate_point(profile, core, con.q, con.t, con.b, con.h)
+                _, _, f = composed_values(profile, core, con.q, con.t, con.b, con.h, point)
                 assert f == profile.n0(core)
 
     def test_agrees_with_reference_scan(self):
         for form in TernaryForm:
             for w in constructive_witnesses(form, 1, 260):
                 _, profile, core = construction_frame(w.form, w.core)
+                con = w.construction
                 assert first_point_reference(
-                    profile, core, w.q, w.t, w.b, w.h
-                ) == w.point
+                    profile, core, con.q, con.t, con.b, con.h
+                ) == con.point
 
     def test_substituted_lattice_coordinate_is_even(self):
         for w in constructive_witnesses(TernaryForm.D122, 1, 300):
             _, profile, _ = construction_frame(w.form, w.core)
+            con = w.construction
             if profile.x_substituted:
-                assert w.point[0] % 2 == 0
+                assert con.point[0] % 2 == 0
 
 
 class TestBuildWitness:
     def test_golden_fixture(self):
         w = build_witness(TernaryForm.D122, 3)
         assert isinstance(w, Witness)
-        assert (w.q, w.t, w.b, w.h) == (73, 1, 17, 2)
-        assert w.point == (1, -4, -2)
-        assert w.r1 == -1
-        assert w.n == 1
-        assert w.binary == (1, 0)
+        con = w.construction
+        assert (con.q, con.t, con.b, con.h) == (73, 1, 17, 2)
+        assert con.point == (1, -4, -2)
+        assert con.r1 == -1
+        assert con.n == 1
+        assert con.binary == (1, 0)
         assert w.representation == (1, 0, 1)
         assert w.case_id == "T1A"
         assert (w.k, w.s, w.core) == (0, 1, 3)
@@ -260,7 +276,7 @@ class TestBuildWitness:
         w = build_witness(TernaryForm.D113, 4)
         assert w.case_id == SMALL_CORE
         assert w.core == 1
-        assert w.q is None and w.point is None
+        assert w.construction is None
         assert evaluate(TernaryForm.D113, w.representation) == 4
 
     def test_small_core_bases_are_oracle_first_hits(self):
@@ -284,8 +300,7 @@ class TestBuildWitness:
         w = build_witness(TernaryForm.D112, 6)
         assert w.case_id == "T2D"
         inner = build_witness(TernaryForm.D122, 3)
-        assert (w.q, w.t, w.b, w.h) == (inner.q, inner.t, inner.b, inner.h)
-        assert w.point == inner.point
+        assert w.construction == inner.construction
         assert w.representation == (0, 2, 1)
         assert evaluate(TernaryForm.D112, w.representation) == 6
 
@@ -336,29 +351,29 @@ class TestVerifyWitness:
 
     def test_corrupted_h(self):
         w = build_witness(TernaryForm.D122, 3)
-        bad = dataclasses.replace(w, h=w.h + 1)
+        bad = edit(w, h=w.construction.h + 1)
         assert not verify_witness(bad)
         assert any("d*h" in p for p in witness_problems(bad))
 
     def test_zero_point(self):
         w = build_witness(TernaryForm.D122, 3)
-        bad = dataclasses.replace(w, point=(0, 0, 0))
+        bad = edit(w, point=(0, 0, 0))
         assert not verify_witness(bad)
         assert any("zero" in p for p in witness_problems(bad))
 
     def test_corrupted_q(self):
         w = build_witness(TernaryForm.D122, 3)
-        bad = dataclasses.replace(w, q=w.q + 8)  # 81 stays in the class
+        bad = edit(w, q=w.construction.q + 8)  # 81 stays in the class
         assert not verify_witness(bad)
 
     def test_corrupted_t(self):
         w = build_witness(TernaryForm.D122, 11)
-        bad = dataclasses.replace(w, t=w.t + 1)
+        bad = edit(w, t=w.construction.t + 1)
         assert not verify_witness(bad)
 
     def test_corrupted_b_parity(self):
         w = build_witness(TernaryForm.D122, 3)
-        bad = dataclasses.replace(w, b=w.b + 1)
+        bad = edit(w, b=w.construction.b + 1)
         assert not verify_witness(bad)
 
     def test_corrupted_representation(self):
@@ -373,7 +388,7 @@ class TestVerifyWitness:
 
     def test_corrupted_binary(self):
         w = build_witness(TernaryForm.D122, 11)
-        bad = dataclasses.replace(w, binary=(w.binary[0] + 1, w.binary[1]))
+        bad = edit(w, binary=(w.construction.binary[0] + 1, w.construction.binary[1]))
         assert not verify_witness(bad)
 
     def test_corrupted_scale(self):
@@ -418,7 +433,7 @@ class TestVerifyWitness:
     ])
     def test_out_of_range_field(self, field, value, problem):
         w = build_witness(TernaryForm.D112, 6)
-        bad = dataclasses.replace(w, **{field: value})
+        bad = edit(w, **{field: value})
         assert not verify_witness(bad)
         assert problem in witness_problems(bad)
 
@@ -431,7 +446,8 @@ class TestVerifyWitness:
                 in witness_problems(bad))
 
     @pytest.mark.parametrize("form, m, changes, problem", [
-        (TernaryForm.D113, 4, dict(q=5, point=(9, 9, 9), binary=(7, 7)),
+        (TernaryForm.D113, 4,
+         dict(construction=build_witness(TernaryForm.D122, 3).construction),
          "small-core witness carries construction fields"),
         (TernaryForm.D122, 1, dict(representation=(-1, 0, 0)),
          "representation does not match the small-core base"),
@@ -445,12 +461,21 @@ class TestVerifyWitness:
          "representation is not a triple"),
         (TernaryForm.D122, 3, dict(binary=(1,)), "binary rep is not a pair"),
         (TernaryForm.D122, 3, dict(binary=(1, 0, 0)), "binary rep is not a pair"),
+        (TernaryForm.D122, 3, dict(construction=(73, 1)),
+         "construction is not a Construction"),
+        (TernaryForm.D122, 3, dict(construction=None),
+         "construction fields are incomplete"),
+        (TernaryForm.D122, 27, dict(s=-3, representation=(-3, 0, -3)),
+         "s is not a positive odd integer"),
+        (TernaryForm.D122, 1, dict(s=-1, representation=(-1, 0, 0)),
+         "s is not a positive odd integer"),
     ], ids=["small-core-stray-fields", "small-core-other-representation",
             "small-core-no-base", "odd-lattice-x", "empty-point",
             "representation-pair", "small-core-representation-pair",
-            "binary-single", "binary-triple"])
+            "binary-single", "binary-triple", "construction-tuple",
+            "construction-missing", "negative-s", "small-core-negative-s"])
     def test_hand_edited(self, form, m, changes, problem):
-        bad = dataclasses.replace(build_witness(form, m), **changes)
+        bad = edit(build_witness(form, m), **changes)
         assert not verify_witness(bad)
         if problem is not None:
             assert problem in witness_problems(bad)
@@ -472,20 +497,27 @@ class TestVerifyWitness:
             "point-list", "representation-bool", "k-bool", "m-float",
             "binary-float", "form-str", "case-id-none", "k-huge"])
     def test_wrongly_typed_field(self, changes, problem):
-        bad = dataclasses.replace(build_witness(TernaryForm.D122, 3), **changes)
+        bad = edit(build_witness(TernaryForm.D122, 3), **changes)
         assert witness_problems(bad) == [problem]
         assert not verify_witness(bad)
 
     @given(st.sampled_from(FUZZ_WITNESSES),
            st.dictionaries(st.sampled_from(WITNESS_FIELDS), FUZZ_VALUES,
-                           min_size=1, max_size=3))
-    def test_field_type_fuzz_raises_nothing(self, w, changes):
+                           max_size=3),
+           st.dictionaries(st.sampled_from(CONSTRUCTION_FIELDS), FUZZ_VALUES,
+                           max_size=3))
+    def test_field_type_fuzz_raises_nothing(self, w, changes, inner):
+        # inner edits the Construction of a constructed witness
+        edits = [(getattr(w, k), v) for k, v in changes.items()]
         bad = dataclasses.replace(w, **changes)
+        if w.construction is not None and inner and "construction" not in changes:
+            edits += [(getattr(w.construction, k), v) for k, v in inner.items()]
+            bad = edit(bad, **inner)
+        assume(edits)
         problems = witness_problems(bad)
         assert isinstance(problems, list)
         assert all(isinstance(p, str) for p in problems)
-        if any(type(v) is not type(getattr(w, k)) for k, v in changes.items()
-               if v is not None):
+        if any(type(new) is not type(old) for old, new in edits):
             assert problems
 
     def test_every_substituted_core_is_judged(self):
@@ -505,6 +537,7 @@ class TestWitnessIdentities:
         for form in TernaryForm:
             for w in constructive_witnesses(form, 1, 200):
                 _, profile, core = construction_frame(w.form, w.core)
+                con = w.construction
                 target = profile.n0(core)
                 for _ in range(100):
                     x = rng.randrange(-1000, 1001)
@@ -513,7 +546,7 @@ class TestWitnessIdentities:
                     point = (x, rng.randrange(-1000, 1001),
                              rng.randrange(-1000, 1001))
                     _, _, f = composed_values(
-                        profile, core, w.q, w.t, w.b, w.h, point
+                        profile, core, con.q, con.t, con.b, con.h, point
                     )
                     assert f % target == 0
 
@@ -521,7 +554,8 @@ class TestWitnessIdentities:
         for form in TernaryForm:
             for w in constructive_witnesses(form, 1, 300):
                 _, profile, core = construction_frame(w.form, w.core)
-                u, wc, v = profile.binary_coefficients(core, w.q, w.b, w.h)
+                con = w.construction
+                u, wc, v = profile.binary_coefficients(core, con.q, con.b, con.h)
                 assert u > 0 and v > 0
                 assert wc * wc - 4 * u * v < 0
 
@@ -531,11 +565,12 @@ class TestWitnessIdentities:
         for form in TernaryForm:
             for w in constructive_witnesses(form, 1, 300):
                 _, profile, _ = construction_frame(w.form, w.core)
-                if w.n == 0:
+                con = w.construction
+                if con.n == 0:
                     continue
-                v = profile.d_factor * w.q * w.q * w.n
+                v = profile.d_factor * con.q * con.q * con.n
                 for p, e in factorize(v):
-                    if p in (2, w.q, profile.c) or e % 2 == 0:
+                    if p in (2, con.q, profile.c) or e % 2 == 0:
                         continue
                     assert jacobi(-profile.c, p) == 1
 
@@ -543,13 +578,14 @@ class TestWitnessIdentities:
         for form in TernaryForm:
             for w in constructive_witnesses(form, 1, 200):
                 _, profile, core = construction_frame(w.form, w.core)
+                con = w.construction
                 r1, n, f = composed_values(
-                    profile, core, w.q, w.t, w.b, w.h, w.point
+                    profile, core, con.q, con.t, con.b, con.h, con.point
                 )
-                assert (r1, n) == (w.r1, w.n)
+                assert (r1, n) == (con.r1, con.n)
                 assert f == profile.n0(core)
-                a, beta = w.binary
-                assert a * a + profile.c * beta * beta == w.n
+                a, beta = con.binary
+                assert a * a + profile.c * beta * beta == con.n
 
 
 class TestRepresentabilityAtSmallScale:
