@@ -29,12 +29,15 @@ from .forms import (
     reduce_to_core,
 )
 from .oracle import (
+    ORACLE_STEP_BUDGET,
     SCAN_HI_LIMIT,
     ScanReport,
     ScanRow,
     brute_force_binary,
     brute_force_ternary,
     descent_mismatches,
+    first_triples,
+    oracle_triple,
     represented_bits,
     scan_compare,
 )
@@ -61,7 +64,8 @@ __all__ = [
     "eligibility", "evaluate", "reduce_to_core", "lift_representation",
     "CaseProfile", "PROFILES", "select_case",
     "cornacchia_prime", "compose", "represent_binary",
-    "brute_force_ternary", "brute_force_binary", "represented_bits",
+    "brute_force_ternary", "first_triples", "oracle_triple", "ORACLE_STEP_BUDGET",
+    "brute_force_binary", "represented_bits",
     "descent_mismatches", "SCAN_HI_LIMIT", "ScanRow", "ScanReport", "scan_compare",
     "Construction", "Witness", "build_witness", "construction_frame", "find_q",
     "solve_t", "solve_bh", "enumerate_point", "verify_witness",

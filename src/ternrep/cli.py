@@ -16,7 +16,7 @@ import sys
 
 from .errors import InternalError, ResourceCapError
 from .forms import Eligibility, FORM_BY_NAME, TernaryForm, eligibility, evaluate
-from .oracle import brute_force_ternary, descent_mismatches, scan_compare
+from .oracle import descent_mismatches, oracle_triple, scan_compare
 from .pipeline import (
     DEFAULT_CANDIDATE_CAP,
     Construction,
@@ -141,7 +141,7 @@ def _cmd_represent(args, out, err, trail: bool) -> int:
     verdict = result
     rep = None
     if args.fallback_oracle and verdict.kind is Eligibility.OUTSIDE_COVERED_CASES:
-        rep = brute_force_ternary(form, args.m)
+        rep = oracle_triple(form, args.m)
     fields = _json_fields(
         form, args.m,
         eligible=False,
@@ -185,9 +185,7 @@ def _cmd_check(args, out, err) -> int:
 
 def _cmd_oracle(args, out, err) -> int:
     form = FORM_BY_NAME[args.form]
-    # Obstructed m (exact forms only) are proven unrepresented: no search.
-    obstructed = args.m >= 1 and eligibility(form, args.m).kind is Eligibility.OBSTRUCTED
-    rep = None if obstructed else brute_force_ternary(form, args.m)
+    rep = oracle_triple(form, args.m)
     if args.json:
         _emit_json(out, {
             "form": form.cli_name,
@@ -207,6 +205,20 @@ def _cmd_scan(args, out, err) -> int:
         err.write("scan requires 1 <= LO <= HI\n")
         return EXIT_USAGE
     form = FORM_BY_NAME[args.form]
+    if args.out is None:
+        return _scan_to(out, form, args, err)
+    try:
+        # Opened before the scan, as a shell redirection would be, so an
+        # unwritable path fails before any work.
+        fh = open(args.out, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        err.write("cannot write --out %s: %s\n" % (args.out, exc.strerror or exc))
+        return EXIT_USAGE
+    with fh:
+        return _scan_to(fh, form, args, err)
+
+
+def _scan_to(sink, form, args, err) -> int:
     report = scan_compare(form, args.lo, args.hi,
                           jobs=args.jobs,
                           max_candidates=args.max_prime_candidates)
@@ -224,14 +236,9 @@ def _cmd_scan(args, out, err) -> int:
                 "q": row.q,
                 "elapsed_micros": row.elapsed_micros,
             }))
-        text = "[\n" + ",\n".join(lines) + "\n]\n" if lines else "[]\n"
+        sink.write("[\n" + ",\n".join(lines) + "\n]\n" if lines else "[]\n")
     else:
-        text = report.to_csv()
-    if args.out is None:
-        out.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        sink.write(report.to_csv())
     if not report.all_agree:
         err.write("scan found disagreement rows\n")
         return EXIT_INTERNAL

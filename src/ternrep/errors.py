@@ -27,7 +27,8 @@ class NotRepresentableError(TernrepError, ValueError):
 
 class ResourceCapError(TernrepError, RuntimeError):
     """q search hit --max-prime-candidates, a number to factor reached
-    PRIMALITY_LIMIT, or a scan reached past SCAN_HI_LIMIT."""
+    PRIMALITY_LIMIT, a scan reached past SCAN_HI_LIMIT, or an oracle
+    search passed ORACLE_STEP_BUDGET."""
 
 
 class InternalError(TernrepError, RuntimeError):

@@ -2,14 +2,20 @@
 
 The brute-force searches are the reference the constructive pipeline is
 measured against; their scan orders are fixed so results are reproducible.
-A single search costs Theta(m) when m is not represented, so range checks
-decide representability for every value at once instead:
+A single search costs Theta(m) when m is not represented, so it is bounded:
+brute_force_ternary stops with ResourceCapError after ORACLE_STEP_BUDGET
+(x, y) steps, and oracle_triple answers the m that a classical criterion
+rules out (the local obstruction of the two exact forms, Dickson's
+9^k(9l+6) for x^2+y^2+3z^2) without searching at all.
+
+Range checks decide representability for every value at once instead:
 represented_bits marks all values <= hi of a diagonal form in one bitset,
 built from about sqrt(hi) big-integer shifts in hi/8 bytes.  scan_compare
-builds it once per scan, reads oracle_found from it and runs
-brute_force_ternary only for the rows whose oracle triple it prints;
-descent_mismatches reads the binary forms (1, c) the same way.  Scans are
-bounded by SCAN_HI_LIMIT.
+builds it once per scan and reads oracle_found from it.  The rows whose
+oracle triple it prints get their triples from one first_triples sweep
+per chunk, which walks (x, y) in brute_force_ternary's order and z only
+over the values that land in the chunk's range; descent_mismatches reads
+the binary forms (1, c) the same way.  Scans are bounded by SCAN_HI_LIMIT.
 
 This module sits downstream of the pipeline: it imports the pipeline and
 the descent, and neither of them imports it.
@@ -21,12 +27,13 @@ from dataclasses import dataclass, field
 
 from .descent import represent_binary
 from .errors import InternalError, NotRepresentableError, ResourceCapError
-from .forms import TernaryForm, eligibility
+from .forms import Eligibility, TernaryForm, eligibility
 from .pipeline import DEFAULT_CANDIDATE_CAP, Witness, build_witness
 
-__all__ = ["brute_force_ternary", "brute_force_binary", "represented_bits",
-           "descent_mismatches", "SCAN_HI_LIMIT", "ScanRow", "ScanReport",
-           "scan_compare"]
+__all__ = ["brute_force_ternary", "first_triples", "oracle_triple",
+           "dickson_excluded", "ORACLE_STEP_BUDGET", "brute_force_binary",
+           "represented_bits", "descent_mismatches", "SCAN_HI_LIMIT", "ScanRow",
+           "ScanReport", "scan_compare"]
 
 CSV_HEADER = "m,verdict,pipeline_found,oracle_found,agree,x,y,z,q,elapsed_micros"
 
@@ -34,24 +41,97 @@ CSV_HEADER = "m,verdict,pipeline_found,oracle_found,agree,x,y,z,q,elapsed_micros
 # 2^22 takes 512 KiB and 0.9-1.5 s to build (2-vCPU Xeon, Python 3.11.7).
 SCAN_HI_LIMIT = 2**22
 
+# Most (x, y) steps one brute_force_ternary call may take, so that every
+# single-m search is bounded.  It covers the whole search for m up to about
+# 2*10^7 on x^2+y^2+cz^2; 2^24 steps take 2-4 s (2-vCPU Xeon, Python 3.11.7).
+ORACLE_STEP_BUDGET = 2**24
+
 
 def brute_force_ternary(form: TernaryForm, m: int):
     """Lexicographically first (x, y, z) with all entries >= 0 representing
     m, scanning x outermost, then y; None when m is not represented.
+
+    Raises ResourceCapError when the answer needs more than
+    ORACLE_STEP_BUDGET (x, y) steps.
     """
     if m < 0:
         raise ValueError("brute_force_ternary requires m >= 0, got %r" % (m,))
     c1, c2, c3 = form.coefficients
+    steps = 0
     for x in range(math.isqrt(m // c1) + 1):
         rx = m - c1 * x * x
-        for y in range(math.isqrt(rx // c2) + 1):
+        ys = math.isqrt(rx // c2) + 1
+        for y in range(min(ys, ORACLE_STEP_BUDGET - steps)):
             rem = rx - c2 * y * y
             if rem % c3 == 0:
                 z2 = rem // c3
                 z = math.isqrt(z2)
                 if z * z == z2:
                     return (x, y, z)
+        steps += ys
+        if steps > ORACLE_STEP_BUDGET:
+            raise ResourceCapError(
+                "oracle search for m = %d passed its budget of %d (x, y) steps"
+                % (m, ORACLE_STEP_BUDGET)
+            )
     return None
+
+
+def first_triples(form: TernaryForm, ms) -> dict:
+    """{m: brute_force_ternary(form, m)} for every m in ms that the form
+    represents, found in one sweep; unrepresented m are left out.
+
+    (x, y) run in brute_force_ternary's order, x outermost and y ascending,
+    and for each pair z walks only the values with c1*x^2 + c2*y^2 + c3*z^2
+    in [min(ms), max(ms)].  At most one z gives a wanted m, so the first
+    hit on m is its lexicographically first triple.  The sweep stops once
+    every m has one, and is bounded by the pairs below max(ms) otherwise.
+    """
+    wanted = set(ms)
+    if not wanted:
+        return {}
+    lo, hi = min(wanted), max(wanted)
+    if lo < 0:
+        raise ValueError("first_triples requires m >= 0, got %r" % (lo,))
+    c1, c2, c3 = form.coefficients
+    found = {}
+    for x in range(math.isqrt(hi // c1) + 1):
+        rx = c1 * x * x
+        for y in range(math.isqrt((hi - rx) // c2) + 1):
+            base = rx + c2 * y * y
+            # smallest z with base + c3*z^2 >= lo
+            z = 0 if base >= lo else math.isqrt((lo - base - 1) // c3) + 1
+            value = base + c3 * z * z
+            while value <= hi:
+                if value in wanted:
+                    wanted.remove(value)
+                    found[value] = (x, y, z)
+                    if not wanted:
+                        return found
+                z += 1
+                value = base + c3 * z * z
+    return found
+
+
+def oracle_triple(form: TernaryForm, m: int):
+    """brute_force_ternary(form, m), except that an m >= 1 which a proven
+    criterion rules out is answered None without a search: the obstructed
+    m of the two exact forms (their obstruction is local) and, for the
+    regular form x^2+y^2+3z^2, Dickson's exceptions 9^k(9l+6)."""
+    if m >= 1 and (eligibility(form, m).kind is Eligibility.OBSTRUCTED
+                   or form is TernaryForm.D113 and dickson_excluded(m)):
+        return None
+    return brute_force_ternary(form, m)
+
+
+def dickson_excluded(m: int) -> bool:
+    """True iff m >= 1 is 9^k(9l+6), exactly the m that x^2+y^2+3z^2 does
+    not represent (Dickson, Modern Elementary Theory of Numbers, 1939)."""
+    if m < 1:
+        raise ValueError("dickson_excluded requires m >= 1, got %r" % (m,))
+    while m % 9 == 0:
+        m //= 9
+    return m % 9 == 6
 
 
 def brute_force_binary(c: int, n: int):
@@ -163,7 +243,7 @@ class ScanReport:
 def _scan_rows(form: TernaryForm, lo: int, hi: int, window: int, max_candidates: int) -> list:
     """Rows for lo..hi; bit m - lo of window is set iff the form represents m."""
     represented = _bit_reader(window, hi - lo)
-    rows = []
+    fields = []
     for m in range(lo, hi + 1):
         verdict = eligibility(form, m)
         verdict_label = verdict.kind.value
@@ -187,11 +267,17 @@ def _scan_rows(form: TernaryForm, lo: int, hi: int, window: int, max_candidates:
             agree = pipeline_found == oracle_found
         else:
             agree = (not pipeline_found) or oracle_found
-        rep = pipeline_rep
+        fields.append((m, verdict_label, pipeline_found, oracle_found, agree,
+                       pipeline_rep, q))
+    # The rows the pipeline misses but the oracle finds are the only ones
+    # that print the oracle's triple; one sweep finds all of them.
+    triples = first_triples(
+        form, [m for m, _, pipeline_found, oracle_found, *_ in fields
+               if oracle_found and not pipeline_found])
+    rows = []
+    for m, verdict_label, pipeline_found, oracle_found, agree, rep, q in fields:
         if oracle_found and not pipeline_found:
-            # The only rows that print the oracle's triple, so the only
-            # rows that pay for the search.
-            rep = brute_force_ternary(form, m)
+            rep = triples.get(m)
             if rep is None:
                 raise InternalError(
                     "bitset marks %d as represented by %s but the search "
@@ -216,7 +302,8 @@ def scan_compare(
 
     oracle_found comes from one represented_bits bitset, built before the
     rows are split across processes; a row that the pipeline misses but
-    the oracle finds prints brute_force_ternary's triple.
+    the oracle finds prints brute_force_ternary's triple, found for all
+    such rows of a chunk by one first_triples sweep.
     Raises ResourceCapError, before any work, when hi > SCAN_HI_LIMIT.
     For the two equivalence forms a row agrees when pipeline and oracle
     both find or both miss; for the covered-case forms a pipeline find must

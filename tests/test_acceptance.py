@@ -28,6 +28,7 @@ from ternrep import (
     verify_witness,
 )
 from ternrep.cli import dispatch
+from ternrep.oracle import dickson_excluded
 from ternrep.pipeline import SMALL_CORE, construction_frame
 
 SWEEP_LIMIT = 50000
@@ -55,13 +56,6 @@ def arithmetic_obstructed(form, m):
     if form is TernaryForm.D112:
         return m % 16 == 14
     raise AssertionError("no exact criterion for %s" % form)
-
-
-def dickson_exception(m):
-    """m = 9^k(9l+6): exactly the m >= 1 that x^2+y^2+3z^2 misses (Dickson)."""
-    while m % 9 == 0:
-        m //= 9
-    return m % 9 == 6
 
 
 def unrepresented(form):
@@ -170,7 +164,7 @@ def test_equivalence_x2_y2_2z2(sweeps, report):
 
 
 def test_dickson_x2_y2_3z2(report):
-    misses = criterion_misses(TernaryForm.D113, dickson_exception)
+    misses = criterion_misses(TernaryForm.D113, dickson_excluded)
     report("dickson-x2+y2+3z2", not misses, "misses %r" % misses)
     assert misses == []
 

@@ -14,8 +14,9 @@ from ternrep import (
     eligibility,
     evaluate,
 )
+from ternrep import oracle
 from ternrep.cli import dispatch
-from ternrep.oracle import CSV_HEADER
+from ternrep.oracle import CSV_HEADER, dickson_excluded
 
 JSON_FIELDS = [
     "form", "m", "eligible", "verdict", "case", "k", "s", "core", "q", "t",
@@ -98,6 +99,32 @@ class TestRepresent:
             ["represent", "--form", "x2+y2+7z2", "--m", "3",
              "--fallback-oracle"])
         assert code == 1
+
+    # 6 * 9^9 is one of Dickson's exceptions 9^k(9l+6): x2+y2+3z2 misses it,
+    # and the unbounded search would print the same bytes after Theta(m) steps.
+    def test_fallback_oracle_dickson_exception_exits_1_at_once(self):
+        m = 2324522934
+        detail = "covered cases are 4^k(8l+1) with ord_3(m) even"
+        for flag, expected in (
+            ([], "outside-covered-cases: %d %s\n" % (m, detail)),
+            (["--json"], json.dumps(dict.fromkeys(JSON_FIELDS) | {
+                "form": "x2+y2+3z2", "m": m, "eligible": False,
+                "verdict": "outside-covered-cases", "verified": False},
+                indent=2) + "\n"),
+        ):
+            start = time.perf_counter()
+            result = run_cli(["represent", "--form", "x2+y2+3z2", "--m", str(m),
+                              "--fallback-oracle"] + flag)
+            assert time.perf_counter() - start < 1.0
+            assert result == (1, expected, "")
+
+    def test_fallback_oracle_search_budget_exits_5(self, monkeypatch):
+        # 7 * 7003 is outside the covered cases and not a value of the form
+        monkeypatch.setattr(oracle, "ORACLE_STEP_BUDGET", 1000)
+        result = run_cli(["represent", "--form", "x2+y2+7z2", "--m", "49021",
+                          "--fallback-oracle"])
+        assert result == (5, "", "resource cap: oracle search for m = 49021 "
+                                 "passed its budget of 1000 (x, y) steps\n")
 
     def test_fallback_oracle_rejected_for_exact_forms(self):
         for name in ("x2+2y2+2z2", "x2+y2+2z2"):
@@ -183,9 +210,10 @@ class TestOracleCommand:
         assert code == 1
         assert "no representation" in out
 
-    # 7 * 4^14 and 14 * 4^14: a search would take Theta(m) steps
+    # 7 * 4^14, 14 * 4^14 and 6 * 9^9: a search would take Theta(m) steps
     @pytest.mark.parametrize("form, m", [("x2+2y2+2z2", 1879048192),
-                                         ("x2+y2+2z2", 3758096384)])
+                                         ("x2+y2+2z2", 3758096384),
+                                         ("x2+y2+3z2", 2324522934)])
     def test_obstructed_exits_1_at_once(self, form, m):
         for flag, expected in (
             ([], "no representation: %d\n" % m),
@@ -198,12 +226,26 @@ class TestOracleCommand:
             assert result == (1, expected, "")
 
     def test_obstructed_agrees_with_the_search(self):
-        for form in (TernaryForm.D122, TernaryForm.D112):
+        ruled_out = {
+            TernaryForm.D122: lambda m: eligibility(TernaryForm.D122, m).kind
+            is Eligibility.OBSTRUCTED,
+            TernaryForm.D112: lambda m: eligibility(TernaryForm.D112, m).kind
+            is Eligibility.OBSTRUCTED,
+            TernaryForm.D113: dickson_excluded,
+        }
+        for form, excluded in ruled_out.items():
             for m in range(1, 2001):
-                if eligibility(form, m).kind is Eligibility.OBSTRUCTED:
+                if excluded(m):
                     assert brute_force_ternary(form, m) is None
                     assert run_cli(["oracle", "--form", form.cli_name, "--m", str(m)]
                                    ) == (1, "no representation: %d\n" % m, "")
+
+    def test_search_budget_exits_5(self, monkeypatch):
+        monkeypatch.setattr(oracle, "ORACLE_STEP_BUDGET", 1000)
+        for flag in ([], ["--json"]):
+            result = run_cli(["oracle", "--form", "x2+y2+7z2", "--m", "49021"] + flag)
+            assert result == (5, "", "resource cap: oracle search for m = 49021 "
+                                     "passed its budget of 1000 (x, y) steps\n")
 
 
 class TestScan:
@@ -226,6 +268,20 @@ class TestScan:
         data = target.read_bytes()
         assert data.startswith(CSV_HEADER.encode())
         assert b"\r" not in data
+
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_out_exits_4_before_the_scan(self, tmp_path, monkeypatch, where):
+        def no_scan(*args, **kwargs):
+            raise AssertionError("scanned")
+
+        monkeypatch.setattr("ternrep.cli.scan_compare", no_scan)
+        target = tmp_path / "missing" / "rows.csv" if where == "missing-dir" else tmp_path
+        code, out, err = run_cli(
+            ["scan", "--form", "x2+y2+2z2", "--lo", "1", "--hi", "20",
+             "--out", str(target)])
+        assert (code, out) == (4, "")
+        assert err.startswith("cannot write --out %s: " % target)
+        assert err.endswith("\n") and err.count("\n") == 1
 
     def test_jobs_byte_identical(self):
         argv = ["scan", "--form", "x2+2y2+2z2", "--lo", "1", "--hi", "150"]

@@ -4,9 +4,10 @@ import os
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ternrep import (
+    ORACLE_STEP_BUDGET,
     SCAN_HI_LIMIT,
     InternalError,
     ResourceCapError,
@@ -14,11 +15,13 @@ from ternrep import (
     brute_force_binary,
     brute_force_ternary,
     evaluate,
+    first_triples,
+    oracle_triple,
     represented_bits,
     scan_compare,
 )
 from ternrep import oracle
-from ternrep.oracle import CSV_HEADER
+from ternrep.oracle import CSV_HEADER, dickson_excluded
 
 # sha256 of scan_compare(form, 1, 3000).to_csv() as written when every row
 # still ran brute_force_ternary; the bitset scan must print the same bytes.
@@ -59,6 +62,85 @@ class TestBruteForceTernary:
     def test_zero(self):
         for form in TernaryForm:
             assert brute_force_ternary(form, 0) == (0, 0, 0)
+
+
+def search_steps(form, m):
+    """(x, y) steps of the whole unbudgeted search for m."""
+    c1, c2, _ = form.coefficients
+    return sum(math.isqrt((m - c1 * x * x) // c2) + 1
+               for x in range(math.isqrt(m // c1) + 1))
+
+
+class TestSearchBudget:
+    # 7*u with u = 3 (mod 7) is not a value of x^2+y^2+7z^2: 7 | x^2+y^2
+    # forces 7 | x, y, and then u = z^2 (mod 7).
+    M_UNREPRESENTED = 7 * (7 * 1000 + 3)
+
+    def test_budget_is_stated_once(self):
+        assert ORACLE_STEP_BUDGET == oracle.ORACLE_STEP_BUDGET == 2**24
+
+    def test_unrepresented_at_and_past_the_budget(self, monkeypatch):
+        form, m = TernaryForm.D117, self.M_UNREPRESENTED
+        steps = search_steps(form, m)
+        monkeypatch.setattr(oracle, "ORACLE_STEP_BUDGET", steps)
+        assert brute_force_ternary(form, m) is None
+        monkeypatch.setattr(oracle, "ORACLE_STEP_BUDGET", steps - 1)
+        with pytest.raises(ResourceCapError, match="budget of %d" % (steps - 1)):
+            brute_force_ternary(form, m)
+
+    def test_found_at_and_past_the_budget(self, monkeypatch):
+        form, m = TernaryForm.D117, 11
+        assert brute_force_ternary(form, m) == (0, 2, 1)
+        # x = 0 reaches y = 2 on its third step
+        monkeypatch.setattr(oracle, "ORACLE_STEP_BUDGET", 3)
+        assert brute_force_ternary(form, m) == (0, 2, 1)
+        monkeypatch.setattr(oracle, "ORACLE_STEP_BUDGET", 2)
+        with pytest.raises(ResourceCapError):
+            brute_force_ternary(form, m)
+
+
+class TestOracleTriple:
+    def test_agrees_with_the_search(self):
+        for form in TernaryForm:
+            for m in range(0, 600):
+                assert oracle_triple(form, m) == brute_force_ternary(form, m)
+
+    def test_dickson_excluded(self):
+        assert dickson_excluded(6) and dickson_excluded(54) and not dickson_excluded(9)
+        with pytest.raises(ValueError):
+            dickson_excluded(0)
+
+
+def represented_in(form, lo, hi):
+    bits = represented_bits(form.coefficients, hi)
+    return [m for m in range(lo, hi + 1) if bits >> m & 1]
+
+
+class TestFirstTriples:
+    @pytest.mark.parametrize("form", list(TernaryForm), ids=lambda f: f.name)
+    def test_matches_brute_force_to_20000(self, form):
+        represented = represented_in(form, 1, 20000)
+        # unrepresented m are asked for too, and left out of the answer
+        triples = first_triples(form, range(1, 20001))
+        assert sorted(triples) == represented
+        for m in represented:
+            assert triples[m] == brute_force_ternary(form, m), m
+
+    @settings(max_examples=30)
+    @given(st.sampled_from(list(TernaryForm)), st.integers(1, 2 * 10**5),
+           st.integers(1, 600))
+    def test_matches_brute_force_on_windows(self, form, lo, width):
+        ms = represented_in(form, lo, lo + width - 1)
+        assert first_triples(form, ms) == {m: brute_force_ternary(form, m) for m in ms}
+
+    def test_small_cases(self):
+        for form in TernaryForm:
+            assert first_triples(form, []) == {}
+            assert first_triples(form, [0, 0]) == {0: (0, 0, 0)}
+        assert first_triples(TernaryForm.D117, [3, 11, 3]) == {11: (0, 2, 1)}
+        assert first_triples(TernaryForm.D122, iter([7, 15, 23])) == {}
+        with pytest.raises(ValueError):
+            first_triples(TernaryForm.D122, [5, -1])
 
 
 class TestBruteForceBinary:
@@ -227,7 +309,15 @@ class TestScanCompare:
         assert printed > 1000
 
     def test_search_that_misses_a_marked_row_is_internal_error(self, monkeypatch):
-        monkeypatch.setattr(oracle, "brute_force_ternary", lambda form, m: None)
+        real = oracle.first_triples
+
+        def drop_one(form, ms):
+            triples = real(form, ms)
+            if triples:
+                del triples[min(triples)]
+            return triples
+
+        monkeypatch.setattr(oracle, "first_triples", drop_one)
         with pytest.raises(InternalError):
             scan_compare(TernaryForm.D117, 11, 11)
         # rows the pipeline represents never reach the search
