@@ -42,6 +42,7 @@ from .oracle import (
     scan_compare,
 )
 from .pipeline import (
+    LATTICE_STEP_BUDGET,
     Construction,
     Witness,
     build_witness,
@@ -68,7 +69,7 @@ __all__ = [
     "brute_force_binary", "represented_bits",
     "descent_mismatches", "SCAN_HI_LIMIT", "ScanRow", "ScanReport", "scan_compare",
     "Construction", "Witness", "build_witness", "construction_frame", "find_q",
-    "solve_t", "solve_bh", "enumerate_point", "verify_witness",
+    "solve_t", "solve_bh", "enumerate_point", "LATTICE_STEP_BUDGET", "verify_witness",
     "witness_problems",
     "TernrepError", "NonResidueError", "NotInvertibleError",
     "NonCoprimeModuliError", "NotRepresentableError",

@@ -4,6 +4,8 @@ square roots mod p, inverses, CRT.
 All functions work on plain Python ints and are pure.
 """
 
+import math
+
 from .errors import NonCoprimeModuliError, NonResidueError, NotInvertibleError
 
 __all__ = ["jacobi", "is_prime", "sqrt_mod_prime", "inv_mod", "crt", "PRIMALITY_LIMIT"]
@@ -19,14 +21,14 @@ def jacobi(a: int, n: int) -> int:
     a %= n
     result = 1
     while a != 0:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
+        twos = (a & -a).bit_length() - 1
+        a >>= twos
+        if twos & 1 and (n & 7) in (3, 5):
             result = -result
-        a %= n
+        # reciprocity flips the sign when both odd numbers are 3 mod 4
+        if a & n & 2:
+            result = -result
+        a, n = n % a, a
     return result if n == 1 else 0
 
 
@@ -51,32 +53,29 @@ _MR_TIERS = (
 # is_prime is proven exactly for n below this bound (~3.3e24, ~2**81.4).
 PRIMALITY_LIMIT = _MR_TIERS[-1][0]
 
-_TINY_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_TINY_PRIMES = frozenset((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
+_TINY_PRODUCT = math.prod(_TINY_PRIMES)
 
 
 def is_prime(n: int) -> bool:
     """Exact primality test, deterministic for all n below PRIMALITY_LIMIT.
 
-    Uses trial division by tiny primes followed by Miller-Rabin with a
-    proven witness set.  No randomness anywhere.
+    Rejects multiples of the primes up to 37 with one gcd against their
+    product, then runs Miller-Rabin with a proven witness set.  No
+    randomness anywhere.
     """
-    if n < 2:
+    if n <= 37:
+        return n in _TINY_PRIMES
+    if math.gcd(n, _TINY_PRODUCT) != 1:
         return False
-    for p in _TINY_PRIMES:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
     if n >= PRIMALITY_LIMIT:
         raise ValueError("is_prime: %d exceeds the deterministic witness range" % n)
     for bound, bases in _MR_TIERS:
         if n < bound:
             break
     d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
     for base in bases:
         x = pow(base, d, n)
         if x == 1 or x == n - 1:

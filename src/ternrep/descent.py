@@ -32,6 +32,12 @@ def cornacchia_prime(p: int, c: int) -> tuple:
         raise ValueError("cornacchia_prime requires an odd prime, got %r" % (p,))
     if jacobi(-c, p) != 1:
         raise NotRepresentableError("-%d is not a square mod %d" % (c, p))
+    return _cornacchia(p, c)
+
+
+def _cornacchia(p: int, c: int) -> tuple:
+    """The Euclidean part of cornacchia_prime, for an odd prime p != c with
+    jacobi(-c, p) == 1 already established by the caller."""
     r = p - sqrt_mod_prime(-c, p)
     bound = math.isqrt(p)
     prev, cur = p, r
@@ -81,7 +87,7 @@ def represent_binary(n: int, c: int) -> tuple:
 
     Deterministic: primes are processed in increasing order, even prime
     powers contribute their square root, odd residuals go through
-    cornacchia_prime, and everything is folded with compose.
+    Cornacchia's algorithm, and everything is folded with compose.
 
     Raises NotRepresentableError exactly when no representation exists.
     """
@@ -107,7 +113,7 @@ def represent_binary(n: int, c: int) -> tuple:
                         "%d divides %d to an odd power and -%d is not a square mod %d"
                         % (p, n, c, p)
                     )
-                pieces.append(cornacchia_prime(p, c))
+                pieces.append(_cornacchia(p, c))
         for piece in pieces:
             acc = compose(acc, piece, c)
     a, b = acc

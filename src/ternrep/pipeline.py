@@ -38,6 +38,7 @@ from .forms import (
 
 __all__ = [
     "DEFAULT_CANDIDATE_CAP",
+    "LATTICE_STEP_BUDGET",
     "SMALL_CORE",
     "Construction",
     "Witness",
@@ -53,6 +54,13 @@ __all__ = [
 ]
 
 DEFAULT_CANDIDATE_CAP = 10**6
+
+# enumerate_point stops with ResourceCapError once |y| passes this bound,
+# after 10-13 s on a 2-vCPU Xeon.  The budget delta*n0 - gamma*n0*y^2 turns
+# negative past |y| = isqrt(delta_factor*q // gamma) <= isqrt(2q), so no
+# core with q < 2^41 can reach it: every m up to 2^40 keeps its witness
+# unless its q exceeds the core by more than 2^40.
+LATTICE_STEP_BUDGET = 2**21
 
 # Cores whose odd part is 1 make every modulus in the construction
 # degenerate, so they are settled by inspection: each base is the first hit
@@ -203,39 +211,50 @@ def enumerate_point(
     (0, -1, 1, -2, 2, ...); x ascending over the exact interval allowed by
     the binary part's budget; z ascending over the at most two values
     solving the R-budget.  All bounds are evaluated in exact integers.
+
+    The scan works on the completed square: with delta = delta_factor*q,
+    lam = alpha*q and e = lam*x + b*y, the binary part is
+    (e^2 + gamma*n0*y^2) / delta and R = t*e + n0*z, so
+    rho*delta*R^2 = budget - e^2 with budget = delta*n0 - gamma*n0*y^2.
+    The budget depends on |y| only and shrinks as |y| grows, and x ascends
+    with e over [-isqrt(budget), isqrt(budget)] in steps of lam.  h enters
+    only through b^2 + gamma*n0 = d_factor*q*h, so the scan does not read it.
+
+    Raises ResourceCapError when |y| passes LATTICE_STEP_BUDGET before a hit.
     """
     target = profile.n0(core)
     gn = profile.gamma * target
     delta = profile.delta_factor * q
+    full = delta * target
+    rho_delta = profile.rho * delta
     lam = profile.alpha * q
-    u, w, v = profile.binary_coefficients(core, q, b, h)
-    c1 = profile.alpha * t * q
-    c2 = b * t
     num_y, den_y = profile.y_bound
+    # y^2 * den_y < num_y * q, and the budget is nonnegative
+    ay_max = min(math.isqrt((num_y * q - 1) // den_y), math.isqrt(full // gn))
 
-    ay = 0
-    while ay * ay * den_y < num_y * q:
+    for ay in range(min(ay_max, LATTICE_STEP_BUDGET) + 1):
+        budget = full - gn * ay * ay
+        s = math.isqrt(budget)
         for y in ((0,) if ay == 0 else (-ay, ay)):
-            budget = delta * target - gn * y * y
-            if budget < 0:
-                continue
-            s = math.isqrt(budget)
-            x_lo = -((b * y + s) // lam)
-            x_hi = (s - b * y) // lam
-            for x in range(x_lo, x_hi + 1):
-                rem = target - (u * x * x + w * x * y + v * y * y)
-                if rem < 0 or rem % profile.rho != 0:
+            by = b * y
+            for e in range((by + s) % lam - s, s + 1, lam):
+                rr, rem = divmod(budget - e * e, rho_delta)
+                if rem:
                     continue
-                rr = rem // profile.rho
                 root = math.isqrt(rr)
                 if root * root != rr:
                     continue
                 for r_val in ((0,) if root == 0 else (-root, root)):
-                    zn = r_val - c1 * x - c2 * y
+                    zn = r_val - t * e
                     if zn % target == 0:
+                        x = (e - by) // lam
                         lattice_x = 2 * x if profile.x_substituted else x
                         return (lattice_x, y, zn // target)
-        ay += 1
+    if ay_max > LATTICE_STEP_BUDGET:
+        raise ResourceCapError(
+            "lattice scan for core %d (profile %s) passed its budget of %d values of |y|"
+            % (core, profile.id, LATTICE_STEP_BUDGET)
+        )
     raise InternalError(
         "no lattice point with F = %d for core %d (profile %s)"
         % (target, core, profile.id)

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import io
 import math
 import random
 
@@ -28,6 +30,8 @@ from ternrep import (
     verify_witness,
     witness_problems,
 )
+from ternrep import pipeline
+from ternrep.cli import dispatch
 from ternrep.pipeline import (
     SMALL_CORE,
     _SMALL_CORE_BASE,
@@ -243,6 +247,19 @@ class TestEnumeratePoint:
                 assert first_point_reference(
                     profile, core, con.q, con.t, con.b, con.h
                 ) == con.point
+
+    def test_budget_caps_the_scan(self, monkeypatch):
+        # the golden point sits at |y| = 4 and the scan's y bound is 8
+        monkeypatch.setattr(pipeline, "LATTICE_STEP_BUDGET", 4)
+        assert enumerate_point(T1A, 3, 73, 1, 17, 2) == (1, -4, -2)
+        monkeypatch.setattr(pipeline, "LATTICE_STEP_BUDGET", 3)
+        with pytest.raises(ResourceCapError, match="budget of 3 values of"):
+            enumerate_point(T1A, 3, 73, 1, 17, 2)
+        out, err = io.StringIO(), io.StringIO()
+        code = dispatch(["witness", "--form", "x2+2y2+2z2", "--m", "3", "--json"],
+                        out, err)
+        assert (code, out.getvalue()) == (5, "")
+        assert err.getvalue().startswith("resource cap: lattice scan for core 3")
 
     def test_substituted_lattice_coordinate_is_even(self):
         for w in constructive_witnesses(TernaryForm.D122, 1, 300):
@@ -617,3 +634,83 @@ class TestRepresentabilityAtSmallScale:
         if isinstance(w, Witness):
             assert evaluate(form, w.representation) == m
             assert verify_witness(w)
+
+
+PINNED_CASE_IDS = ("T1A", "T1B", "T1C", "T1D", "T1E", "T2A", "T2B", "T2C",
+                   "T2D", "T3A", "T3B", SMALL_CORE)
+
+
+def case_of(form, m):
+    """Case id of an eligible m, from its core alone (no witness is built)."""
+    if not eligibility(form, m).eligible:
+        return None
+    core = reduce_to_core(form, m)[2]
+    if (form, core) in _SMALL_CORE_BASE:
+        return SMALL_CORE
+    return construction_frame(form, core)[0]
+
+
+def pinned_inputs():
+    """Every m <= 2000 of all four forms, then three seeded m of 26 to 40
+    bits per case id."""
+    inputs = [(form, m) for form in TernaryForm for m in range(1, 2001)]
+    rng = random.Random(20261018)
+    small = sorted(_SMALL_CORE_BASE, key=lambda key: (key[0].cli_name, key[1]))
+    for case_id in PINNED_CASE_IDS:
+        found = 0
+        while found < 3:
+            bits = rng.randint(26, 40)
+            if case_id == SMALL_CORE:
+                form, core = rng.choice(small)
+                s = rng.getrandbits(bits // 2) | 1 << (bits // 2 - 1) | 1
+                inputs.append((form, core * s * s))
+                found += 1
+                continue
+            form = TernaryForm.D112 if case_id == "T2D" else PROFILES[case_id].form
+            m = rng.getrandbits(bits) | 1 << (bits - 1)
+            if case_of(form, m) == case_id:
+                inputs.append((form, m))
+                found += 1
+    return inputs
+
+
+# sha256 of the concatenated `witness --form F --m M --json` stdout over
+# pinned_inputs(): any change to a witness, its JSON or a verdict shows here.
+PINNED_WITNESS_SHA256 = "7f718611760b95d906b27e1bd928601ea5fcc63dc0cbdbe381b6acac714089ba"
+
+
+class TestPinnedBytes:
+    def test_witness_json_bytes(self):
+        inputs = pinned_inputs()
+        assert {case_of(form, m) for form, m in inputs} >= set(PINNED_CASE_IDS)
+        digest = hashlib.sha256()
+        for form, m in inputs:
+            out = io.StringIO()
+            dispatch(["witness", "--form", form.cli_name, "--m", str(m), "--json"],
+                     out, io.StringIO())
+            digest.update(out.getvalue().encode())
+        assert digest.hexdigest() == PINNED_WITNESS_SHA256
+
+    def test_completed_square_identity(self):
+        # delta*(u x^2 + w xy + v y^2) = (lam x + b y)^2 + gamma*n0*y^2 with
+        # delta = delta_factor*q and lam = alpha*q, the identity the lattice
+        # scan searches by, on the (q, b, h) the pipeline picks
+        rng = random.Random(7)
+        runs = {}
+        for form in TernaryForm:
+            for w in constructive_witnesses(form, 1, 400):
+                _, profile, core = construction_frame(w.form, w.core)
+                runs.setdefault(profile.id, {}).setdefault(core, w.construction)
+        assert sorted(runs) == sorted(PROFILES)
+        for profile_id, by_core in runs.items():
+            profile = PROFILES[profile_id]
+            assert len(by_core) >= 3
+            for core, con in sorted(by_core.items())[:3]:
+                u, wc, v = profile.binary_coefficients(core, con.q, con.b, con.h)
+                delta = profile.delta_factor * con.q
+                lam = profile.alpha * con.q
+                gn = profile.gamma * profile.n0(core)
+                for _ in range(50):
+                    x, y = rng.randrange(-10**6, 10**6), rng.randrange(-10**6, 10**6)
+                    assert (delta * (u * x * x + wc * x * y + v * y * y)
+                            == (lam * x + con.b * y) ** 2 + gn * y * y)
