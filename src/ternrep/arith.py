@@ -53,19 +53,33 @@ _MR_TIERS = (
 # is_prime is proven exactly for n below this bound (~3.3e24, ~2**81.4).
 PRIMALITY_LIMIT = _MR_TIERS[-1][0]
 
-_TINY_PRIMES = frozenset((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
-_TINY_PRODUCT = math.prod(_TINY_PRIMES)
+# Every n below _TABLE_LIMIT is answered from a sieve packed one bit per
+# integer: bit n & 7 of byte n >> 3 is set exactly when n is prime (8 KB).
+_TABLE_LIMIT = 2**16
+_flags = bytearray([0, 0]) + bytearray([1]) * (_TABLE_LIMIT - 2)
+for _p in range(2, math.isqrt(_TABLE_LIMIT - 1) + 1):
+    if _flags[_p]:
+        _flags[_p * _p :: _p] = bytes(len(range(_p * _p, _TABLE_LIMIT, _p)))
+# Byte j of _flags[k::8] is flag 8j + k, which the shift by k moves to bit k
+# of byte j; the eight strides never share a bit, so their sum packs them.
+_PRIME_BITS = sum(
+    int.from_bytes(_flags[k::8], "little") << k for k in range(8)
+).to_bytes(_TABLE_LIMIT // 8, "little")
+del _flags, _p
+
+_TINY_PRODUCT = math.prod((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
 
 
 def is_prime(n: int) -> bool:
     """Exact primality test, deterministic for all n below PRIMALITY_LIMIT.
 
-    Rejects multiples of the primes up to 37 with one gcd against their
-    product, then runs Miller-Rabin with a proven witness set.  No
-    randomness anywhere.
+    Below 2**16 the answer is one lookup in a sieve built at import.  From
+    there up, multiples of the primes up to 37 are rejected with one gcd
+    against their product, and Miller-Rabin runs with a proven witness set.
+    No randomness anywhere.
     """
-    if n <= 37:
-        return n in _TINY_PRIMES
+    if n < _TABLE_LIMIT:
+        return n > 1 and _PRIME_BITS[n >> 3] >> (n & 7) & 1 == 1
     if math.gcd(n, _TINY_PRODUCT) != 1:
         return False
     if n >= PRIMALITY_LIMIT:

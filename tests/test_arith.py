@@ -89,12 +89,20 @@ class TestIsPrime:
         assert not is_prime(91)
 
     def test_agrees_with_sieve_to_one_million(self):
+        # Crosses 2**16, where is_prime turns from its table to Miller-Rabin.
         flags = sieve(10**6)
         assert all(is_prime(n) == bool(flags[n]) for n in range(10**6 + 1))
 
     def test_nonpositive(self):
         assert not is_prime(0)
         assert not is_prime(-7)
+
+    def test_table_edges(self):
+        assert is_prime(65521)  # the largest prime below 2**16
+        assert not is_prime(65536)
+        assert is_prime(65537)
+        for n in (-1, 1, True):
+            assert is_prime(n) is False
 
     def test_larger_values(self):
         assert is_prime(2**31 - 1)

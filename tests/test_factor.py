@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from ternrep import (
     PRIMALITY_LIMIT,
     ResourceCapError,
+    factor,
     factorize,
     is_prime,
     ord_p,
@@ -73,6 +74,24 @@ class TestFactorize:
     ])
     def test_rho_regime(self, pairs):
         assert all(is_prime(p) for p, _ in pairs)
+        assert factorize(math.prod(p**e for p, e in pairs)) == pairs
+
+    def test_trial_primes(self):
+        expected = [p for p in range(7, 2**12)
+                    if all(p % d for d in range(2, math.isqrt(p) + 1))]
+        assert list(factor._TRIAL_PRIMES) == expected
+        assert factor._TRIAL_PRODUCT == math.prod(expected)
+
+    # Trial division walks gcd(n, product of the trial primes) only while
+    # p * p <= g, so each of these ends the walk with a prime still in g.
+    @pytest.mark.parametrize("pairs", [
+        [(4093, 1)],
+        [(2, 1), (4093, 1)],
+        [(3, 1), (4091, 1), (4093, 1)],
+        [(4093, 2), (4099, 1)],
+        [(7, 1), (4093, 1), (1000003, 2)],
+    ])
+    def test_prime_left_in_gcd(self, pairs):
         assert factorize(math.prod(p**e for p, e in pairs)) == pairs
 
     def test_budget_cap(self):
