@@ -3,15 +3,26 @@
 Every eligible squarefree core falls into exactly one profile.  A profile
 fixes the whole shape of the construction:
 
-* which residue class the auxiliary prime q is drawn from and which
-  character condition it must satisfy at the odd primes of the core,
-* the modular parameter t with t^2 = -1/(t_den_factor * q) mod the core
-  (mod m1 = core/2 for the even-core profiles),
-* the pair (b, h) with b^2 + gamma*n0 = d*h and the parity side conditions,
+* which residue class the auxiliary prime q is drawn from,
+* the modular parameter t with t^2 = -1/(t_den_factor * q) mod n0, the odd
+  part of the core, and the character condition jacobi(-t_den_factor * q,
+  p) = 1 at each prime p of n0 that makes it solvable,
+* the pair (b, h) with b^2 + gamma*n0 = d*q*h and the side condition on h,
 * the integer quadratic form F(x, y, z) = rho*R^2 + u*x^2 + w*x*y + v*y^2
   whose value at the searched lattice point equals the target, and
 * how the binary descent output (a, beta) and R1 assemble into a
   representation by the ternary form.
+
+The table holds only the free constants of each case: q's residue class,
+gamma, d, delta, alpha, rho, c, the assembly and the h side condition.
+What follows from them is derived, not stored:
+
+* t's denominator.  With delta = delta_factor*q, e = alpha*q*x + b*y and
+  R = t*e + n0*z, delta*F = rho*delta*R^2 + e^2 + gamma*n0*y^2 is
+  (rho*delta*t^2 + 1)*e^2 (mod n0), so t_den_factor = rho*delta_factor.
+* b's divisibility rule.  b is the smallest root of b^2 = -gamma*n0
+  (mod q) in [0, 2q) with d*q dividing b^2 + gamma*n0 (pipeline.solve_bh);
+  for even d that fixes b's parity.
 
 For the even-core profiles of x^2+2y^2+2z^2 the lattice is restricted to
 even x; the substitution x = 2x' is already folded into the coefficients,
@@ -43,15 +54,11 @@ class CaseProfile:
     core_parity: str          # "odd" or "even"
     core_residues: tuple      # residues mod 8 of the core's odd part
     q_residue: tuple          # (r, M): q = r (mod M)
-    char_factor: int          # condition jacobi(-char_factor * q, p) == 1
-    t_den_factor: int         # t^2 = -1/(t_den_factor * q) mod modulus
     gamma: int                # b^2 = -gamma * n0 (mod q)
-    b_parity: str             # "odd", "even" or "free"
     d_factor: int             # b^2 + gamma*n0 = (d_factor * q) * h
     delta_factor: int         # binary part clears to ((alpha*q*x + b*y)^2
     alpha: int                #   + gamma*n0*y^2) / (delta_factor * q)
     rho: int                  # F = rho * R^2 + binary part
-    y_bound: tuple            # (num, den): scan bound y^2 < num * q / den
     c: int                    # binary descent constant
     assembly: str
     h_odd: bool = False       # extra side condition on h
@@ -62,12 +69,18 @@ class CaseProfile:
         runs over the free variable x'."""
         return self.core_parity == "even"
 
+    @property
+    def t_den_factor(self) -> int:
+        """rho * delta_factor: t^2 = -1/(t_den_factor * q) (mod n0) makes
+        F vanish mod n0."""
+        return self.rho * self.delta_factor
+
     def n0(self, core: int) -> int:
         """Odd part of the core: the value F must take, the modulus of t
         and R's z-coefficient."""
         return core // 2 if self.core_parity == "even" else core
 
-    def binary_coefficients(self, core: int, q: int, b: int, h: int) -> tuple:
+    def binary_coefficients(self, core: int, q: int, b: int) -> tuple:
         """(u, w, v) with binary part u*x^2 + w*x*y + v*y^2."""
         delta = self.delta_factor * q
         u = self.alpha * self.alpha * q * q // delta
@@ -95,75 +108,65 @@ PROFILES = {
         #   F = 2R^2 + q x^2 + 2b xy + 2h y^2, R = tq x + bt y + core z
         CaseProfile(
             id="T1A", form=TernaryForm.D122, core_parity="odd", core_residues=(3,),
-            q_residue=(1, 8), char_factor=2, t_den_factor=2, gamma=1, b_parity="odd",
-            d_factor=2, delta_factor=1, alpha=1, rho=2, y_bound=(2, 1), c=2,
-            assembly=ASSEMBLY_A_B_R,
+            q_residue=(1, 8), gamma=1, d_factor=2, delta_factor=1, alpha=1, rho=2,
+            c=2, assembly=ASSEMBLY_A_B_R,
         ),
         # odd core = 1, 5 (mod 8):
         #   F = 2R^2 + 2q x^2 + 2b xy + h y^2, R = 2tq x + bt y + core z
         CaseProfile(
             id="T1B", form=TernaryForm.D122, core_parity="odd", core_residues=(1, 5),
-            q_residue=(1, 8), char_factor=1, t_den_factor=4, gamma=1, b_parity="odd",
-            d_factor=2, delta_factor=2, alpha=2, rho=2, y_bound=(4, 1), c=2,
-            assembly=ASSEMBLY_A_B_R,
+            q_residue=(1, 8), gamma=1, d_factor=2, delta_factor=2, alpha=2, rho=2,
+            c=2, assembly=ASSEMBLY_A_B_R,
         ),
         # even core 2*m1; the three profiles differ only in q's residue class.
         #   F = R^2 + 2q x'^2 + 2b x'y + h y^2, R = 2tq x' + bt y + m1 z
         CaseProfile(
             id="T1C", form=TernaryForm.D122, core_parity="even", core_residues=(1, 3),
-            q_residue=(1, 8), char_factor=2, t_den_factor=2, gamma=2, b_parity="even",
-            d_factor=2, delta_factor=2, alpha=2, rho=1, y_bound=(2, 1), c=2,
-            assembly=ASSEMBLY_2B_A_R,
+            q_residue=(1, 8), gamma=2, d_factor=2, delta_factor=2, alpha=2, rho=1,
+            c=2, assembly=ASSEMBLY_2B_A_R,
         ),
         CaseProfile(
             id="T1D", form=TernaryForm.D122, core_parity="even", core_residues=(5,),
-            q_residue=(5, 8), char_factor=2, t_den_factor=2, gamma=2, b_parity="even",
-            d_factor=2, delta_factor=2, alpha=2, rho=1, y_bound=(2, 1), c=2,
-            assembly=ASSEMBLY_2B_A_R,
+            q_residue=(5, 8), gamma=2, d_factor=2, delta_factor=2, alpha=2, rho=1,
+            c=2, assembly=ASSEMBLY_2B_A_R,
         ),
         CaseProfile(
             id="T1E", form=TernaryForm.D122, core_parity="even", core_residues=(7,),
-            q_residue=(3, 8), char_factor=2, t_den_factor=2, gamma=2, b_parity="even",
-            d_factor=2, delta_factor=2, alpha=2, rho=1, y_bound=(2, 1), c=2,
-            assembly=ASSEMBLY_2B_A_R,
+            q_residue=(3, 8), gamma=2, d_factor=2, delta_factor=2, alpha=2, rho=1,
+            c=2, assembly=ASSEMBLY_2B_A_R,
         ),
         # x^2 + y^2 + 2z^2, odd core = 3 (mod 8):
         #   F = R^2 + 2q x^2 + 2b xy + h y^2, R = 2tq x + bt y + core z
         CaseProfile(
             id="T2A", form=TernaryForm.D112, core_parity="odd", core_residues=(3,),
-            q_residue=(1, 8), char_factor=2, t_den_factor=2, gamma=2, b_parity="even",
-            d_factor=2, delta_factor=2, alpha=2, rho=1, y_bound=(2, 1), c=2,
-            assembly=ASSEMBLY_R_A_B,
+            q_residue=(1, 8), gamma=2, d_factor=2, delta_factor=2, alpha=2, rho=1,
+            c=2, assembly=ASSEMBLY_R_A_B,
         ),
         # odd core = 7 (mod 8): as T2A but q = 3 (mod 8)
         CaseProfile(
             id="T2B", form=TernaryForm.D112, core_parity="odd", core_residues=(7,),
-            q_residue=(3, 8), char_factor=2, t_den_factor=2, gamma=2, b_parity="even",
-            d_factor=2, delta_factor=2, alpha=2, rho=1, y_bound=(2, 1), c=2,
-            assembly=ASSEMBLY_R_A_B,
+            q_residue=(3, 8), gamma=2, d_factor=2, delta_factor=2, alpha=2, rho=1,
+            c=2, assembly=ASSEMBLY_R_A_B,
         ),
         # odd core = 1, 5 (mod 8):
         #   F = R^2 + q x^2 + 2b xy + h y^2, R = tq x + bt y + core z
         CaseProfile(
             id="T2C", form=TernaryForm.D112, core_parity="odd", core_residues=(1, 5),
-            q_residue=(1, 8), char_factor=1, t_den_factor=1, gamma=2, b_parity="free",
-            d_factor=1, delta_factor=1, alpha=1, rho=1, y_bound=(1, 1), c=2,
-            assembly=ASSEMBLY_R_A_B,
+            q_residue=(1, 8), gamma=2, d_factor=1, delta_factor=1, alpha=1, rho=1,
+            c=2, assembly=ASSEMBLY_R_A_B,
         ),
         # x^2 + y^2 + 7z^2, core = 5 (mod 8), 7 not dividing the core:
         #   F = R^2 + q x^2 + b xy + h y^2, R = 2tq x + bt y + core z, h odd
         CaseProfile(
             id="T3A", form=TernaryForm.D117, core_parity="odd", core_residues=(5,),
-            q_residue=(1, 28), char_factor=1, t_den_factor=4, gamma=7, b_parity="odd",
-            d_factor=4, h_odd=True, delta_factor=4, alpha=2, rho=1, y_bound=(8, 7),
-            c=7, assembly=ASSEMBLY_A_R_B,
+            q_residue=(1, 28), gamma=7, d_factor=4, delta_factor=4, alpha=2, rho=1,
+            c=7, assembly=ASSEMBLY_A_R_B, h_odd=True,
         ),
         # x^2 + y^2 + 3z^2, core = 1 (mod 8), 3 not dividing the core.
         CaseProfile(
             id="T3B", form=TernaryForm.D113, core_parity="odd", core_residues=(1,),
-            q_residue=(1, 12), char_factor=1, t_den_factor=4, gamma=3, b_parity="odd",
-            d_factor=4, h_odd=True, delta_factor=4, alpha=2, rho=1, y_bound=(8, 3),
-            c=3, assembly=ASSEMBLY_A_R_B,
+            q_residue=(1, 12), gamma=3, d_factor=4, delta_factor=4, alpha=2, rho=1,
+            c=3, assembly=ASSEMBLY_A_R_B, h_odd=True,
         ),
     )
 }

@@ -26,9 +26,11 @@ class NotRepresentableError(TernrepError, ValueError):
 
 
 class ResourceCapError(TernrepError, RuntimeError):
-    """q search hit --max-prime-candidates, a number to factor reached
-    PRIMALITY_LIMIT, a scan reached past SCAN_HI_LIMIT, or an oracle
-    search passed ORACLE_STEP_BUDGET."""
+    """A bounded search or input ran out: the q search examined
+    --max-prime-candidates values or reached PRIMALITY_LIMIT, a number to
+    factor reached PRIMALITY_LIMIT, a scan reached past SCAN_HI_LIMIT, an
+    oracle search passed ORACLE_STEP_BUDGET, or the lattice scan passed
+    LATTICE_STEP_BUDGET."""
 
 
 class InternalError(TernrepError, RuntimeError):

@@ -109,12 +109,14 @@ class Witness:
 
 def find_q(profile: CaseProfile, core: int, primes, max_candidates=DEFAULT_CANDIDATE_CAP) -> int:
     """Smallest prime q > max(core, 2) in the profile's residue class with
-    jacobi(-char_factor * q, p) = 1 for each p in primes, those of n0(core).
+    jacobi(-t_den_factor * q, p) = 1 for each p in primes, those of n0(core):
+    the condition under which solve_t has a root at every p.
 
     Raises ResourceCapError after max_candidates values of the residue
     class have been examined, or when q reaches PRIMALITY_LIMIT.
     """
     r, modulus = profile.q_residue
+    den = profile.t_den_factor
     q = max(core, 2) + 1
     q += (r - q) % modulus
     for _ in range(max_candidates):
@@ -123,7 +125,7 @@ def find_q(profile: CaseProfile, core: int, primes, max_candidates=DEFAULT_CANDI
                 "no auxiliary prime for core %d below the proven primality bound" % core
             )
         if is_prime(q) and all(
-            jacobi(-profile.char_factor * q, p) == 1 for p in primes
+            jacobi(-den * q, p) == 1 for p in primes
         ):
             return q
         q += modulus
@@ -154,11 +156,11 @@ def solve_t(profile: CaseProfile, primes, q: int) -> int:
 
 def solve_bh(profile: CaseProfile, n0: int, q: int) -> tuple:
     """(b, h) with b^2 + gamma*n0 = (d_factor * q) * h and the profile's
-    parity side conditions.
+    side condition on h.
 
-    b is canonical: from the canonical root r of -gamma*n0 mod q, the
-    candidates {r, q-r, r+q, 2q-r} are filtered by parity and the smallest
-    survivor is taken.
+    b is canonical: from the canonical root r of -gamma*n0 mod q, it is the
+    smallest of the candidates {r, q-r, r+q, 2q-r} with d_factor * q
+    dividing b^2 + gamma*n0.
     """
     gn = profile.gamma * n0
     try:
@@ -167,25 +169,18 @@ def solve_bh(profile: CaseProfile, n0: int, q: int) -> tuple:
         raise InternalError(
             "-%d should be a square mod %d by construction: %s" % (gn, q, exc)
         ) from exc
-    candidates = (root, q - root, root + q, 2 * q - root)
-    if profile.b_parity == "odd":
-        candidates = [v for v in candidates if v % 2 == 1]
-    elif profile.b_parity == "even":
-        candidates = [v for v in candidates if v % 2 == 0]
-    b = min(candidates)
     d = profile.d_factor * q
-    total = b * b + gn
-    if total % d != 0:
-        raise InternalError("b^2 + gamma*n0 = %d is not divisible by d = %d" % (total, d))
-    h = total // d
+    fits = [v for v in (root, q - root, root + q, 2 * q - root) if (v * v + gn) % d == 0]
+    if not fits:
+        raise InternalError("no b in {r, q-r, r+q, 2q-r} has %d | b^2 + %d" % (d, gn))
+    b = min(fits)
+    h = (b * b + gn) // d
     if profile.h_odd and h % 2 == 0:
         raise InternalError("h = %d should be odd for profile %s" % (h, profile.id))
     return b, h
 
 
-def composed_values(
-    profile: CaseProfile, core: int, q: int, t: int, b: int, h: int, point
-) -> tuple:
+def composed_values(profile: CaseProfile, core: int, q: int, t: int, b: int, point) -> tuple:
     """(R, binary part, F) of the composed form at a lattice point.
 
     The point is given in lattice coordinates; for the substituted profiles
@@ -196,7 +191,7 @@ def composed_values(
         if x % 2 != 0:
             raise ValueError("lattice x must be even for profile %s" % profile.id)
         x //= 2
-    u, w, v = profile.binary_coefficients(core, q, b, h)
+    u, w, v = profile.binary_coefficients(core, q, b)
     binary = u * x * x + w * x * y + v * y * y
     r_val = profile.alpha * t * q * x + b * t * y + profile.n0(core) * z
     return r_val, binary, profile.rho * r_val * r_val + binary
@@ -219,9 +214,9 @@ def enumerate_point(profile: CaseProfile, core: int, q: int, t: int, b: int) -> 
     next; x ascends with e over [-isqrt(budget), isqrt(budget)] in steps
     of lam.  As |R| <= isqrt(n0 / rho) < n0 / 2 and n0 is odd, the only
     candidate R is the centred residue of t*e mod n0, and z = (R - t*e) / n0
-    is exact.  All arithmetic is in exact integers.  The scan reads
-    neither h nor the profile's y_bound: the budget turns negative at
-    |y| = isqrt(delta_factor*q // gamma), before y_bound would stop it.
+    is exact.  All arithmetic is in exact integers.  The scan does not
+    read h, and it ends where the budget turns negative, at
+    |y| = isqrt(delta_factor*q // gamma).
 
     Requires n0 >= 3 (ValueError otherwise); build_witness settles the
     cores whose odd part is 1 without a scan.  Raises ResourceCapError when
@@ -310,7 +305,7 @@ def build_witness(
     t = solve_t(profile, primes, q)
     b, h = solve_bh(profile, n0, q)
     point = enumerate_point(profile, frame_core, q, t, b)
-    r1, n, f_val = composed_values(profile, frame_core, q, t, b, h, point)
+    r1, n, f_val = composed_values(profile, frame_core, q, t, b, point)
     if f_val != n0:
         raise InternalError("enumerated point does not hit the target")
     try:
@@ -423,11 +418,11 @@ def witness_problems(w: Witness) -> list:
     r, modulus = profile.q_residue
     if con.q % modulus != r:
         problems.append("q is outside its residue class")
+    den = profile.t_den_factor * con.q
     for p, _ in odd_factors:
-        if jacobi(-profile.char_factor * con.q, p) != 1:
+        if jacobi(-den, p) != 1:
             problems.append("character condition fails at p = %d" % p)
 
-    den = profile.t_den_factor * con.q
     if not 0 <= con.t < max(n0, 1):
         problems.append("t out of range")
     if math.gcd(den, n0) != 1:
@@ -435,10 +430,6 @@ def witness_problems(w: Witness) -> list:
     elif (con.t * con.t + inv_mod(den % n0, n0)) % n0 != 0:
         problems.append("t^2 != -1/den (mod modulus)")
 
-    if profile.b_parity == "odd" and con.b % 2 == 0:
-        problems.append("b parity violates the profile")
-    if profile.b_parity == "even" and con.b % 2 == 1:
-        problems.append("b parity violates the profile")
     if not 0 <= con.b < 2 * con.q:
         problems.append("b is not in canonical range")
     if con.b * con.b + profile.gamma * n0 != profile.d_factor * con.q * con.h:
@@ -450,9 +441,7 @@ def witness_problems(w: Witness) -> list:
         problems.append("point is zero")
         return problems
     try:
-        r1, n, f_val = composed_values(
-            profile, frame_core, con.q, con.t, con.b, con.h, con.point
-        )
+        r1, n, f_val = composed_values(profile, frame_core, con.q, con.t, con.b, con.point)
     except ValueError as exc:
         return problems + [str(exc)]
     if f_val != n0:

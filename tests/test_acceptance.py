@@ -86,7 +86,7 @@ def audit_witness(w):
     _, profile, core = construction_frame(w.form, w.core)
     target = profile.n0(core)
     con = w.construction
-    u, wc, v = profile.binary_coefficients(core, con.q, con.b, con.h)
+    u, wc, v = profile.binary_coefficients(core, con.q, con.b)
     c1 = profile.alpha * con.t * con.q
     c2 = con.b * con.t
     rho = profile.rho

@@ -1,6 +1,9 @@
+import dataclasses
+
 import pytest
 
 from ternrep import (
+    CaseProfile,
     InternalError,
     PROFILES,
     TernaryForm,
@@ -11,31 +14,25 @@ from ternrep import (
 )
 from ternrep.pipeline import construction_frame, find_q, solve_bh
 
-# Double entry of the normative recipe table.  Each row:
-# (form, parity, residues, q_residue, char, t_den, gamma, b_parity,
-#  d, h_odd, delta, alpha, rho, y_bound, c, assembly)
+# Double entry of the normative recipe table: the paper's free constants of
+# each case, in COLUMNS order.
+COLUMNS = ("form", "core_parity", "core_residues", "q_residue", "gamma",
+           "d_factor", "delta_factor", "alpha", "rho", "c", "assembly", "h_odd")
 TABLE = {
-    "T1A": (TernaryForm.D122, "odd", (3,), (1, 8), 2, 2, 1, "odd",
-            2, False, 1, 1, 2, (2, 1), 2, "a_b_r"),
-    "T1B": (TernaryForm.D122, "odd", (1, 5), (1, 8), 1, 4, 1, "odd",
-            2, False, 2, 2, 2, (4, 1), 2, "a_b_r"),
-    "T1C": (TernaryForm.D122, "even", (1, 3), (1, 8), 2, 2, 2, "even",
-            2, False, 2, 2, 1, (2, 1), 2, "2b_a_r"),
-    "T1D": (TernaryForm.D122, "even", (5,), (5, 8), 2, 2, 2, "even",
-            2, False, 2, 2, 1, (2, 1), 2, "2b_a_r"),
-    "T1E": (TernaryForm.D122, "even", (7,), (3, 8), 2, 2, 2, "even",
-            2, False, 2, 2, 1, (2, 1), 2, "2b_a_r"),
-    "T2A": (TernaryForm.D112, "odd", (3,), (1, 8), 2, 2, 2, "even",
-            2, False, 2, 2, 1, (2, 1), 2, "r_a_b"),
-    "T2B": (TernaryForm.D112, "odd", (7,), (3, 8), 2, 2, 2, "even",
-            2, False, 2, 2, 1, (2, 1), 2, "r_a_b"),
-    "T2C": (TernaryForm.D112, "odd", (1, 5), (1, 8), 1, 1, 2, "free",
-            1, False, 1, 1, 1, (1, 1), 2, "r_a_b"),
-    "T3A": (TernaryForm.D117, "odd", (5,), (1, 28), 1, 4, 7, "odd",
-            4, True, 4, 2, 1, (8, 7), 7, "a_r_b"),
-    "T3B": (TernaryForm.D113, "odd", (1,), (1, 12), 1, 4, 3, "odd",
-            4, True, 4, 2, 1, (8, 3), 3, "a_r_b"),
+    "T1A": (TernaryForm.D122, "odd", (3,), (1, 8), 1, 2, 1, 1, 2, 2, "a_b_r", False),
+    "T1B": (TernaryForm.D122, "odd", (1, 5), (1, 8), 1, 2, 2, 2, 2, 2, "a_b_r", False),
+    "T1C": (TernaryForm.D122, "even", (1, 3), (1, 8), 2, 2, 2, 2, 1, 2, "2b_a_r", False),
+    "T1D": (TernaryForm.D122, "even", (5,), (5, 8), 2, 2, 2, 2, 1, 2, "2b_a_r", False),
+    "T1E": (TernaryForm.D122, "even", (7,), (3, 8), 2, 2, 2, 2, 1, 2, "2b_a_r", False),
+    "T2A": (TernaryForm.D112, "odd", (3,), (1, 8), 2, 2, 2, 2, 1, 2, "r_a_b", False),
+    "T2B": (TernaryForm.D112, "odd", (7,), (3, 8), 2, 2, 2, 2, 1, 2, "r_a_b", False),
+    "T2C": (TernaryForm.D112, "odd", (1, 5), (1, 8), 2, 1, 1, 1, 1, 2, "r_a_b", False),
+    "T3A": (TernaryForm.D117, "odd", (5,), (1, 28), 7, 4, 4, 2, 1, 7, "a_r_b", True),
+    "T3B": (TernaryForm.D113, "odd", (1,), (1, 12), 3, 4, 4, 2, 1, 3, "a_r_b", True),
 }
+# t^2 = -1/(t_den * q) (mod n0) in the paper's statement of each case.
+T_DEN = {"T1A": 2, "T1B": 4, "T1C": 2, "T1D": 2, "T1E": 2,
+         "T2A": 2, "T2B": 2, "T2C": 1, "T3A": 4, "T3B": 4}
 
 
 def eligible_cores(form, limit):
@@ -51,19 +48,24 @@ class TestProfileTable:
 
     @pytest.mark.parametrize("case_id", sorted(TABLE))
     def test_row(self, case_id):
+        # every stored column is pinned: a column added without a TABLE
+        # value fails here
         p = PROFILES[case_id]
-        assert (p.form, p.core_parity, p.core_residues, p.q_residue,
-                p.char_factor, p.t_den_factor, p.gamma, p.b_parity,
-                p.d_factor, p.h_odd, p.delta_factor, p.alpha, p.rho,
-                p.y_bound, p.c, p.assembly) == TABLE[case_id]
+        stored = {f.name: getattr(p, f.name) for f in dataclasses.fields(CaseProfile)}
+        assert stored == dict(zip(COLUMNS, TABLE[case_id]), id=case_id)
 
-    def test_y_bound_is_the_budget_bound(self):
-        # y^2 < num*q/den must equal y^2 < 2*delta_factor*q/gamma, which the
-        # lattice scan's budget (delta_factor*q - gamma*y^2 >= 0) meets
-        # first; a row whose y_bound would bind changes the scan.
+    def test_t_denominator_is_rho_delta(self):
+        for case_id, t_den in T_DEN.items():
+            p = PROFILES[case_id]
+            assert p.t_den_factor == p.rho * p.delta_factor == t_den, case_id
+
+    def test_delta_at_most_twice_gamma(self):
+        # The lattice scan's budget delta_factor*q*n0 - gamma*n0*y^2 turns
+        # negative past y^2 = delta_factor*q/gamma, so delta_factor <= 2*gamma
+        # bounds the scan by sqrt(2q) values of |y|, the bound that the
+        # LATTICE_STEP_BUDGET comment and the README rely on.
         for p in PROFILES.values():
-            num, den = p.y_bound
-            assert num * p.gamma == 2 * p.delta_factor * den, p.id
+            assert p.delta_factor <= 2 * p.gamma, p.id
 
     def test_x_substitution_marks_even_core_rows(self):
         for p in PROFILES.values():
@@ -125,8 +127,8 @@ class TestProfileHelpers:
                 if construction_frame(p.form, c)[1] is p and c > 2
             )
             q = find_q(p, core, [f for f, _ in factorize(p.n0(core))])
-            b, h = solve_bh(p, p.n0(core), q)
-            u, w, v = p.binary_coefficients(core, q, b, h)
+            b, _ = solve_bh(p, p.n0(core), q)
+            u, w, v = p.binary_coefficients(core, q, b)
             delta = p.delta_factor * q
             lam = p.alpha * q
             assert u * delta == lam * lam

@@ -102,7 +102,7 @@ class TestFindQ:
             assert q % modulus == r
             odd = profile.n0(core) if profile.core_parity == "even" else core
             for p, _ in factorize(odd):
-                assert jacobi(-profile.char_factor * q, p) == 1
+                assert jacobi(-profile.rho * profile.delta_factor * q, p) == 1
 
     def test_cap(self):
         with pytest.raises(ResourceCapError):
@@ -169,41 +169,34 @@ class TestSolveBH:
             b, h = solve_bh(profile, n0, q)
             assert 0 <= b < 2 * q
             assert b * b + profile.gamma * n0 == profile.d_factor * q * h
-            if profile.b_parity == "odd":
-                assert b % 2 == 1
-            if profile.b_parity == "even":
-                assert b % 2 == 0
+            if profile.d_factor % 2 == 0:
+                assert b % 2 == profile.gamma * n0 % 2
             if profile.h_odd:
                 assert h % 2 == 1
 
     def test_minimality(self):
-        # no smaller nonnegative b of the required parity satisfies the
-        # congruence b^2 = -gamma*n0 (mod q)
-        for profile, core in [(T1A, 3), (T1B, 13), (T3A, 13)]:
+        # no smaller nonnegative b has d*q dividing b^2 + gamma*n0
+        for profile, core in [(T1A, 3), (T1B, 13), (PROFILES["T2C"], 13), (T3A, 13)]:
             n0 = profile.n0(core)
             q = find_q(profile, core, primes_of(profile, core))
             b, _ = solve_bh(profile, n0, q)
-            for smaller in range(b):
-                if profile.b_parity == "odd" and smaller % 2 == 0:
-                    continue
-                if profile.b_parity == "even" and smaller % 2 == 1:
-                    continue
-                assert (smaller * smaller + profile.gamma * n0) % q != 0
+            d = profile.d_factor * q
+            assert all((v * v + profile.gamma * n0) % d for v in range(b))
 
 
-def first_point_reference(profile, core, q, t, b, h):
+def first_point_reference(profile, core, q, t, b):
     """Naive rescan used to cross-check enumerate_point.
 
-    Iterates the same normative order but derives the x-range from a
-    conservative symmetric bound instead of the tight interval.
+    Iterates the same normative order but derives the ranges from
+    conservative symmetric bounds instead of the tight interval: y runs over
+    y^2 < 2*delta_factor*q/gamma, twice the scan's own bound on y^2.
     """
     target = profile.n0(core)
-    u, w, v = profile.binary_coefficients(core, q, b, h)
+    u, w, v = profile.binary_coefficients(core, q, b)
     c1 = profile.alpha * t * q
     c2 = b * t
-    num_y, den_y = profile.y_bound
     y_max = 0
-    while (y_max + 1) * (y_max + 1) * den_y < num_y * q:
+    while (y_max + 1) * (y_max + 1) * profile.gamma < 2 * profile.delta_factor * q:
         y_max += 1
     budget = profile.delta_factor * q * target
     x_max = (math.isqrt(budget) + b * y_max) // (profile.alpha * q) + 1
@@ -236,7 +229,7 @@ class TestEnumeratePoint:
                 _, profile, core = construction_frame(w.form, w.core)
                 con = w.construction
                 point = enumerate_point(profile, core, con.q, con.t, con.b)
-                _, _, f = composed_values(profile, core, con.q, con.t, con.b, con.h, point)
+                _, _, f = composed_values(profile, core, con.q, con.t, con.b, point)
                 assert f == profile.n0(core)
 
     def test_agrees_with_reference_scan(self):
@@ -247,9 +240,7 @@ class TestEnumeratePoint:
         for w in witnesses:
             _, profile, core = construction_frame(w.form, w.core)
             con = w.construction
-            assert first_point_reference(
-                profile, core, con.q, con.t, con.b, con.h
-            ) == con.point
+            assert first_point_reference(profile, core, con.q, con.t, con.b) == con.point
 
     @given(st.sampled_from(list(TernaryForm)), st.integers(1, 2**32))
     def test_point_is_on_the_nonpositive_y_side(self, form, m):
@@ -260,7 +251,7 @@ class TestEnumeratePoint:
         con = w.construction
         assert con.point[1] <= 0
         negated = tuple(-v for v in con.point)
-        _, _, f = composed_values(profile, core, con.q, con.t, con.b, con.h, negated)
+        _, _, f = composed_values(profile, core, con.q, con.t, con.b, negated)
         assert f == profile.n0(core)
 
     @pytest.mark.parametrize("profile_id, core", [("T1A", 1), ("T1C", 2)])
@@ -569,30 +560,26 @@ class TestVerifyWitness:
 
 
 class TestWitnessIdentities:
-    def test_congruence_at_random_triples(self):
-        rng = random.Random(20240817)
+    def test_congruence_at_six_points(self):
+        # F(e_i) and F(e_i + e_j) fix every coefficient of the quadratic
+        # form F, so F = 0 (mod n0) at these six points proves it everywhere
+        six_points = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1))
         for form in TernaryForm:
             for w in constructive_witnesses(form, 1, 200):
                 _, profile, core = construction_frame(w.form, w.core)
                 con = w.construction
-                target = profile.n0(core)
-                for _ in range(100):
-                    x = rng.randrange(-1000, 1001)
-                    if profile.x_substituted:
-                        x *= 2
-                    point = (x, rng.randrange(-1000, 1001),
-                             rng.randrange(-1000, 1001))
-                    _, _, f = composed_values(
-                        profile, core, con.q, con.t, con.b, con.h, point
-                    )
-                    assert f % target == 0
+                scale = 2 if profile.x_substituted else 1  # lattice x = 2x'
+                for x, y, z in six_points:
+                    point = (scale * x, y, z)
+                    _, _, f = composed_values(profile, core, con.q, con.t, con.b, point)
+                    assert f % profile.n0(core) == 0, (w.m, point)
 
     def test_binary_part_positive_definite(self):
         for form in TernaryForm:
             for w in constructive_witnesses(form, 1, 300):
                 _, profile, core = construction_frame(w.form, w.core)
                 con = w.construction
-                u, wc, v = profile.binary_coefficients(core, con.q, con.b, con.h)
+                u, wc, v = profile.binary_coefficients(core, con.q, con.b)
                 assert u > 0 and v > 0
                 assert wc * wc - 4 * u * v < 0
 
@@ -616,9 +603,7 @@ class TestWitnessIdentities:
             for w in constructive_witnesses(form, 1, 200):
                 _, profile, core = construction_frame(w.form, w.core)
                 con = w.construction
-                r1, n, f = composed_values(
-                    profile, core, con.q, con.t, con.b, con.h, con.point
-                )
+                r1, n, f = composed_values(profile, core, con.q, con.t, con.b, con.point)
                 assert (r1, n) == (con.r1, con.n)
                 assert f == profile.n0(core)
                 a, beta = con.binary
@@ -735,7 +720,7 @@ class TestPinnedBytes:
             profile = PROFILES[profile_id]
             assert len(by_core) >= 3
             for core, con in sorted(by_core.items())[:3]:
-                u, wc, v = profile.binary_coefficients(core, con.q, con.b, con.h)
+                u, wc, v = profile.binary_coefficients(core, con.q, con.b)
                 delta = profile.delta_factor * con.q
                 lam = profile.alpha * con.q
                 gn = profile.gamma * profile.n0(core)
