@@ -43,6 +43,7 @@ from .oracle import (
 )
 from .pipeline import (
     LATTICE_STEP_BUDGET,
+    Q_CANDIDATE_BUDGET,
     Construction,
     Witness,
     build_witness,
@@ -69,7 +70,8 @@ __all__ = [
     "brute_force_binary", "represented_bits",
     "descent_mismatches", "SCAN_HI_LIMIT", "ScanRow", "ScanReport", "scan_compare",
     "Construction", "Witness", "build_witness", "construction_frame", "find_q",
-    "solve_t", "solve_bh", "enumerate_point", "LATTICE_STEP_BUDGET", "verify_witness",
+    "solve_t", "solve_bh", "enumerate_point", "LATTICE_STEP_BUDGET",
+    "Q_CANDIDATE_BUDGET", "verify_witness",
     "witness_problems",
     "TernrepError", "NonResidueError", "NotInvertibleError",
     "NonCoprimeModuliError", "NotRepresentableError",

@@ -17,13 +17,7 @@ import sys
 from .errors import InternalError, ResourceCapError
 from .forms import Eligibility, FORM_BY_NAME, TernaryForm, eligibility, evaluate
 from .oracle import descent_mismatches, oracle_triple, scan_compare
-from .pipeline import (
-    DEFAULT_CANDIDATE_CAP,
-    Construction,
-    Witness,
-    build_witness,
-    verify_witness,
-)
+from .pipeline import Construction, Witness, build_witness, verify_witness
 
 __all__ = ["main", "dispatch"]
 
@@ -124,7 +118,7 @@ def _cmd_represent(args, out, err, trail: bool) -> int:
         err.write("--fallback-oracle applies only to x2+y2+3z2 and x2+y2+7z2\n")
         return EXIT_USAGE
 
-    result = build_witness(form, args.m, args.max_prime_candidates)
+    result = build_witness(form, args.m)
     if isinstance(result, Witness):
         fields = _witness_fields(result)
         if not fields["verified"]:
@@ -219,9 +213,7 @@ def _cmd_scan(args, out, err) -> int:
 
 
 def _scan_to(sink, form, args, err) -> int:
-    report = scan_compare(form, args.lo, args.hi,
-                          jobs=args.jobs,
-                          max_candidates=args.max_prime_candidates)
+    report = scan_compare(form, args.lo, args.hi, jobs=args.jobs)
     if args.json:
         lines = []
         for row in report.rows:
@@ -242,9 +234,6 @@ def _scan_to(sink, form, args, err) -> int:
     if not report.all_agree:
         err.write("scan found disagreement rows\n")
         return EXIT_INTERNAL
-    if report.any_capped:
-        err.write("scan hit the prime-candidate cap on some rows\n")
-        return EXIT_RESOURCE_CAP
     return EXIT_OK
 
 
@@ -306,8 +295,6 @@ def _build_parser() -> argparse.ArgumentParser:
         add_form_m(p_rep)
         p_rep.add_argument("--json", action="store_true")
         p_rep.add_argument("--fallback-oracle", action="store_true")
-        p_rep.add_argument("--max-prime-candidates", type=int,
-                           default=DEFAULT_CANDIDATE_CAP, metavar="N")
 
     p_chk = sub.add_parser("check", help="eligibility only")
     add_form_m(p_chk)
@@ -324,8 +311,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--json", action="store_true")
     p_scan.add_argument("--out", metavar="FILE")
     p_scan.add_argument("--jobs", type=int, default=1, metavar="N")
-    p_scan.add_argument("--max-prime-candidates", type=int,
-                        default=DEFAULT_CANDIDATE_CAP, metavar="N")
 
     sub.add_parser("selftest", help="run the invariant suites")
     return parser
@@ -349,9 +334,6 @@ def dispatch(argv, out=None, err=None) -> int:
         if args.command in ("represent", "witness", "check") and args.m < 1:
             err.write("--m must be at least 1\n")
             return EXIT_USAGE
-        if args.command in ("represent", "witness", "scan") and args.max_prime_candidates < 1:
-            err.write("--max-prime-candidates must be at least 1\n")
-            return EXIT_USAGE
         if args.command in ("represent", "witness"):
             return _cmd_represent(args, out, err, trail=args.command == "witness")
         if args.command == "check":
@@ -366,10 +348,7 @@ def dispatch(argv, out=None, err=None) -> int:
                 err.write("--jobs must be at least 1\n")
                 return EXIT_USAGE
             return _cmd_scan(args, out, err)
-        if args.command == "selftest":
-            return _cmd_selftest(args, out, err)
-        err.write("unknown command %r\n" % args.command)
-        return EXIT_USAGE
+        return _cmd_selftest(args, out, err)
     except ResourceCapError as exc:
         err.write("resource cap: %s\n" % exc)
         return EXIT_RESOURCE_CAP

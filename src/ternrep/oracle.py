@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from .descent import represent_binary
 from .errors import InternalError, NotRepresentableError, ResourceCapError
 from .forms import Eligibility, TernaryForm, eligibility
-from .pipeline import DEFAULT_CANDIDATE_CAP, Witness, build_witness
+from .pipeline import Witness, build_witness
 
 __all__ = ["brute_force_ternary", "first_triples", "oracle_triple",
            "dickson_excluded", "ORACLE_STEP_BUDGET", "brute_force_binary",
@@ -220,10 +220,6 @@ class ScanReport:
     def all_agree(self) -> bool:
         return all(row.agree for row in self.rows)
 
-    @property
-    def any_capped(self) -> bool:
-        return any(row.verdict == "resource-cap" for row in self.rows)
-
     def to_csv(self) -> str:
         def b(v):
             return "true" if v else "false"
@@ -240,63 +236,50 @@ class ScanReport:
         return "\n".join(lines) + "\n"
 
 
-def _scan_rows(form: TernaryForm, lo: int, hi: int, window: int, max_candidates: int) -> list:
-    """Rows for lo..hi; bit m - lo of window is set iff the form represents m."""
+def _scan_rows(form: TernaryForm, lo: int, hi: int, window: int) -> list:
+    """Rows for lo..hi; bit m - lo of window is set iff the form represents m.
+
+    Each row's verdict is what build_witness returns, so eligibility runs
+    once per row, and a ResourceCapError from the pipeline ends the scan.
+    A pipeline find agrees when the oracle finds m too.  A miss agrees
+    unless the oracle finds m on one of the two exact forms; the misses
+    the oracle finds are the only rows that print the oracle's triple, and
+    one first_triples sweep finds all of them once the pipeline is done.
+    """
     represented = _bit_reader(window, hi - lo)
-    fields = []
+    exact = form in (TernaryForm.D122, TernaryForm.D112)
+    rows, missed = [], []
     for m in range(lo, hi + 1):
-        verdict = eligibility(form, m)
-        verdict_label = verdict.kind.value
-        pipeline_rep = None
-        q = None
-        if verdict.eligible:
-            try:
-                witness = build_witness(form, m, max_candidates=max_candidates)
-            except ResourceCapError:
-                verdict_label = "resource-cap"
-                witness = None
-            if isinstance(witness, Witness):
-                pipeline_rep = witness.representation
-                if witness.construction is not None:
-                    q = witness.construction.q
-        pipeline_found = pipeline_rep is not None
+        result = build_witness(form, m)
         oracle_found = represented(m - lo)
-        if verdict_label == "resource-cap":
-            agree = True  # no verdict either way; the row is flagged instead
-        elif form in (TernaryForm.D122, TernaryForm.D112):
-            agree = pipeline_found == oracle_found
+        if isinstance(result, Witness):
+            con = result.construction
+            rows.append(ScanRow(m, Eligibility.ELIGIBLE.value, True, oracle_found,
+                                oracle_found, result.representation,
+                                None if con is None else con.q))
+        elif oracle_found:
+            missed.append((len(rows), m, result.kind.value))
+            rows.append(None)
         else:
-            agree = (not pipeline_found) or oracle_found
-        fields.append((m, verdict_label, pipeline_found, oracle_found, agree,
-                       pipeline_rep, q))
-    # The rows the pipeline misses but the oracle finds are the only ones
-    # that print the oracle's triple; one sweep finds all of them.
-    triples = first_triples(
-        form, [m for m, _, pipeline_found, oracle_found, *_ in fields
-               if oracle_found and not pipeline_found])
-    rows = []
-    for m, verdict_label, pipeline_found, oracle_found, agree, rep, q in fields:
-        if oracle_found and not pipeline_found:
-            rep = triples.get(m)
-            if rep is None:
-                raise InternalError(
-                    "bitset marks %d as represented by %s but the search "
-                    "finds nothing" % (m, form.cli_name)
-                )
-        rows.append(
-            ScanRow(m, verdict_label, pipeline_found, oracle_found, agree, rep, q)
-        )
+            rows.append(ScanRow(m, result.kind.value, False, False, True, None, None))
+    triples = first_triples(form, [m for _, m, _ in missed])
+    for i, m, verdict_label in missed:
+        rep = triples.get(m)
+        if rep is None:
+            raise InternalError(
+                "bitset marks %d as represented by %s but the search "
+                "finds nothing" % (m, form.cli_name)
+            )
+        rows[i] = ScanRow(m, verdict_label, False, True, not exact, rep, None)
     return rows
 
 
 def _scan_chunk(args) -> list:
-    form_name, lo, hi, window, max_candidates = args
-    return _scan_rows(TernaryForm[form_name], lo, hi, window, max_candidates)
+    form_name, lo, hi, window = args
+    return _scan_rows(TernaryForm[form_name], lo, hi, window)
 
 
-def scan_compare(
-    form: TernaryForm, lo: int, hi: int, jobs: int = 1, max_candidates: int = DEFAULT_CANDIDATE_CAP
-) -> ScanReport:
+def scan_compare(form: TernaryForm, lo: int, hi: int, jobs: int = 1) -> ScanReport:
     """Compare pipeline, exhaustive oracle and the local conditions for
     every m in [lo, hi].
 
@@ -304,12 +287,14 @@ def scan_compare(
     rows are split across processes; a row that the pipeline misses but
     the oracle finds prints brute_force_ternary's triple, found for all
     such rows of a chunk by one first_triples sweep.
-    Raises ResourceCapError, before any work, when hi > SCAN_HI_LIMIT.
+    Raises ResourceCapError, before any work, when hi > SCAN_HI_LIMIT, and
+    when the pipeline hits a budget on any row.
     For the two equivalence forms a row agrees when pipeline and oracle
     both find or both miss; for the covered-case forms a pipeline find must
     be backed by an oracle find.  Rows are independent, so the range may be
     partitioned across processes; output is identical for any job count.
-    The pool never holds more workers than CPUs or chunks.
+    The scan uses min(jobs, CPUs, rows) workers and runs in this process
+    when that is 1.
     """
     if lo < 1 or hi < lo:
         raise ValueError("scan_compare requires 1 <= lo <= hi")
@@ -321,21 +306,18 @@ def scan_compare(
         )
     # One bitset per scan, shifted so that bit i stands for m = lo + i.
     window = represented_bits(form.coefficients, hi) >> lo
-    if jobs == 1:
-        rows = _scan_rows(form, lo, hi, window, max_candidates)
-    else:
-        import concurrent.futures
+    span = hi - lo + 1
+    workers = min(jobs, os.cpu_count() or 1, span)
+    if workers == 1:
+        return ScanReport(form, lo, hi, tuple(_scan_rows(form, lo, hi, window)))
+    import concurrent.futures
 
-        workers = min(jobs, os.cpu_count() or 1)
-        span = hi - lo + 1
-        chunk = max(1, -(-span // (workers * 4)))
-        tasks = []
-        for start in range(lo, hi + 1, chunk):
-            end = min(hi, start + chunk - 1)
-            piece = window >> (start - lo) & ((1 << (end - start + 1)) - 1)
-            tasks.append((form.name, start, end, piece, max_candidates))
-        workers = min(workers, len(tasks))
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            pieces = list(pool.map(_scan_chunk, tasks))
-        rows = [row for piece in pieces for row in piece]
-    return ScanReport(form, lo, hi, tuple(rows))
+    chunk = -(-span // (workers * 4))
+    tasks = []
+    for start in range(lo, hi + 1, chunk):
+        end = min(hi, start + chunk - 1)
+        piece = window >> (start - lo) & ((1 << (end - start + 1)) - 1)
+        tasks.append((form.name, start, end, piece))
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        pieces = list(pool.map(_scan_chunk, tasks))
+    return ScanReport(form, lo, hi, tuple(row for piece in pieces for row in piece))

@@ -37,8 +37,8 @@ from .forms import (
 )
 
 __all__ = [
-    "DEFAULT_CANDIDATE_CAP",
     "LATTICE_STEP_BUDGET",
+    "Q_CANDIDATE_BUDGET",
     "SMALL_CORE",
     "Construction",
     "Witness",
@@ -53,7 +53,11 @@ __all__ = [
     "witness_problems",
 ]
 
-DEFAULT_CANDIDATE_CAP = 10**6
+# find_q stops with ResourceCapError after this many values of q's residue
+# class.  Over every eligible core up to SCAN_HI_LIMIT = 2^22, for all four
+# forms (5,152,766 constructions), the most any core needs is 3,307: core
+# 3,293,745 under T1B and T2C, with q = 3,320,201.
+Q_CANDIDATE_BUDGET = 10**6
 
 # enumerate_point stops with ResourceCapError once |y| passes this bound,
 # after 4-6 s on a 2-vCPU Xeon.  The budget delta*n0 - gamma*n0*y^2 turns
@@ -107,19 +111,19 @@ class Witness:
     representation: tuple
 
 
-def find_q(profile: CaseProfile, core: int, primes, max_candidates=DEFAULT_CANDIDATE_CAP) -> int:
+def find_q(profile: CaseProfile, core: int, primes) -> int:
     """Smallest prime q > max(core, 2) in the profile's residue class with
     jacobi(-t_den_factor * q, p) = 1 for each p in primes, those of n0(core):
     the condition under which solve_t has a root at every p.
 
-    Raises ResourceCapError after max_candidates values of the residue
+    Raises ResourceCapError after Q_CANDIDATE_BUDGET values of the residue
     class have been examined, or when q reaches PRIMALITY_LIMIT.
     """
     r, modulus = profile.q_residue
     den = profile.t_den_factor
     q = max(core, 2) + 1
     q += (r - q) % modulus
-    for _ in range(max_candidates):
+    for _ in range(Q_CANDIDATE_BUDGET):
         if q >= PRIMALITY_LIMIT:
             raise ResourceCapError(
                 "no auxiliary prime for core %d below the proven primality bound" % core
@@ -130,7 +134,7 @@ def find_q(profile: CaseProfile, core: int, primes, max_candidates=DEFAULT_CANDI
             return q
         q += modulus
     raise ResourceCapError(
-        "no auxiliary prime for core %d within %d candidates" % (core, max_candidates)
+        "no auxiliary prime for core %d within %d candidates" % (core, Q_CANDIDATE_BUDGET)
     )
 
 
@@ -280,9 +284,7 @@ def _assemble(case_id: str, profile: CaseProfile, binary: tuple, r1: int) -> tup
     return (2 * v, 2 * w, u) if case_id == "T2D" else (u, v, w)
 
 
-def build_witness(
-    form: TernaryForm, m: int, max_candidates: int = DEFAULT_CANDIDATE_CAP
-):
+def build_witness(form: TernaryForm, m: int):
     """Witness for eligible m, or the EligibilityVerdict explaining why m
     is out of reach (obstructed or outside the covered cases).
 
@@ -301,7 +303,7 @@ def build_witness(
     case_id, profile, frame_core = construction_frame(form, core)
     n0 = profile.n0(frame_core)
     primes = [p for p, _ in factorize(n0)]
-    q = find_q(profile, frame_core, primes, max_candidates)
+    q = find_q(profile, frame_core, primes)
     t = solve_t(profile, primes, q)
     b, h = solve_bh(profile, n0, q)
     point = enumerate_point(profile, frame_core, q, t, b)

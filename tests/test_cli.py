@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import subprocess
 import sys
 import time
@@ -14,7 +15,7 @@ from ternrep import (
     eligibility,
     evaluate,
 )
-from ternrep import oracle
+from ternrep import oracle, pipeline
 from ternrep.cli import dispatch
 from ternrep.oracle import CSV_HEADER, dickson_excluded
 
@@ -133,12 +134,13 @@ class TestRepresent:
             assert code == 4
             assert "fallback-oracle" in err
 
-    def test_resource_cap_exit(self):
-        code, _, err = run_cli(
-            ["represent", "--form", "x2+2y2+2z2", "--m", "3",
-             "--max-prime-candidates", "1"])
+    def test_resource_cap_exit(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "Q_CANDIDATE_BUDGET", 1)
+        code, out, err = run_cli(
+            ["represent", "--form", "x2+2y2+2z2", "--m", "3"])
         assert code == 5
-        assert "resource cap" in err
+        assert out == ""
+        assert err == "resource cap: no auxiliary prime for core 3 within 1 candidates\n"
 
     @pytest.mark.parametrize("command", ["represent", "witness"])
     def test_primality_bound_exit(self, command):
@@ -304,12 +306,15 @@ class TestScan:
         assert run_cli(["scan", "--form", "x2+y2+2z2", "--lo", "0",
                         "--hi", "4"])[0] == 4
 
-    def test_resource_cap_exit(self):
+    def test_resource_cap_exit(self, monkeypatch):
+        # a cap on any row ends the scan before a row is printed
+        monkeypatch.setattr(pipeline, "Q_CANDIDATE_BUDGET", 1)
         code, out, err = run_cli(
-            ["scan", "--form", "x2+2y2+2z2", "--lo", "3", "--hi", "3",
-             "--max-prime-candidates", "1"])
+            ["scan", "--form", "x2+2y2+2z2", "--lo", "1", "--hi", "3"])
         assert code == 5
-        assert "resource-cap" in out
+        assert out == ""
+        assert err.startswith("resource cap:")
+        assert err.endswith("\n") and err.count("\n") == 1
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_hi_above_scan_limit_exits_5_at_once(self, jobs):
@@ -323,14 +328,35 @@ class TestScan:
         assert err == "resource cap: scan hi %d is above the scan limit %d\n" % (
             SCAN_HI_LIMIT + 1, SCAN_HI_LIMIT)
 
-    @pytest.mark.parametrize("cap", ["0", "-1"])
-    def test_max_prime_candidates_at_least_one(self, cap):
-        code, out, err = run_cli(
-            ["scan", "--form", "x2+2y2+2z2", "--lo", "1", "--hi", "3",
-             "--max-prime-candidates", cap])
-        assert code == 4
-        assert out == ""
-        assert err == "--max-prime-candidates must be at least 1\n"
+
+class TestOptions:
+    # Every option each subcommand offers; a new one must be added here.
+    FLAGS = {
+        "represent": {"--form", "--m", "--json", "--fallback-oracle"},
+        "witness": {"--form", "--m", "--json", "--fallback-oracle"},
+        "check": {"--form", "--m", "--json"},
+        "oracle": {"--form", "--m", "--json"},
+        "scan": {"--form", "--lo", "--hi", "--json", "--out", "--jobs"},
+        "selftest": set(),
+    }
+
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_help_lists_exactly_the_options(self, command, capsys):
+        # argparse prints --help to sys.stdout, not to dispatch's out
+        assert run_cli([command, "--help"]) == (0, "", "")
+        flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        assert flags - {"--help"} == self.FLAGS[command]
+
+    @pytest.mark.parametrize("argv", [
+        ["represent", "--form", "x2+2y2+2z2", "--m", "3"],
+        ["witness", "--form", "x2+2y2+2z2", "--m", "3"],
+        ["scan", "--form", "x2+2y2+2z2", "--lo", "1", "--hi", "3"],
+    ], ids=lambda argv: argv[0])
+    def test_max_prime_candidates_is_a_usage_error(self, argv, capsys):
+        assert run_cli(argv + ["--max-prime-candidates", "5"]) == (4, "", "")
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert "unrecognized arguments: --max-prime-candidates 5" in printed.err
 
 
 class TestSelftest:

@@ -20,7 +20,7 @@ from ternrep import (
     represented_bits,
     scan_compare,
 )
-from ternrep import oracle
+from ternrep import oracle, pipeline
 from ternrep.oracle import CSV_HEADER, dickson_excluded
 
 # sha256 of scan_compare(form, 1, 3000).to_csv() as written when every row
@@ -259,19 +259,19 @@ class TestScanCompare:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         serial = scan_compare(TernaryForm.D112, 1, 240)
+        assert sizes == []
         assert scan_compare(TernaryForm.D112, 1, 240, jobs=10000) == serial
+        assert sizes == [3]
+        # one row, or one CPU, is one worker: the scan runs in this process
         assert scan_compare(TernaryForm.D112, 5, 5, jobs=10000).rows == serial.rows[4:5]
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert scan_compare(TernaryForm.D112, 1, 240, jobs=10000) == serial
-        assert sizes == [3, 1, 1]
+        assert sizes == [3]
 
-    def test_resource_cap_flagged_not_fatal(self):
-        report = scan_compare(TernaryForm.D122, 3, 3, max_candidates=1)
-        (row,) = report.rows
-        assert row.verdict == "resource-cap"
-        assert row.agree
-        assert report.any_capped
-        assert report.all_agree
+    def test_resource_cap_ends_the_scan(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "Q_CANDIDATE_BUDGET", 1)
+        with pytest.raises(ResourceCapError, match="within 1 candidates"):
+            scan_compare(TernaryForm.D122, 1, 3)
 
     def test_csv_shape(self):
         report = scan_compare(TernaryForm.D122, 6, 8)
@@ -296,7 +296,6 @@ class TestScanCompare:
 
     def test_printed_oracle_triples_are_first_hits(self):
         reports = [scan_compare(form, 1, 1500) for form in (TernaryForm.D113, TernaryForm.D117)]
-        reports.append(scan_compare(TernaryForm.D122, 1, 60, max_candidates=1))
         printed = 0
         for report in reports:
             for row in report.rows:

@@ -14,6 +14,7 @@ from ternrep import (
     PROFILES,
     Construction,
     ResourceCapError,
+    SCAN_HI_LIMIT,
     TernaryForm,
     Witness,
     brute_force_ternary,
@@ -104,9 +105,23 @@ class TestFindQ:
             for p, _ in factorize(odd):
                 assert jacobi(-profile.rho * profile.delta_factor * q, p) == 1
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "Q_CANDIDATE_BUDGET", 1)
+        with pytest.raises(ResourceCapError, match="within 1 candidates"):
+            find_q(T1A, 3, [3])
+
+    def test_budget_headroom_at_the_scan_limit(self, monkeypatch):
+        # The core that needs the most candidates of every eligible core up
+        # to SCAN_HI_LIMIT = 2^22, over all four forms: 3,307, 300 times
+        # below Q_CANDIDATE_BUDGET.
+        core = 3293745
+        assert core <= SCAN_HI_LIMIT
+        primes = primes_of(T1B, core)
+        monkeypatch.setattr(pipeline, "Q_CANDIDATE_BUDGET", 3307)
+        assert find_q(T1B, core, primes) == 3320201
+        monkeypatch.setattr(pipeline, "Q_CANDIDATE_BUDGET", 3306)
         with pytest.raises(ResourceCapError):
-            find_q(T1A, 3, [3], max_candidates=1)
+            find_q(T1B, core, primes)
 
     def test_stops_at_the_primality_limit(self):
         with pytest.raises(ResourceCapError):
@@ -337,9 +352,10 @@ class TestBuildWitness:
         assert (w.k, w.s, w.core) == (1, 3, 3)
         assert w.representation == (6, 0, 6)
 
-    def test_resource_cap_propagates(self):
+    def test_resource_cap_propagates(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "Q_CANDIDATE_BUDGET", 1)
         with pytest.raises(ResourceCapError):
-            build_witness(TernaryForm.D122, 3, max_candidates=1)
+            build_witness(TernaryForm.D122, 3)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
