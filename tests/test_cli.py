@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import re
@@ -24,6 +25,31 @@ JSON_FIELDS = [
     "b", "h", "point", "R", "binary_value", "binary_rep", "representation",
     "verified",
 ]
+
+
+FORMS = [form.cli_name for form in TernaryForm]
+
+# sha256 over json [argv, exit, stdout, stderr] of every pinned_argvs() call:
+# any change to what dispatch prints, or where, shows here.  argparse's own
+# text is left out, since its line wrapping follows the terminal width.
+PINNED_CLI_SHA256 = "5d0fa3ed4fd0604bdf67f54b0848dc9f035f188b1b95dd9af8785421e11db468"
+
+
+def pinned_argvs():
+    for form in FORMS:
+        for m in range(151):
+            for command in ("represent", "witness", "check", "oracle"):
+                for flag in ([], ["--json"]):
+                    yield [command, "--form", form, "--m", str(m)] + flag
+    for form in ("x2+y2+3z2", "x2+y2+7z2"):
+        for m in range(151):
+            for command in ("represent", "witness"):
+                for flag in ([], ["--json"]):
+                    yield [command, "--form", form, "--m", str(m),
+                           "--fallback-oracle"] + flag
+    for form in FORMS:
+        for flag in ([], ["--json"]):
+            yield ["scan", "--form", form, "--lo", "1", "--hi", "300"] + flag
 
 
 def run_cli(argv):
@@ -357,6 +383,17 @@ class TestOptions:
         printed = capsys.readouterr()
         assert printed.out == ""
         assert "unrecognized arguments: --max-prime-candidates 5" in printed.err
+
+
+class TestPinnedBytes:
+    def test_cli_bytes(self):
+        digest = hashlib.sha256()
+        calls = 0
+        for argv in pinned_argvs():
+            digest.update(json.dumps([argv, *run_cli(argv)]).encode())
+            calls += 1
+        assert calls == 6048
+        assert digest.hexdigest() == PINNED_CLI_SHA256
 
 
 class TestSelftest:

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import math
 import os
 import time
@@ -21,6 +22,7 @@ from ternrep import (
     scan_compare,
 )
 from ternrep import oracle, pipeline
+from ternrep.cli import dispatch
 from ternrep.oracle import CSV_HEADER, dickson_excluded
 
 # sha256 of scan_compare(form, 1, 3000).to_csv() as written when every row
@@ -30,6 +32,14 @@ SCAN_CSV_SHA256 = {
     TernaryForm.D112: "26dbc59cc1e7eee24808959d4b20120c16e1fd1b74a30ff8abb11ed08a84140b",
     TernaryForm.D113: "0700e6f33bff67452442cccef28fef9834ef4a24ab265ecfa4585063c228267d",
     TernaryForm.D117: "e2ccdac848c5285ff891752c534668e24b9f4b848b1b349588b6f49e405d5350",
+}
+# sha256 of `scan --form F --lo 1 --hi 3000 --json` stdout, taken while cli
+# rendered the JSON rows itself.
+SCAN_JSON_SHA256 = {
+    TernaryForm.D122: "d2c37bfdd639d27fb54561b3a58b7bb88e9c6eb81f2fa1dc49ccf4743ee5f847",
+    TernaryForm.D112: "90e36e357ebc81a8918f53f4ac715c0925a9dd5a0726b73f797a772b51b94c3d",
+    TernaryForm.D113: "ecf1aba313a5242f699b3cfd78c3fe4b61d5bff460503d3dfc57a58a914e723a",
+    TernaryForm.D117: "4ed00f56e7df5d700c25afac8d71f0d739c97397d5928c2f4f3cbf691dd4de7e",
 }
 
 
@@ -293,6 +303,14 @@ class TestScanCompare:
     def test_csv_pinned(self, form):
         text = scan_compare(form, 1, 3000).to_csv()
         assert hashlib.sha256(text.encode()).hexdigest() == SCAN_CSV_SHA256[form]
+
+    @pytest.mark.parametrize("form", list(TernaryForm), ids=lambda f: f.name)
+    def test_json_pinned(self, form):
+        out = io.StringIO()
+        code = dispatch(["scan", "--form", form.cli_name, "--lo", "1", "--hi", "3000",
+                         "--json"], out, io.StringIO())
+        assert code == 0
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == SCAN_JSON_SHA256[form]
 
     def test_printed_oracle_triples_are_first_hits(self):
         reports = [scan_compare(form, 1, 1500) for form in (TernaryForm.D113, TernaryForm.D117)]
