@@ -10,13 +10,14 @@ cap hit.
 """
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
 
 from .errors import InternalError, ResourceCapError
 from .forms import Eligibility, FORM_BY_NAME, TernaryForm, eligibility, evaluate
-from .oracle import descent_mismatches, oracle_triple, scan_compare
+from .oracle import check_scan_hi, descent_mismatches, oracle_triple, scan_compare
 from .pipeline import Construction, Witness, build_witness, verify_witness
 
 __all__ = ["main", "dispatch"]
@@ -29,6 +30,7 @@ EXIT_USAGE = 4
 EXIT_RESOURCE_CAP = 5
 
 _VERDICT_EXIT = {
+    Eligibility.ELIGIBLE: EXIT_OK,
     Eligibility.OBSTRUCTED: EXIT_OBSTRUCTED,
     Eligibility.OUTSIDE_COVERED_CASES: EXIT_OUTSIDE,
 }
@@ -84,153 +86,124 @@ def _json_fields(form, m, *, eligible, verdict, case=None, k=None, s=None,
     }
 
 
-def _witness_fields(w: Witness) -> dict:
-    return _json_fields(
-        w.form, w.m,
-        eligible=True,
-        verdict=Eligibility.ELIGIBLE.value,
-        case=w.case_id,
-        k=w.k, s=w.s, core=w.core,
-        construction=w.construction,
-        representation=w.representation,
-        verified=verify_witness(w),
-    )
+def _emit(out, args, fields: dict, text: str, trail: bool = False) -> None:
+    """Write one result: fields as JSON under --json, fields as `key: value`
+    lines for a trail, and the text line otherwise."""
+    if args.json:
+        out.write(json.dumps(fields, indent=2) + "\n")
+    elif trail:
+        for key, value in fields.items():
+            if isinstance(value, list):
+                value = "(%s)" % ", ".join(str(v) for v in value)
+            elif isinstance(value, bool):
+                value = "true" if value else "false"
+            elif value is None:
+                value = "-"
+            out.write("%s: %s\n" % (key, value))
+    else:
+        out.write(text + "\n")
 
 
-def _emit_json(out, fields: dict) -> None:
-    out.write(json.dumps(fields, indent=2) + "\n")
+def _usage(err, message: str) -> int:
+    err.write(message + "\n")
+    return EXIT_USAGE
 
 
-def _emit_trail(out, fields: dict) -> None:
-    for key, value in fields.items():
-        if isinstance(value, list):
-            value = "(%s)" % ", ".join(str(v) for v in value)
-        elif isinstance(value, bool):
-            value = "true" if value else "false"
-        elif value is None:
-            value = "-"
-        out.write("%s: %s\n" % (key, value))
+def _verdict_line(verdict, m: int) -> str:
+    return "%s: %d %s" % (verdict.kind.value, m, verdict.detail)
 
 
 def _cmd_represent(args, out, err, trail: bool) -> int:
+    if args.m < 1:
+        return _usage(err, "--m must be at least 1")
     form = FORM_BY_NAME[args.form]
     if args.fallback_oracle and form not in _FALLBACK_FORMS:
-        err.write("--fallback-oracle applies only to x2+y2+3z2 and x2+y2+7z2\n")
-        return EXIT_USAGE
+        return _usage(err, "--fallback-oracle applies only to x2+y2+3z2 and x2+y2+7z2")
 
     result = build_witness(form, args.m)
     if isinstance(result, Witness):
-        fields = _witness_fields(result)
+        rep, code = result.representation, EXIT_OK
+        fields = _json_fields(
+            form, args.m,
+            eligible=True,
+            verdict=Eligibility.ELIGIBLE.value,
+            case=result.case_id,
+            k=result.k, s=result.s, core=result.core,
+            construction=result.construction,
+            representation=rep,
+            verified=verify_witness(result),
+        )
         if not fields["verified"]:
             err.write("witness failed verification\n")
             return EXIT_INTERNAL
-        if args.json:
-            _emit_json(out, fields)
-        elif trail:
-            _emit_trail(out, fields)
-        else:
-            out.write(_equation(form, args.m, result.representation) + "\n")
-        return EXIT_OK
-
-    verdict = result
-    rep = None
-    if args.fallback_oracle and verdict.kind is Eligibility.OUTSIDE_COVERED_CASES:
-        rep = oracle_triple(form, args.m)
-    fields = _json_fields(
-        form, args.m,
-        eligible=False,
-        verdict=verdict.kind.value,
-        case=ORACLE_CASE if rep is not None else None,
-        representation=rep,
-        verified=rep is not None and evaluate(form, rep) == args.m,
-    )
-    if args.json:
-        _emit_json(out, fields)
-    elif trail:
-        _emit_trail(out, fields)
-    elif rep is not None:
-        out.write(_equation(form, args.m, rep) + "\n")
     else:
-        out.write("%s: %d %s\n" % (verdict.kind.value, args.m, verdict.detail))
-    if rep is not None:
-        return EXIT_OK
-    if args.fallback_oracle and verdict.kind is Eligibility.OUTSIDE_COVERED_CASES:
-        return EXIT_OBSTRUCTED
-    return _VERDICT_EXIT[verdict.kind]
+        fallback = (args.fallback_oracle
+                    and result.kind is Eligibility.OUTSIDE_COVERED_CASES)
+        rep = oracle_triple(form, args.m) if fallback else None
+        fields = _json_fields(
+            form, args.m,
+            eligible=False,
+            verdict=result.kind.value,
+            case=ORACLE_CASE if rep is not None else None,
+            representation=rep,
+            verified=rep is not None and evaluate(form, rep) == args.m,
+        )
+        code = (EXIT_OK if rep is not None else
+                EXIT_OBSTRUCTED if fallback else _VERDICT_EXIT[result.kind])
+    text = (_verdict_line(result, args.m) if rep is None
+            else _equation(form, args.m, rep))
+    _emit(out, args, fields, text, trail)
+    return code
 
 
 def _cmd_check(args, out, err) -> int:
+    if args.m < 1:
+        return _usage(err, "--m must be at least 1")
     form = FORM_BY_NAME[args.form]
     verdict = eligibility(form, args.m)
-    if args.json:
-        _emit_json(out, {
-            "form": form.cli_name,
-            "m": args.m,
-            "eligible": verdict.eligible,
-            "verdict": verdict.kind.value,
-            "detail": verdict.detail,
-        })
-    else:
-        out.write("%s: %d %s\n" % (verdict.kind.value, args.m, verdict.detail))
-    if verdict.eligible:
-        return EXIT_OK
+    _emit(out, args, {
+        "form": form.cli_name,
+        "m": args.m,
+        "eligible": verdict.eligible,
+        "verdict": verdict.kind.value,
+        "detail": verdict.detail,
+    }, _verdict_line(verdict, args.m))
     return _VERDICT_EXIT[verdict.kind]
 
 
 def _cmd_oracle(args, out, err) -> int:
+    if args.m < 0:
+        return _usage(err, "--m must be nonnegative")
     form = FORM_BY_NAME[args.form]
     rep = oracle_triple(form, args.m)
-    if args.json:
-        _emit_json(out, {
-            "form": form.cli_name,
-            "m": args.m,
-            "found": rep is not None,
-            "representation": None if rep is None else list(rep),
-        })
-    elif rep is None:
-        out.write("no representation: %d\n" % args.m)
-    else:
-        out.write(_equation(form, args.m, rep) + "\n")
+    text = "no representation: %d" % args.m if rep is None else _equation(form, args.m, rep)
+    _emit(out, args, {
+        "form": form.cli_name,
+        "m": args.m,
+        "found": rep is not None,
+        "representation": None if rep is None else list(rep),
+    }, text)
     return EXIT_OK if rep is not None else EXIT_OBSTRUCTED
 
 
 def _cmd_scan(args, out, err) -> int:
+    if args.jobs < 1:
+        return _usage(err, "--jobs must be at least 1")
     if not 1 <= args.lo <= args.hi:
-        err.write("scan requires 1 <= LO <= HI\n")
-        return EXIT_USAGE
+        return _usage(err, "scan requires 1 <= LO <= HI")
+    check_scan_hi(args.hi)
     form = FORM_BY_NAME[args.form]
-    if args.out is None:
-        return _scan_to(out, form, args, err)
     try:
-        # Opened before the scan, as a shell redirection would be, so an
-        # unwritable path fails before any work.
-        fh = open(args.out, "w", encoding="utf-8", newline="\n")
+        # Opened after the checks above, so a refused scan leaves an existing
+        # FILE alone, and before the scan, as a shell redirection would be,
+        # so an unwritable path fails before any work.
+        fh = None if args.out is None else open(args.out, "w", encoding="utf-8",
+                                                newline="\n")
     except OSError as exc:
-        err.write("cannot write --out %s: %s\n" % (args.out, exc.strerror or exc))
-        return EXIT_USAGE
-    with fh:
-        return _scan_to(fh, form, args, err)
-
-
-def _scan_to(sink, form, args, err) -> int:
-    report = scan_compare(form, args.lo, args.hi, jobs=args.jobs)
-    if args.json:
-        lines = []
-        for row in report.rows:
-            x, y, z = row.representation if row.representation else (None, None, None)
-            lines.append(json.dumps({
-                "m": row.m,
-                "verdict": row.verdict,
-                "pipeline_found": row.pipeline_found,
-                "oracle_found": row.oracle_found,
-                "agree": row.agree,
-                "x": x, "y": y, "z": z,
-                "q": row.q,
-                "elapsed_micros": row.elapsed_micros,
-            }))
-        sink.write("[\n" + ",\n".join(lines) + "\n]\n" if lines else "[]\n")
-    else:
-        sink.write(report.to_csv())
+        return _usage(err, "cannot write --out %s: %s" % (args.out, exc.strerror or exc))
+    with fh or contextlib.nullcontext(out) as sink:
+        report = scan_compare(form, args.lo, args.hi, jobs=args.jobs)
+        sink.write(report.to_json() if args.json else report.to_csv())
     if not report.all_agree:
         err.write("scan found disagreement rows\n")
         return EXIT_INTERNAL
@@ -245,21 +218,14 @@ def _selftest_suites():
                 and w.representation == (1, 0, 1) and verify_witness(w))
 
     def scans():
-        for form in TernaryForm:
-            if not scan_compare(form, 1, 120).all_agree:
-                return False
-        return True
+        return all(scan_compare(form, 1, 120).all_agree for form in TernaryForm)
 
     def descent():
         return not descent_mismatches(500)
 
     def audits():
-        for form in TernaryForm:
-            for m in range(1, 120):
-                w = build_witness(form, m)
-                if isinstance(w, Witness) and not verify_witness(w):
-                    return False
-        return True
+        witnesses = (build_witness(form, m) for form in TernaryForm for m in range(1, 120))
+        return all(verify_witness(w) for w in witnesses if isinstance(w, Witness))
 
     return [("golden fixture", golden), ("oracle scans", scans),
             ("binary descent", descent), ("witness audits", audits)]
@@ -276,7 +242,8 @@ def _cmd_selftest(args, out, err) -> int:
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument tree, built once per process; parse_args leaves it unchanged."""
+    """The argument tree, built once per process; parse_args leaves it
+    unchanged.  Each subcommand binds its handler as args.run."""
     parser = _Parser(prog="ternrep",
                      description="Constructive representation by the ternary "
                                  "forms x^2+2y^2+2z^2, x^2+y^2+2z^2, "
@@ -285,24 +252,21 @@ def _build_parser() -> argparse.ArgumentParser:
                                 parser_class=_Parser)
     forms = sorted(FORM_BY_NAME)
 
-    def add_form_m(p):
+    for name, help_text, run in (
+        ("represent", "construct one representation",
+         functools.partial(_cmd_represent, trail=False)),
+        ("witness", "represent with the full audit trail",
+         functools.partial(_cmd_represent, trail=True)),
+        ("check", "eligibility only", _cmd_check),
+        ("oracle", "brute force only", _cmd_oracle),
+    ):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--form", required=True, choices=forms)
         p.add_argument("--m", required=True, type=int)
-
-    for name, help_text in (("represent", "construct one representation"),
-                            ("witness", "represent with the full audit trail")):
-        p_rep = sub.add_parser(name, help=help_text)
-        add_form_m(p_rep)
-        p_rep.add_argument("--json", action="store_true")
-        p_rep.add_argument("--fallback-oracle", action="store_true")
-
-    p_chk = sub.add_parser("check", help="eligibility only")
-    add_form_m(p_chk)
-    p_chk.add_argument("--json", action="store_true")
-
-    p_orc = sub.add_parser("oracle", help="brute force only")
-    add_form_m(p_orc)
-    p_orc.add_argument("--json", action="store_true")
+        p.add_argument("--json", action="store_true")
+        if name in ("represent", "witness"):
+            p.add_argument("--fallback-oracle", action="store_true")
+        p.set_defaults(run=run)
 
     p_scan = sub.add_parser("scan", help="compare pipeline and oracle over a range")
     p_scan.add_argument("--form", required=True, choices=forms)
@@ -311,44 +275,28 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--json", action="store_true")
     p_scan.add_argument("--out", metavar="FILE")
     p_scan.add_argument("--jobs", type=int, default=1, metavar="N")
+    p_scan.set_defaults(run=_cmd_scan)
 
-    sub.add_parser("selftest", help="run the invariant suites")
+    sub.add_parser("selftest", help="run the invariant suites").set_defaults(
+        run=_cmd_selftest)
     return parser
 
 
-def dispatch(argv, out=None, err=None) -> int:
+def dispatch(argv, out, err) -> int:
     """Parse argv (no program name) and run one command.
 
-    Returns the exit code instead of raising SystemExit so the function
-    is directly testable.
+    Every byte goes to the streams out and err: the command's output and
+    messages, and argparse's --help and usage errors too.  Returns the exit
+    code instead of raising SystemExit so the function is directly testable.
     """
-    out = out if out is not None else sys.stdout
-    err = err if err is not None else sys.stderr
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
 
     try:
-        if args.command in ("represent", "witness", "check") and args.m < 1:
-            err.write("--m must be at least 1\n")
-            return EXIT_USAGE
-        if args.command in ("represent", "witness"):
-            return _cmd_represent(args, out, err, trail=args.command == "witness")
-        if args.command == "check":
-            return _cmd_check(args, out, err)
-        if args.command == "oracle":
-            if args.m < 0:
-                err.write("--m must be nonnegative\n")
-                return EXIT_USAGE
-            return _cmd_oracle(args, out, err)
-        if args.command == "scan":
-            if args.jobs < 1:
-                err.write("--jobs must be at least 1\n")
-                return EXIT_USAGE
-            return _cmd_scan(args, out, err)
-        return _cmd_selftest(args, out, err)
+        return args.run(args, out, err)
     except ResourceCapError as exc:
         err.write("resource cap: %s\n" % exc)
         return EXIT_RESOURCE_CAP
@@ -361,7 +309,7 @@ def dispatch(argv, out=None, err=None) -> int:
 
 
 def main(argv=None) -> int:
-    return dispatch(sys.argv[1:] if argv is None else argv)
+    return dispatch(sys.argv[1:] if argv is None else argv, sys.stdout, sys.stderr)
 
 
 if __name__ == "__main__":

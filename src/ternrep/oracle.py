@@ -21,6 +21,7 @@ This module sits downstream of the pipeline: it imports the pipeline and
 the descent, and neither of them imports it.
 """
 
+import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -36,6 +37,7 @@ __all__ = ["brute_force_ternary", "first_triples", "oracle_triple",
            "ScanReport", "scan_compare"]
 
 CSV_HEADER = "m,verdict,pipeline_found,oracle_found,agree,x,y,z,q,elapsed_micros"
+_SCAN_COLUMNS = CSV_HEADER.split(",")
 
 # Largest m a scan accepts, so that every scan is bounded.  The bitset to
 # 2^22 takes 512 KiB and 0.9-1.5 s to build (2-vCPU Xeon, Python 3.11.7).
@@ -45,6 +47,14 @@ SCAN_HI_LIMIT = 2**22
 # single-m search is bounded.  It covers the whole search for m up to about
 # 2*10^7 on x^2+y^2+cz^2; 2^24 steps take 2-4 s (2-vCPU Xeon, Python 3.11.7).
 ORACLE_STEP_BUDGET = 2**24
+
+
+def check_scan_hi(hi: int) -> None:
+    """Raise ResourceCapError when a scan's hi is above SCAN_HI_LIMIT."""
+    if hi > SCAN_HI_LIMIT:
+        raise ResourceCapError(
+            "scan hi %d is above the scan limit %d" % (hi, SCAN_HI_LIMIT)
+        )
 
 
 def brute_force_ternary(form: TernaryForm, m: int):
@@ -211,6 +221,10 @@ class ScanRow:
 
 @dataclass(frozen=True)
 class ScanReport:
+    """The rows of one scan, rendered for the CLI by to_csv (CSV_HEADER,
+    then one line per row) and to_json (a JSON array, one object per line
+    keyed by CSV_HEADER's columns; empty cells are null)."""
+
     form: TernaryForm
     lo: int
     hi: int
@@ -234,6 +248,15 @@ class ScanReport:
                    row.elapsed_micros)
             )
         return "\n".join(lines) + "\n"
+
+    def to_json(self) -> str:
+        lines = []
+        for row in self.rows:
+            x, y, z = row.representation if row.representation else (None, None, None)
+            lines.append(json.dumps(dict(zip(_SCAN_COLUMNS, (
+                row.m, row.verdict, row.pipeline_found, row.oracle_found,
+                row.agree, x, y, z, row.q, row.elapsed_micros)))))
+        return "[\n" + ",\n".join(lines) + "\n]\n"
 
 
 def _scan_rows(form: TernaryForm, lo: int, hi: int, window: int) -> list:
@@ -300,10 +323,7 @@ def scan_compare(form: TernaryForm, lo: int, hi: int, jobs: int = 1) -> ScanRepo
         raise ValueError("scan_compare requires 1 <= lo <= hi")
     if jobs < 1:
         raise ValueError("scan_compare requires jobs >= 1")
-    if hi > SCAN_HI_LIMIT:
-        raise ResourceCapError(
-            "scan hi %d is above the scan limit %d" % (hi, SCAN_HI_LIMIT)
-        )
+    check_scan_hi(hi)
     # One bitset per scan, shifted so that bit i stands for m = lo + i.
     window = represented_bits(form.coefficients, hi) >> lo
     span = hi - lo + 1

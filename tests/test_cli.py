@@ -355,6 +355,18 @@ class TestScan:
             SCAN_HI_LIMIT + 1, SCAN_HI_LIMIT)
 
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_refused_scan_leaves_out_file_alone(self, tmp_path, jobs):
+        target = tmp_path / "keep.csv"
+        target.write_bytes(b"kept\n")
+        result = run_cli(
+            ["scan", "--form", "x2+y2+2z2", "--lo", "1", "--hi", str(SCAN_HI_LIMIT + 1),
+             "--out", str(target), "--jobs", jobs])
+        assert result == (5, "", "resource cap: scan hi %d is above the scan limit %d\n"
+                          % (SCAN_HI_LIMIT + 1, SCAN_HI_LIMIT))
+        assert target.read_bytes() == b"kept\n"
+
+
 class TestOptions:
     # Every option each subcommand offers; a new one must be added here.
     FLAGS = {
@@ -367,10 +379,10 @@ class TestOptions:
     }
 
     @pytest.mark.parametrize("command", sorted(FLAGS))
-    def test_help_lists_exactly_the_options(self, command, capsys):
-        # argparse prints --help to sys.stdout, not to dispatch's out
-        assert run_cli([command, "--help"]) == (0, "", "")
-        flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    def test_help_lists_exactly_the_options(self, command):
+        code, out, err = run_cli([command, "--help"])
+        assert (code, err) == (0, "")
+        flags = set(re.findall(r"--[a-z][a-z-]*", out))
         assert flags - {"--help"} == self.FLAGS[command]
 
     @pytest.mark.parametrize("argv", [
@@ -378,15 +390,41 @@ class TestOptions:
         ["witness", "--form", "x2+2y2+2z2", "--m", "3"],
         ["scan", "--form", "x2+2y2+2z2", "--lo", "1", "--hi", "3"],
     ], ids=lambda argv: argv[0])
-    def test_max_prime_candidates_is_a_usage_error(self, argv, capsys):
-        assert run_cli(argv + ["--max-prime-candidates", "5"]) == (4, "", "")
-        printed = capsys.readouterr()
-        assert printed.out == ""
-        assert "unrecognized arguments: --max-prime-candidates 5" in printed.err
+    def test_max_prime_candidates_is_a_usage_error(self, argv):
+        code, out, err = run_cli(argv + ["--max-prime-candidates", "5"])
+        assert (code, out) == (4, "")
+        assert "unrecognized arguments: --max-prime-candidates 5" in err
+
+
+class TestStreams:
+    # argparse's text goes to dispatch's streams, never to sys.stdout/stderr
+    @pytest.mark.parametrize("command", [[]] + [[c] for c in sorted(TestOptions.FLAGS)],
+                             ids=lambda argv: argv[0] if argv else "top")
+    def test_help_goes_to_out(self, command, capsys):
+        code, out, err = run_cli(command + ["--help"])
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: ternrep ")
+        assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["scan", "--form", "x2+y2+2z2", "--lo", "1", "--hi", "2", "--bogus"],
+         "ternrep: error: unrecognized arguments: --bogus"),
+        (["check", "--form", "x2+y2+2z2"],
+         "ternrep check: error: the following arguments are required: --m"),
+        (["represent", "--form", "x2+y2+5z2", "--m", "3"],
+         "ternrep represent: error: argument --form: invalid choice: 'x2+y2+5z2'"),
+    ], ids=["unknown-flag", "missing-m", "bad-form"])
+    def test_usage_error_goes_to_err(self, argv, message, capsys):
+        code, out, err = run_cli(argv)
+        assert (code, out) == (4, "")
+        assert err.startswith("usage: ternrep ")
+        assert "\n" + message in err
+        assert err.endswith("\n")
+        assert capsys.readouterr() == ("", "")
 
 
 class TestPinnedBytes:
-    def test_cli_bytes(self):
+    def test_cli_bytes(self, capsys):
         digest = hashlib.sha256()
         calls = 0
         for argv in pinned_argvs():
@@ -394,6 +432,7 @@ class TestPinnedBytes:
             calls += 1
         assert calls == 6048
         assert digest.hexdigest() == PINNED_CLI_SHA256
+        assert capsys.readouterr() == ("", "")
 
 
 class TestSelftest:
