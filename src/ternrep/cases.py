@@ -14,9 +14,10 @@ fixes the whole shape of the construction:
   representation by the ternary form.
 
 The table holds only the free constants of each case: q's residue class,
-gamma, d, delta, alpha, rho, c, the assembly and the h side condition.
+gamma, d, delta, alpha, rho, the assembly and the h side condition.
 What follows from them is derived, not stored:
 
+* the binary descent constant c, the form's third coefficient.
 * t's denominator.  With delta = delta_factor*q, e = alpha*q*x + b*y and
   R = t*e + n0*z, delta*F = rho*delta*R^2 + e^2 + gamma*n0*y^2 is
   (rho*delta*t^2 + 1)*e^2 (mod n0), so t_den_factor = rho*delta_factor.
@@ -59,7 +60,6 @@ class CaseProfile:
     delta_factor: int         # binary part clears to ((alpha*q*x + b*y)^2
     alpha: int                #   + gamma*n0*y^2) / (delta_factor * q)
     rho: int                  # F = rho * R^2 + binary part
-    c: int                    # binary descent constant
     assembly: str
     h_odd: bool = False       # extra side condition on h
 
@@ -68,6 +68,12 @@ class CaseProfile:
         """True when the lattice x-coordinate is 2x' and the enumeration
         runs over the free variable x'."""
         return self.core_parity == "even"
+
+    @property
+    def c(self) -> int:
+        """The binary descent constant: n = a^2 + c*beta^2 is solved, and c
+        is the form's third coefficient."""
+        return self.form.coefficients[2]
 
     @property
     def t_den_factor(self) -> int:
@@ -109,64 +115,64 @@ PROFILES = {
         CaseProfile(
             id="T1A", form=TernaryForm.D122, core_parity="odd", core_residues=(3,),
             q_residue=(1, 8), gamma=1, d_factor=2, delta_factor=1, alpha=1, rho=2,
-            c=2, assembly=ASSEMBLY_A_B_R,
+            assembly=ASSEMBLY_A_B_R,
         ),
         # odd core = 1, 5 (mod 8):
         #   F = 2R^2 + 2q x^2 + 2b xy + h y^2, R = 2tq x + bt y + core z
         CaseProfile(
             id="T1B", form=TernaryForm.D122, core_parity="odd", core_residues=(1, 5),
             q_residue=(1, 8), gamma=1, d_factor=2, delta_factor=2, alpha=2, rho=2,
-            c=2, assembly=ASSEMBLY_A_B_R,
+            assembly=ASSEMBLY_A_B_R,
         ),
         # even core 2*m1; the three profiles differ only in q's residue class.
         #   F = R^2 + 2q x'^2 + 2b x'y + h y^2, R = 2tq x' + bt y + m1 z
         CaseProfile(
             id="T1C", form=TernaryForm.D122, core_parity="even", core_residues=(1, 3),
             q_residue=(1, 8), gamma=2, d_factor=2, delta_factor=2, alpha=2, rho=1,
-            c=2, assembly=ASSEMBLY_2B_A_R,
+            assembly=ASSEMBLY_2B_A_R,
         ),
         CaseProfile(
             id="T1D", form=TernaryForm.D122, core_parity="even", core_residues=(5,),
             q_residue=(5, 8), gamma=2, d_factor=2, delta_factor=2, alpha=2, rho=1,
-            c=2, assembly=ASSEMBLY_2B_A_R,
+            assembly=ASSEMBLY_2B_A_R,
         ),
         CaseProfile(
             id="T1E", form=TernaryForm.D122, core_parity="even", core_residues=(7,),
             q_residue=(3, 8), gamma=2, d_factor=2, delta_factor=2, alpha=2, rho=1,
-            c=2, assembly=ASSEMBLY_2B_A_R,
+            assembly=ASSEMBLY_2B_A_R,
         ),
         # x^2 + y^2 + 2z^2, odd core = 3 (mod 8):
         #   F = R^2 + 2q x^2 + 2b xy + h y^2, R = 2tq x + bt y + core z
         CaseProfile(
             id="T2A", form=TernaryForm.D112, core_parity="odd", core_residues=(3,),
             q_residue=(1, 8), gamma=2, d_factor=2, delta_factor=2, alpha=2, rho=1,
-            c=2, assembly=ASSEMBLY_R_A_B,
+            assembly=ASSEMBLY_R_A_B,
         ),
         # odd core = 7 (mod 8): as T2A but q = 3 (mod 8)
         CaseProfile(
             id="T2B", form=TernaryForm.D112, core_parity="odd", core_residues=(7,),
             q_residue=(3, 8), gamma=2, d_factor=2, delta_factor=2, alpha=2, rho=1,
-            c=2, assembly=ASSEMBLY_R_A_B,
+            assembly=ASSEMBLY_R_A_B,
         ),
         # odd core = 1, 5 (mod 8):
         #   F = R^2 + q x^2 + 2b xy + h y^2, R = tq x + bt y + core z
         CaseProfile(
             id="T2C", form=TernaryForm.D112, core_parity="odd", core_residues=(1, 5),
             q_residue=(1, 8), gamma=2, d_factor=1, delta_factor=1, alpha=1, rho=1,
-            c=2, assembly=ASSEMBLY_R_A_B,
+            assembly=ASSEMBLY_R_A_B,
         ),
         # x^2 + y^2 + 7z^2, core = 5 (mod 8), 7 not dividing the core:
         #   F = R^2 + q x^2 + b xy + h y^2, R = 2tq x + bt y + core z, h odd
         CaseProfile(
             id="T3A", form=TernaryForm.D117, core_parity="odd", core_residues=(5,),
             q_residue=(1, 28), gamma=7, d_factor=4, delta_factor=4, alpha=2, rho=1,
-            c=7, assembly=ASSEMBLY_A_R_B, h_odd=True,
+            assembly=ASSEMBLY_A_R_B, h_odd=True,
         ),
         # x^2 + y^2 + 3z^2, core = 1 (mod 8), 3 not dividing the core.
         CaseProfile(
             id="T3B", form=TernaryForm.D113, core_parity="odd", core_residues=(1,),
             q_residue=(1, 12), gamma=3, d_factor=4, delta_factor=4, alpha=2, rho=1,
-            c=3, assembly=ASSEMBLY_A_R_B, h_odd=True,
+            assembly=ASSEMBLY_A_R_B, h_odd=True,
         ),
     )
 }

@@ -17,19 +17,22 @@ from ternrep.pipeline import construction_frame, find_q, solve_bh
 # Double entry of the normative recipe table: the paper's free constants of
 # each case, in COLUMNS order.
 COLUMNS = ("form", "core_parity", "core_residues", "q_residue", "gamma",
-           "d_factor", "delta_factor", "alpha", "rho", "c", "assembly", "h_odd")
+           "d_factor", "delta_factor", "alpha", "rho", "assembly", "h_odd")
 TABLE = {
-    "T1A": (TernaryForm.D122, "odd", (3,), (1, 8), 1, 2, 1, 1, 2, 2, "a_b_r", False),
-    "T1B": (TernaryForm.D122, "odd", (1, 5), (1, 8), 1, 2, 2, 2, 2, 2, "a_b_r", False),
-    "T1C": (TernaryForm.D122, "even", (1, 3), (1, 8), 2, 2, 2, 2, 1, 2, "2b_a_r", False),
-    "T1D": (TernaryForm.D122, "even", (5,), (5, 8), 2, 2, 2, 2, 1, 2, "2b_a_r", False),
-    "T1E": (TernaryForm.D122, "even", (7,), (3, 8), 2, 2, 2, 2, 1, 2, "2b_a_r", False),
-    "T2A": (TernaryForm.D112, "odd", (3,), (1, 8), 2, 2, 2, 2, 1, 2, "r_a_b", False),
-    "T2B": (TernaryForm.D112, "odd", (7,), (3, 8), 2, 2, 2, 2, 1, 2, "r_a_b", False),
-    "T2C": (TernaryForm.D112, "odd", (1, 5), (1, 8), 2, 1, 1, 1, 1, 2, "r_a_b", False),
-    "T3A": (TernaryForm.D117, "odd", (5,), (1, 28), 7, 4, 4, 2, 1, 7, "a_r_b", True),
-    "T3B": (TernaryForm.D113, "odd", (1,), (1, 12), 3, 4, 4, 2, 1, 3, "a_r_b", True),
+    "T1A": (TernaryForm.D122, "odd", (3,), (1, 8), 1, 2, 1, 1, 2, "a_b_r", False),
+    "T1B": (TernaryForm.D122, "odd", (1, 5), (1, 8), 1, 2, 2, 2, 2, "a_b_r", False),
+    "T1C": (TernaryForm.D122, "even", (1, 3), (1, 8), 2, 2, 2, 2, 1, "2b_a_r", False),
+    "T1D": (TernaryForm.D122, "even", (5,), (5, 8), 2, 2, 2, 2, 1, "2b_a_r", False),
+    "T1E": (TernaryForm.D122, "even", (7,), (3, 8), 2, 2, 2, 2, 1, "2b_a_r", False),
+    "T2A": (TernaryForm.D112, "odd", (3,), (1, 8), 2, 2, 2, 2, 1, "r_a_b", False),
+    "T2B": (TernaryForm.D112, "odd", (7,), (3, 8), 2, 2, 2, 2, 1, "r_a_b", False),
+    "T2C": (TernaryForm.D112, "odd", (1, 5), (1, 8), 2, 1, 1, 1, 1, "r_a_b", False),
+    "T3A": (TernaryForm.D117, "odd", (5,), (1, 28), 7, 4, 4, 2, 1, "a_r_b", True),
+    "T3B": (TernaryForm.D113, "odd", (1,), (1, 12), 3, 4, 4, 2, 1, "a_r_b", True),
 }
+# The binary descent constant c of each case: n = a^2 + c*beta^2.
+DESCENT_C = {"T1A": 2, "T1B": 2, "T1C": 2, "T1D": 2, "T1E": 2,
+             "T2A": 2, "T2B": 2, "T2C": 2, "T3A": 7, "T3B": 3}
 # t^2 = -1/(t_den * q) (mod n0) in the paper's statement of each case.
 T_DEN = {"T1A": 2, "T1B": 4, "T1C": 2, "T1D": 2, "T1E": 2,
          "T2A": 2, "T2B": 2, "T2C": 1, "T3A": 4, "T3B": 4}
@@ -53,6 +56,11 @@ class TestProfileTable:
         p = PROFILES[case_id]
         stored = {f.name: getattr(p, f.name) for f in dataclasses.fields(CaseProfile)}
         assert stored == dict(zip(COLUMNS, TABLE[case_id]), id=case_id)
+
+    def test_descent_constant_is_third_coefficient(self):
+        for case_id, c in DESCENT_C.items():
+            p = PROFILES[case_id]
+            assert p.c == p.form.coefficients[2] == c, case_id
 
     def test_t_denominator_is_rho_delta(self):
         for case_id, t_den in T_DEN.items():
