@@ -104,9 +104,9 @@ def _emit(out, args, fields: dict, text: str, trail: bool = False) -> None:
         out.write(text + "\n")
 
 
-def _usage(err, message: str) -> int:
+def _fail(err, code: int, message: str) -> int:
     err.write(message + "\n")
-    return EXIT_USAGE
+    return code
 
 
 def _verdict_line(verdict, m: int) -> str:
@@ -115,10 +115,11 @@ def _verdict_line(verdict, m: int) -> str:
 
 def _cmd_represent(args, out, err, trail: bool) -> int:
     if args.m < 1:
-        return _usage(err, "--m must be at least 1")
+        return _fail(err, EXIT_USAGE, "--m must be at least 1")
     form = FORM_BY_NAME[args.form]
     if args.fallback_oracle and form not in _FALLBACK_FORMS:
-        return _usage(err, "--fallback-oracle applies only to x2+y2+3z2 and x2+y2+7z2")
+        return _fail(err, EXIT_USAGE,
+                     "--fallback-oracle applies only to x2+y2+3z2 and x2+y2+7z2")
 
     result = build_witness(form, args.m)
     if isinstance(result, Witness):
@@ -134,8 +135,7 @@ def _cmd_represent(args, out, err, trail: bool) -> int:
             verified=verify_witness(result),
         )
         if not fields["verified"]:
-            err.write("witness failed verification\n")
-            return EXIT_INTERNAL
+            return _fail(err, EXIT_INTERNAL, "witness failed verification")
     else:
         fallback = (args.fallback_oracle
                     and result.kind is Eligibility.OUTSIDE_COVERED_CASES)
@@ -158,7 +158,7 @@ def _cmd_represent(args, out, err, trail: bool) -> int:
 
 def _cmd_check(args, out, err) -> int:
     if args.m < 1:
-        return _usage(err, "--m must be at least 1")
+        return _fail(err, EXIT_USAGE, "--m must be at least 1")
     form = FORM_BY_NAME[args.form]
     verdict = eligibility(form, args.m)
     _emit(out, args, {
@@ -173,7 +173,7 @@ def _cmd_check(args, out, err) -> int:
 
 def _cmd_oracle(args, out, err) -> int:
     if args.m < 0:
-        return _usage(err, "--m must be nonnegative")
+        return _fail(err, EXIT_USAGE, "--m must be nonnegative")
     form = FORM_BY_NAME[args.form]
     rep = oracle_triple(form, args.m)
     text = "no representation: %d" % args.m if rep is None else _equation(form, args.m, rep)
@@ -188,25 +188,25 @@ def _cmd_oracle(args, out, err) -> int:
 
 def _cmd_scan(args, out, err) -> int:
     if args.jobs < 1:
-        return _usage(err, "--jobs must be at least 1")
+        return _fail(err, EXIT_USAGE, "--jobs must be at least 1")
     if not 1 <= args.lo <= args.hi:
-        return _usage(err, "scan requires 1 <= LO <= HI")
+        return _fail(err, EXIT_USAGE, "scan requires 1 <= LO <= HI")
     check_scan_hi(args.hi)
     form = FORM_BY_NAME[args.form]
     try:
         # Opened after the checks above, so a refused scan leaves an existing
         # FILE alone, and before the scan, as a shell redirection would be,
         # so an unwritable path fails before any work.
-        fh = None if args.out is None else open(args.out, "w", encoding="utf-8",
-                                                newline="\n")
+        fh = (None if args.out is None
+              else open(args.out, "w", encoding="utf-8", newline="\n"))
     except OSError as exc:
-        return _usage(err, "cannot write --out %s: %s" % (args.out, exc.strerror or exc))
+        return _fail(err, EXIT_USAGE,
+                     "cannot write --out %s: %s" % (args.out, exc.strerror or exc))
     with fh or contextlib.nullcontext(out) as sink:
         report = scan_compare(form, args.lo, args.hi, jobs=args.jobs)
         sink.write(report.to_json() if args.json else report.to_csv())
     if not report.all_agree:
-        err.write("scan found disagreement rows\n")
-        return EXIT_INTERNAL
+        return _fail(err, EXIT_INTERNAL, "scan found disagreement rows")
     return EXIT_OK
 
 
@@ -298,14 +298,12 @@ def dispatch(argv, out, err) -> int:
     try:
         return args.run(args, out, err)
     except ResourceCapError as exc:
-        err.write("resource cap: %s\n" % exc)
-        return EXIT_RESOURCE_CAP
+        return _fail(err, EXIT_RESOURCE_CAP, "resource cap: %s" % exc)
     except InternalError as exc:
-        err.write("internal error: %s\n" % exc)
-        return EXIT_INTERNAL
+        return _fail(err, EXIT_INTERNAL, "internal error: %s" % exc)
     except Exception as exc:  # no stack traces on the CLI surface
-        err.write("internal error: %s: %s\n" % (type(exc).__name__, exc))
-        return EXIT_INTERNAL
+        return _fail(err, EXIT_INTERNAL,
+                     "internal error: %s: %s" % (type(exc).__name__, exc))
 
 
 def main(argv=None) -> int:
