@@ -354,7 +354,6 @@ class TestScan:
         assert err == "resource cap: scan hi %d is above the scan limit %d\n" % (
             SCAN_HI_LIMIT + 1, SCAN_HI_LIMIT)
 
-
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_refused_scan_leaves_out_file_alone(self, tmp_path, jobs):
         target = tmp_path / "keep.csv"
