@@ -107,7 +107,9 @@ def sqrt_mod_prime(a: int, p: int) -> int:
     """Canonical square root of a mod odd prime p: the root r with
     0 <= r <= (p - 1) // 2.
 
-    Raises NonResidueError when a is a quadratic non-residue mod p.
+    Tonelli-Shanks for every odd prime, with the least non-residue found by
+    direct scan, so the result is deterministic.  Raises NonResidueError
+    when a is a quadratic non-residue mod p.
     """
     if p < 3 or p % 2 == 0:
         raise ValueError("sqrt_mod_prime requires an odd prime modulus, got %r" % (p,))
@@ -116,38 +118,26 @@ def sqrt_mod_prime(a: int, p: int) -> int:
         return 0
     if jacobi(a, p) != 1:
         raise NonResidueError("%d is not a square mod %d" % (a, p))
-    if p % 4 == 3:
-        r = pow(a, (p + 1) // 4, p)
-    elif p % 8 == 5:
-        r = pow(a, (p + 3) // 8, p)
-        if r * r % p != a:
-            r = r * pow(2, (p - 1) // 4, p) % p
-    else:
-        # Tonelli-Shanks.  The least non-residue is found by direct scan,
-        # which keeps the whole function deterministic.
-        q = p - 1
-        s = 0
-        while q % 2 == 0:
-            q //= 2
-            s += 1
-        z = 2
-        while jacobi(z, p) != -1:
-            z += 1
-        c = pow(z, q, p)
-        r = pow(a, (q + 1) // 2, p)
-        t = pow(a, q, p)
-        m = s
-        while t != 1:
-            t2 = t
-            i = 0
-            while t2 != 1:
-                t2 = t2 * t2 % p
-                i += 1
-            bexp = pow(c, 1 << (m - i - 1), p)
-            r = r * bexp % p
-            c = bexp * bexp % p
-            t = t * c % p
-            m = i
+    q = p - 1
+    m = (q & -q).bit_length() - 1
+    q >>= m
+    z = 2
+    while jacobi(z, p) != -1:
+        z += 1
+    c = pow(z, q, p)
+    r = pow(a, (q + 1) // 2, p)
+    t = pow(a, q, p)
+    while t != 1:
+        t2 = t
+        i = 0
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        bexp = pow(c, 1 << (m - i - 1), p)
+        r = r * bexp % p
+        c = bexp * bexp % p
+        t = t * c % p
+        m = i
     return min(r, p - r)
 
 
@@ -155,8 +145,6 @@ def inv_mod(a: int, n: int) -> int:
     """Inverse of a mod n (n >= 1); inv_mod(anything, 1) == 0."""
     if n < 1:
         raise ValueError("inv_mod requires n >= 1, got %r" % (n,))
-    if n == 1:
-        return 0
     try:
         return pow(a, -1, n)
     except ValueError:

@@ -7,23 +7,28 @@ fixes the whole shape of the construction:
 * the modular parameter t with t^2 = -1/(t_den_factor * q) mod n0, the odd
   part of the core, and the character condition jacobi(-t_den_factor * q,
   p) = 1 at each prime p of n0 that makes it solvable,
-* the pair (b, h) with b^2 + gamma*n0 = d*q*h and the side condition on h,
+* the pair (b, h) with b^2 + gamma*n0 = d*q*h,
 * the integer quadratic form F(x, y, z) = rho*R^2 + u*x^2 + w*x*y + v*y^2
   whose value at the searched lattice point equals the target, and
 * how the binary descent output (a, beta) and R1 assemble into a
   representation by the ternary form.
 
 The table holds only the free constants of each case: q's residue class,
-gamma, d, delta, alpha, rho, the assembly and the h side condition.
+gamma, d, delta, alpha, rho and the assembly.
 What follows from them is derived, not stored:
 
 * the binary descent constant c, the form's third coefficient.
 * t's denominator.  With delta = delta_factor*q, e = alpha*q*x + b*y and
   R = t*e + n0*z, delta*F = rho*delta*R^2 + e^2 + gamma*n0*y^2 is
   (rho*delta*t^2 + 1)*e^2 (mod n0), so t_den_factor = rho*delta_factor.
-* b's divisibility rule.  b is the smallest root of b^2 = -gamma*n0
-  (mod q) in [0, 2q) with d*q dividing b^2 + gamma*n0 (pipeline.solve_bh);
-  for even d that fixes b's parity.
+* b's divisibility rule.  b is the smaller of the roots r, q - r of
+  b^2 = -gamma*n0 (mod q) with d*q dividing b^2 + gamma*n0
+  (pipeline.solve_bh).  q is an odd prime above the core and gamma, so
+  0 < r < q and r, q - r have opposite parity: for d = 1 both fit, for
+  d = 2 the one with the parity of gamma*n0 fits, and for d = 4 (T3A,
+  T3B) gamma*n0 = 3 (mod 4), so the odd one fits.  No b >= q is needed.
+* h is odd when d = 4.  b is odd, so b^2 = 1 (mod 8), and gamma*n0 = 3
+  (mod 8) in both rows (7*5, 3*1), so 4qh = b^2 + gamma*n0 = 4 (mod 8).
 
 For the even-core profiles of x^2+2y^2+2z^2 the lattice is restricted to
 even x; the substitution x = 2x' is already folded into the coefficients,
@@ -61,7 +66,6 @@ class CaseProfile:
     alpha: int                #   + gamma*n0*y^2) / (delta_factor * q)
     rho: int                  # F = rho * R^2 + binary part
     assembly: str
-    h_odd: bool = False       # extra side condition on h
 
     @property
     def x_substituted(self) -> bool:
@@ -162,17 +166,17 @@ PROFILES = {
             assembly=ASSEMBLY_R_A_B,
         ),
         # x^2 + y^2 + 7z^2, core = 5 (mod 8), 7 not dividing the core:
-        #   F = R^2 + q x^2 + b xy + h y^2, R = 2tq x + bt y + core z, h odd
+        #   F = R^2 + q x^2 + b xy + h y^2, R = 2tq x + bt y + core z
         CaseProfile(
             id="T3A", form=TernaryForm.D117, core_parity="odd", core_residues=(5,),
             q_residue=(1, 28), gamma=7, d_factor=4, delta_factor=4, alpha=2, rho=1,
-            assembly=ASSEMBLY_A_R_B, h_odd=True,
+            assembly=ASSEMBLY_A_R_B,
         ),
         # x^2 + y^2 + 3z^2, core = 1 (mod 8), 3 not dividing the core.
         CaseProfile(
             id="T3B", form=TernaryForm.D113, core_parity="odd", core_residues=(1,),
             q_residue=(1, 12), gamma=3, d_factor=4, delta_factor=4, alpha=2, rho=1,
-            assembly=ASSEMBLY_A_R_B, h_odd=True,
+            assembly=ASSEMBLY_A_R_B,
         ),
     )
 }

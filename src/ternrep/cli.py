@@ -2,7 +2,8 @@
 
 Subcommands: represent, witness, check, oracle, scan, selftest.  All
 output is deterministic for fixed arguments: JSON objects use a pinned
-field order, scan CSV uses a pinned header, and line endings are LF.
+field order, scan CSV uses a pinned header, line endings are LF, and
+--help and usage errors wrap at a fixed width, whatever the terminal.
 
 Exit codes: 0 success/representable, 1 obstructed or not representable,
 2 outside the covered cases, 3 internal error, 4 usage error, 5 resource
@@ -43,7 +44,13 @@ ORACLE_CASE = "ORACLE"
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse maps its own errors to exit code 2; the contract says 4."""
+    """argparse maps its own errors to exit code 2; the contract says 4.
+    Every parser, subparsers included, wraps at a fixed 78 columns: argparse's
+    width when COLUMNS is unset and stdout is not a terminal."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, formatter_class=functools.partial(
+            argparse.HelpFormatter, width=78), **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -107,6 +114,10 @@ def _emit(out, args, fields: dict, text: str, trail: bool = False) -> None:
 def _fail(err, code: int, message: str) -> int:
     err.write(message + "\n")
     return code
+
+
+def _cannot_write(err, path: str, exc: OSError) -> int:
+    return _fail(err, EXIT_USAGE, "cannot write --out %s: %s" % (path, exc.strerror or exc))
 
 
 def _verdict_line(verdict, m: int) -> str:
@@ -200,11 +211,17 @@ def _cmd_scan(args, out, err) -> int:
         fh = (None if args.out is None
               else open(args.out, "w", encoding="utf-8", newline="\n"))
     except OSError as exc:
-        return _fail(err, EXIT_USAGE,
-                     "cannot write --out %s: %s" % (args.out, exc.strerror or exc))
-    with fh or contextlib.nullcontext(out) as sink:
-        report = scan_compare(form, args.lo, args.hi, jobs=args.jobs)
-        sink.write(report.to_json() if args.json else report.to_csv())
+        return _cannot_write(err, args.out, exc)
+    report = None
+    try:
+        with fh or contextlib.nullcontext(out) as sink:
+            report = scan_compare(form, args.lo, args.hi, jobs=args.jobs)
+            sink.write(report.to_json() if args.json else report.to_csv())
+    except OSError as exc:
+        # A failed write or close of FILE; the scan's own errors propagate.
+        if fh is None or report is None:
+            raise
+        return _cannot_write(err, args.out, exc)
     if not report.all_agree:
         return _fail(err, EXIT_INTERNAL, "scan found disagreement rows")
     return EXIT_OK

@@ -1,8 +1,8 @@
 """Integer factorization of inputs below arith.PRIMALITY_LIMIT (~3.3e24).
 
-Trial division removes 2, 3 and 5, then every prime from 7 to 2**12 at
-once: one gcd against the product of those primes (about 5,800 bits) gives
-the part of n they divide, and only that part is walked prime by prime.
+Trial division removes every prime below 2**12 at once, 2 included: one
+gcd against the product of those primes (about 5,800 bits) gives the part
+of n they divide, and only that part is walked prime by prime.
 What is left goes to Brent's variant of Pollard rho, with fixed, documented
 parameters so results are reproducible.  Trial division stops at 2**12
 because rho finds a factor p in about sqrt(p) steps, so past a few thousand
@@ -19,9 +19,9 @@ __all__ = ["factorize", "squarefree_decompose", "ord_p"]
 
 _TRIAL_LIMIT = 2**12
 
-# The primes in [7, _TRIAL_LIMIT), read from the sieve behind is_prime and
+# The primes below _TRIAL_LIMIT, read from the sieve behind is_prime and
 # packed as 16-bit values: 1.1 KB, where a tuple of ints takes about 19 KB.
-_TRIAL_PRIMES = array("H", filter(is_prime, range(7, _TRIAL_LIMIT, 2)))
+_TRIAL_PRIMES = array("H", [2, *filter(is_prime, range(3, _TRIAL_LIMIT, 2))])
 _TRIAL_PRODUCT = math.prod(_TRIAL_PRIMES)
 
 
@@ -70,10 +70,6 @@ def factorize(n: int) -> list:
     if n >= PRIMALITY_LIMIT:
         raise ResourceCapError("factorize: %d is at or above the proven primality bound" % n)
     factors = {}
-    for p in (2, 3, 5):
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
     # g is the part of n made of trial primes, each counted once.  Once
     # p * p > g, what is left of g is 1 or a prime.
     g = math.gcd(n, _TRIAL_PRODUCT)

@@ -78,10 +78,13 @@ def evaluate(form: TernaryForm, vec) -> int:
     return c1 * x * x + c2 * y * y + c3 * z * z
 
 
-def _strip_fours(m: int) -> int:
+def _strip_fours(m: int) -> tuple:
+    """(k, m / 4^k) for the largest such k."""
+    k = 0
     while m % 4 == 0:
         m //= 4
-    return m
+        k += 1
+    return k, m
 
 
 def eligibility(form: TernaryForm, m: int) -> EligibilityVerdict:
@@ -92,7 +95,7 @@ def eligibility(form: TernaryForm, m: int) -> EligibilityVerdict:
     """
     if m < 1:
         raise ValueError("eligibility requires m >= 1, got %r" % (m,))
-    stripped = _strip_fours(m)
+    _, stripped = _strip_fours(m)
     if form is TernaryForm.D122:
         if stripped % 8 == 7:
             return EligibilityVerdict(
@@ -137,10 +140,7 @@ def reduce_to_core(form: TernaryForm, m: int) -> tuple:
     verdict = eligibility(form, m)
     if not verdict.eligible:
         raise ValueError("reduce_to_core requires eligible m: %s" % verdict.detail)
-    k = 0
-    while m % 4 == 0:
-        m //= 4
-        k += 1
+    k, m = _strip_fours(m)
     odd = m // 2 if m % 2 == 0 else m
     s, odd_core = squarefree_decompose(odd)
     core = odd_core * 2 if m % 2 == 0 else odd_core

@@ -159,12 +159,11 @@ def solve_t(profile: CaseProfile, primes, q: int) -> int:
 
 
 def solve_bh(profile: CaseProfile, n0: int, q: int) -> tuple:
-    """(b, h) with b^2 + gamma*n0 = (d_factor * q) * h and the profile's
-    side condition on h.
+    """(b, h) with b^2 + gamma*n0 = (d_factor * q) * h.
 
-    b is canonical: from the canonical root r of -gamma*n0 mod q, it is the
-    smallest of the candidates {r, q-r, r+q, 2q-r} with d_factor * q
-    dividing b^2 + gamma*n0.
+    b is canonical: of the roots r <= q - r of b^2 = -gamma*n0 (mod q), the
+    first with d_factor * q dividing b^2 + gamma*n0.  The derivations in
+    cases.py show that one of them always fits.
     """
     gn = profile.gamma * n0
     try:
@@ -174,14 +173,10 @@ def solve_bh(profile: CaseProfile, n0: int, q: int) -> tuple:
             "-%d should be a square mod %d by construction: %s" % (gn, q, exc)
         ) from exc
     d = profile.d_factor * q
-    fits = [v for v in (root, q - root, root + q, 2 * q - root) if (v * v + gn) % d == 0]
-    if not fits:
-        raise InternalError("no b in {r, q-r, r+q, 2q-r} has %d | b^2 + %d" % (d, gn))
-    b = min(fits)
-    h = (b * b + gn) // d
-    if profile.h_odd and h % 2 == 0:
-        raise InternalError("h = %d should be odd for profile %s" % (h, profile.id))
-    return b, h
+    for b in (root, q - root):
+        if (b * b + gn) % d == 0:
+            return b, (b * b + gn) // d
+    raise InternalError("no b in {r, q-r} has %d | b^2 + %d" % (d, gn))
 
 
 def composed_values(profile: CaseProfile, core: int, q: int, t: int, b: int, point) -> tuple:
@@ -432,12 +427,10 @@ def witness_problems(w: Witness) -> list:
     elif (con.t * con.t + inv_mod(den % n0, n0)) % n0 != 0:
         problems.append("t^2 != -1/den (mod modulus)")
 
-    if not 0 <= con.b < 2 * con.q:
+    if not 0 <= con.b < con.q:
         problems.append("b is not in canonical range")
     if con.b * con.b + profile.gamma * n0 != profile.d_factor * con.q * con.h:
         problems.append("b^2 + gamma*n0 != d*h")
-    elif profile.h_odd and con.h % 2 == 0:
-        problems.append("h should be odd")
 
     if con.point == (0, 0, 0):
         problems.append("point is zero")

@@ -146,7 +146,8 @@ class TestSqrtModPrime:
         assert 0 <= r <= (p - 1) // 2
 
     def test_all_congruence_classes_of_p(self):
-        # One prime from each branch: 3 mod 4, 5 mod 8, 1 mod 8.
+        # One prime from each class of p - 1 = 2^s * q that Tonelli-Shanks
+        # treats differently: s = 1 (3 mod 4), s = 2 (5 mod 8), s >= 3 (1 mod 8).
         for p in (9803, 9781, 9769):
             assert is_prime(p)
             for x in range(1, 200):

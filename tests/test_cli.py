@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -311,6 +312,18 @@ class TestScan:
         assert err.startswith("cannot write --out %s: " % target)
         assert err.endswith("\n") and err.count("\n") == 1
 
+    # The failed write surfaces when the file is closed for the small output
+    # and at the write itself for the large one.
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("hi", ["2", "3000"])
+    def test_failed_write_exits_4(self, hi):
+        code, out, err = run_cli(
+            ["scan", "--form", "x2+y2+2z2", "--lo", "1", "--hi", hi,
+             "--out", "/dev/full"])
+        assert (code, out) == (4, "")
+        assert err.startswith("cannot write --out /dev/full: ")
+        assert err.endswith("\n") and err.count("\n") == 1
+
     def test_jobs_byte_identical(self):
         argv = ["scan", "--form", "x2+2y2+2z2", "--lo", "1", "--hi", "150"]
         serial = run_cli(argv)
@@ -396,8 +409,16 @@ class TestOptions:
 
 
 class TestStreams:
+    COMMANDS = [[]] + [[c] for c in sorted(TestOptions.FLAGS)]
+    USAGE_ERRORS = [
+        ["scan", "--form", "x2+y2+2z2", "--lo", "1", "--hi", "2", "--bogus"],
+        ["check", "--form", "x2+y2+2z2"],
+        ["represent", "--form", "x2+y2+5z2", "--m", "3"],
+    ]
+    USAGE_IDS = ["unknown-flag", "missing-m", "bad-form"]
+
     # argparse's text goes to dispatch's streams, never to sys.stdout/stderr
-    @pytest.mark.parametrize("command", [[]] + [[c] for c in sorted(TestOptions.FLAGS)],
+    @pytest.mark.parametrize("command", COMMANDS,
                              ids=lambda argv: argv[0] if argv else "top")
     def test_help_goes_to_out(self, command, capsys):
         code, out, err = run_cli(command + ["--help"])
@@ -405,14 +426,11 @@ class TestStreams:
         assert out.startswith("usage: ternrep ")
         assert capsys.readouterr() == ("", "")
 
-    @pytest.mark.parametrize("argv, message", [
-        (["scan", "--form", "x2+y2+2z2", "--lo", "1", "--hi", "2", "--bogus"],
-         "ternrep: error: unrecognized arguments: --bogus"),
-        (["check", "--form", "x2+y2+2z2"],
-         "ternrep check: error: the following arguments are required: --m"),
-        (["represent", "--form", "x2+y2+5z2", "--m", "3"],
-         "ternrep represent: error: argument --form: invalid choice: 'x2+y2+5z2'"),
-    ], ids=["unknown-flag", "missing-m", "bad-form"])
+    @pytest.mark.parametrize("argv, message", list(zip(USAGE_ERRORS, [
+        "ternrep: error: unrecognized arguments: --bogus",
+        "ternrep check: error: the following arguments are required: --m",
+        "ternrep represent: error: argument --form: invalid choice: 'x2+y2+5z2'",
+    ])), ids=USAGE_IDS)
     def test_usage_error_goes_to_err(self, argv, message, capsys):
         code, out, err = run_cli(argv)
         assert (code, out) == (4, "")
@@ -420,6 +438,18 @@ class TestStreams:
         assert "\n" + message in err
         assert err.endswith("\n")
         assert capsys.readouterr() == ("", "")
+
+    # argparse wraps at COLUMNS unless given a width; the bytes are compared
+    # across two widths, not pinned, as its layout differs across versions
+    @pytest.mark.parametrize("argv", [c + ["--help"] for c in COMMANDS] + USAGE_ERRORS,
+                             ids=[c[0] + "-help" if c else "top-help" for c in COMMANDS]
+                             + USAGE_IDS)
+    def test_bytes_ignore_terminal_width(self, argv, monkeypatch):
+        results = []
+        for columns in ("40", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            results.append(run_cli(argv))
+        assert results[0] == results[1]
 
 
 class TestPinnedBytes:

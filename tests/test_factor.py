@@ -77,7 +77,7 @@ class TestFactorize:
         assert factorize(math.prod(p**e for p, e in pairs)) == pairs
 
     def test_trial_primes(self):
-        expected = [p for p in range(7, 2**12)
+        expected = [p for p in range(2, 2**12)
                     if all(p % d for d in range(2, math.isqrt(p) + 1))]
         assert list(factor._TRIAL_PRIMES) == expected
         assert factor._TRIAL_PRODUCT == math.prod(expected)

@@ -182,11 +182,11 @@ class TestSolveBH:
             n0 = profile.n0(core)
             q = find_q(profile, core, primes_of(profile, core))
             b, h = solve_bh(profile, n0, q)
-            assert 0 <= b < 2 * q
+            assert 0 <= b < q
             assert b * b + profile.gamma * n0 == profile.d_factor * q * h
             if profile.d_factor % 2 == 0:
                 assert b % 2 == profile.gamma * n0 % 2
-            if profile.h_odd:
+            if profile.d_factor == 4:
                 assert h % 2 == 1
 
     def test_minimality(self):
@@ -399,6 +399,20 @@ class TestVerifyWitness:
         assert not verify_witness(bad)
         assert any("d*h" in p for p in witness_problems(bad))
 
+    @pytest.mark.parametrize("form, m", [
+        (TernaryForm.D112, 13), (TernaryForm.D122, 3), (TernaryForm.D117, 13),
+    ], ids=["d1", "d2", "d4"])
+    def test_b_past_q(self, form, m):
+        # b' = 2q - b keeps d*q | b'^2 + gamma*n0 with h' = h + 4(q - b)/d,
+        # so only the canonical range 0 <= b < q rejects it
+        w = build_witness(form, m)
+        profile = construction_frame(w.form, w.core)[1]
+        q, b, h = w.construction.q, w.construction.b, w.construction.h
+        bad = edit(w, b=2 * q - b, h=h + 4 * (q - b) // profile.d_factor)
+        problems = witness_problems(bad)
+        assert "b is not in canonical range" in problems
+        assert "b^2 + gamma*n0 != d*h" not in problems
+
     def test_zero_point(self):
         w = build_witness(TernaryForm.D122, 3)
         bad = edit(w, point=(0, 0, 0))
@@ -576,20 +590,6 @@ class TestVerifyWitness:
 
 
 class TestWitnessIdentities:
-    def test_congruence_at_six_points(self):
-        # F(e_i) and F(e_i + e_j) fix every coefficient of the quadratic
-        # form F, so F = 0 (mod n0) at these six points proves it everywhere
-        six_points = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1))
-        for form in TernaryForm:
-            for w in constructive_witnesses(form, 1, 200):
-                _, profile, core = construction_frame(w.form, w.core)
-                con = w.construction
-                scale = 2 if profile.x_substituted else 1  # lattice x = 2x'
-                for x, y, z in six_points:
-                    point = (scale * x, y, z)
-                    _, _, f = composed_values(profile, core, con.q, con.t, con.b, point)
-                    assert f % profile.n0(core) == 0, (w.m, point)
-
     def test_binary_part_positive_definite(self):
         for form in TernaryForm:
             for w in constructive_witnesses(form, 1, 300):
