@@ -30,6 +30,7 @@ from .forms import (
 )
 from .oracle import (
     ORACLE_STEP_BUDGET,
+    POOL_MIN_ROWS,
     SCAN_HI_LIMIT,
     ScanReport,
     ScanRow,
@@ -68,7 +69,8 @@ __all__ = [
     "cornacchia_prime", "compose", "represent_binary",
     "brute_force_ternary", "first_triples", "oracle_triple", "ORACLE_STEP_BUDGET",
     "brute_force_binary", "represented_bits",
-    "descent_mismatches", "SCAN_HI_LIMIT", "ScanRow", "ScanReport", "scan_compare",
+    "descent_mismatches", "SCAN_HI_LIMIT", "POOL_MIN_ROWS", "ScanRow", "ScanReport",
+    "scan_compare",
     "Construction", "Witness", "build_witness", "construction_frame", "find_q",
     "solve_t", "solve_bh", "enumerate_point", "LATTICE_STEP_BUDGET",
     "Q_CANDIDATE_BUDGET", "verify_witness",

@@ -29,6 +29,18 @@ What follows from them is derived, not stored:
   T3B) gamma*n0 = 3 (mod 4), so the odd one fits.  No b >= q is needed.
 * h is odd when d = 4.  b is odd, so b^2 = 1 (mod 8), and gamma*n0 = 3
   (mod 8) in both rows (7*5, 3*1), so 4qh = b^2 + gamma*n0 = 4 (mod 8).
+* the existence of a lattice point.  In lattice coordinates (x, y, z),
+  F = rho*R^2 + e^2/delta + gamma*n0*y^2/delta, and (x, y, z) -> (e, y, R)
+  has determinant alpha*q*n0, so F's Gram determinant is
+  (alpha*q*n0)^2 * rho*gamma*n0/delta^2 = det_factor*n0^3 with
+  det_factor = rho*alpha^2*gamma/delta_factor^2: 2 in T1A-T2C, 7/4 in T3A
+  and 3/4 in T3B.  The ellipsoid F < 2*n0 has volume
+  (4/3)*pi*(2*n0)^(3/2)/sqrt(det_factor*n0^3), which is above 8 exactly
+  when 36*det_factor < 8*pi^2 (about 78.96), as in every row.  So by
+  Minkowski's convex body theorem (Cassels, An Introduction to the
+  Geometry of Numbers, ch. III) some lattice point has 0 < F < 2*n0, since
+  F is positive definite, and F = 0 (mod n0) forces F = n0 (the argument
+  of Ankeny, Sums of three squares, Proc. AMS 8, 1957).
 
 For the even-core profiles of x^2+2y^2+2z^2 the lattice is restricted to
 even x; the substitution x = 2x' is already folded into the coefficients,
@@ -40,6 +52,7 @@ as stated once in pipeline.construction_frame.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import InternalError
 from .forms import TernaryForm
@@ -84,6 +97,13 @@ class CaseProfile:
         """rho * delta_factor: t^2 = -1/(t_den_factor * q) (mod n0) makes
         F vanish mod n0."""
         return self.rho * self.delta_factor
+
+    @property
+    def det_factor(self) -> Fraction:
+        """rho*alpha^2*gamma/delta_factor^2: F's Gram determinant in lattice
+        coordinates is det_factor * n0^3, and a row needs
+        36*det_factor < 8*pi^2 for a lattice point with F = n0 to exist."""
+        return Fraction(self.rho * self.alpha ** 2 * self.gamma, self.delta_factor ** 2)
 
     def n0(self, core: int) -> int:
         """Odd part of the core: the value F must take, the modulus of t

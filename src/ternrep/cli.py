@@ -6,14 +6,15 @@ field order, scan CSV uses a pinned header, line endings are LF, and
 --help and usage errors wrap at a fixed width, whatever the terminal.
 
 Exit codes: 0 success/representable, 1 obstructed or not representable,
-2 outside the covered cases, 3 internal error, 4 usage error, 5 resource
-cap hit.
+2 outside the covered cases, 3 internal error, 4 usage error or output that
+cannot be written, 5 resource cap hit.
 """
 
 import argparse
 import contextlib
 import functools
 import json
+import os
 import sys
 
 from .errors import InternalError, ResourceCapError
@@ -116,8 +117,32 @@ def _fail(err, code: int, message: str) -> int:
     return code
 
 
-def _cannot_write(err, path: str, exc: OSError) -> int:
-    return _fail(err, EXIT_USAGE, "cannot write --out %s: %s" % (path, exc.strerror or exc))
+def _cannot_write(err, what: str, exc: OSError) -> int:
+    return _fail(err, EXIT_USAGE, "cannot write %s: %s" % (what, exc.strerror or exc))
+
+
+class _OutputError(Exception):
+    """An OSError from writing or flushing dispatch's out stream."""
+
+
+class _Output:
+    """The out stream, raising _OutputError where it raises OSError, so that
+    a failed write of the output is told apart from any other OSError."""
+
+    def __init__(self, stream):
+        self._stream = stream
+
+    def write(self, text: str) -> None:
+        try:
+            self._stream.write(text)
+        except OSError as exc:
+            raise _OutputError(exc) from exc
+
+    def flush(self) -> None:
+        try:
+            self._stream.flush()
+        except OSError as exc:
+            raise _OutputError(exc) from exc
 
 
 def _verdict_line(verdict, m: int) -> str:
@@ -211,17 +236,18 @@ def _cmd_scan(args, out, err) -> int:
         fh = (None if args.out is None
               else open(args.out, "w", encoding="utf-8", newline="\n"))
     except OSError as exc:
-        return _cannot_write(err, args.out, exc)
+        return _cannot_write(err, "--out " + args.out, exc)
     report = None
     try:
         with fh or contextlib.nullcontext(out) as sink:
             report = scan_compare(form, args.lo, args.hi, jobs=args.jobs)
             sink.write(report.to_json() if args.json else report.to_csv())
     except OSError as exc:
-        # A failed write or close of FILE; the scan's own errors propagate.
-        if fh is None or report is None:
+        # A failed write or close of FILE; the scan's own errors propagate,
+        # and a failed write of out is dispatch's _OutputError.
+        if report is None:
             raise
-        return _cannot_write(err, args.out, exc)
+        return _cannot_write(err, "--out " + args.out, exc)
     if not report.all_agree:
         return _fail(err, EXIT_INTERNAL, "scan found disagreement rows")
     return EXIT_OK
@@ -303,17 +329,24 @@ def dispatch(argv, out, err) -> int:
     """Parse argv (no program name) and run one command.
 
     Every byte goes to the streams out and err: the command's output and
-    messages, and argparse's --help and usage errors too.  Returns the exit
-    code instead of raising SystemExit so the function is directly testable.
+    messages, and argparse's --help and usage errors too.  out is flushed
+    before the return, and a failed write or flush of it exits 4 with one
+    `cannot write output` line on err.  Returns the exit code instead of
+    raising SystemExit so the function is directly testable.
     """
+    out = _Output(out)
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-
-    try:
-        return args.run(args, out, err)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            code = exc.code if isinstance(exc.code, int) else EXIT_USAGE
+        else:
+            code = args.run(args, out, err)
+        out.flush()
+        return code
+    except _OutputError as exc:
+        return _cannot_write(err, "output", exc.__cause__)
     except ResourceCapError as exc:
         return _fail(err, EXIT_RESOURCE_CAP, "resource cap: %s" % exc)
     except InternalError as exc:
@@ -324,7 +357,15 @@ def dispatch(argv, out, err) -> int:
 
 
 def main(argv=None) -> int:
-    return dispatch(sys.argv[1:] if argv is None else argv, sys.stdout, sys.stderr)
+    code = dispatch(sys.argv[1:] if argv is None else argv, sys.stdout, sys.stderr)
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # dispatch has reported the failed flush; the bytes are still in
+        # stdout's buffer, and the flush at interpreter exit would fail on
+        # them again and change the exit code, so they go to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

@@ -33,8 +33,8 @@ from .pipeline import Witness, build_witness
 
 __all__ = ["brute_force_ternary", "first_triples", "oracle_triple",
            "dickson_excluded", "ORACLE_STEP_BUDGET", "brute_force_binary",
-           "represented_bits", "descent_mismatches", "SCAN_HI_LIMIT", "ScanRow",
-           "ScanReport", "scan_compare"]
+           "represented_bits", "descent_mismatches", "SCAN_HI_LIMIT",
+           "POOL_MIN_ROWS", "ScanRow", "ScanReport", "scan_compare"]
 
 CSV_HEADER = "m,verdict,pipeline_found,oracle_found,agree,x,y,z,q,elapsed_micros"
 _SCAN_COLUMNS = CSV_HEADER.split(",")
@@ -47,6 +47,15 @@ SCAN_HI_LIMIT = 2**22
 # single-m search is bounded.  It covers the whole search for m up to about
 # 2*10^7 on x^2+y^2+cz^2; 2^24 steps take 2-4 s (2-vCPU Xeon, Python 3.11.7).
 ORACLE_STEP_BUDGET = 2**24
+
+# Fewest rows per worker for which scan_compare starts a process pool, so
+# that the pool never makes a scan slower.  Measured with interleaved
+# --jobs 1 / --jobs 2 pairs, 10 per cell, windows at the start, middle and
+# end of [1, 20000], all four forms (2-vCPU Xeon, Python 3.11.7): 2 workers
+# beat 1 in at least 9 of 10 pairs in every cell from 8000 rows on, and not
+# at 6000 or below.  The rows of x^2+y^2+3z^2 and x^2+y^2+7z^2 are cheap,
+# so the pool's start-up pays off later on them than on the other two forms.
+POOL_MIN_ROWS = 4000
 
 
 def check_scan_hi(hi: int) -> None:
@@ -316,8 +325,9 @@ def scan_compare(form: TernaryForm, lo: int, hi: int, jobs: int = 1) -> ScanRepo
     both find or both miss; for the covered-case forms a pipeline find must
     be backed by an oracle find.  Rows are independent, so the range may be
     partitioned across processes; output is identical for any job count.
-    The scan uses min(jobs, CPUs, rows) workers and runs in this process
-    when that is 1.
+    The scan uses min(jobs, CPUs, rows // POOL_MIN_ROWS) workers, so each
+    worker gets at least POOL_MIN_ROWS rows, and runs in this process when
+    that is at most 1.
     """
     if lo < 1 or hi < lo:
         raise ValueError("scan_compare requires 1 <= lo <= hi")
@@ -327,8 +337,8 @@ def scan_compare(form: TernaryForm, lo: int, hi: int, jobs: int = 1) -> ScanRepo
     # One bitset per scan, shifted so that bit i stands for m = lo + i.
     window = represented_bits(form.coefficients, hi) >> lo
     span = hi - lo + 1
-    workers = min(jobs, os.cpu_count() or 1, span)
-    if workers == 1:
+    workers = min(jobs, os.cpu_count() or 1, span // POOL_MIN_ROWS)
+    if workers <= 1:
         return ScanReport(form, lo, hi, tuple(_scan_rows(form, lo, hi, window)))
     import concurrent.futures
 

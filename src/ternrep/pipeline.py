@@ -63,7 +63,9 @@ Q_CANDIDATE_BUDGET = 10**6
 # after 4-6 s on a 2-vCPU Xeon.  The budget delta*n0 - gamma*n0*y^2 turns
 # negative past |y| = isqrt(delta_factor*q // gamma) <= isqrt(2q), so no
 # core with q < 2^41 can reach it: every m up to 2^40 keeps its witness
-# unless its q exceeds the core by more than 2^40.
+# unless its q exceeds the core by more than 2^40.  Below the bound the
+# scan always ends at a hit, since a point with F = n0 exists for every
+# core (the Minkowski bound on CaseProfile.det_factor, proved in cases.py).
 LATTICE_STEP_BUDGET = 2**21
 
 # Cores whose odd part is 1 make every modulus in the construction
@@ -215,7 +217,11 @@ def enumerate_point(profile: CaseProfile, core: int, q: int, t: int, b: int) -> 
     candidate R is the centred residue of t*e mod n0, and z = (R - t*e) / n0
     is exact.  All arithmetic is in exact integers.  The scan does not
     read h, and it ends where the budget turns negative, at
-    |y| = isqrt(delta_factor*q // gamma).
+    |y| = isqrt(delta_factor*q // gamma).  Every point with F = n0 lies
+    inside that range, and for the t and b that build_witness solves one
+    exists: Minkowski's theorem on the Gram determinant
+    CaseProfile.det_factor * n0^3 (proved in cases.py).  So the
+    InternalError for a scan without a hit is unreachable from there.
 
     Requires n0 >= 3 (ValueError otherwise); build_witness settles the
     cores whose odd part is 1 without a scan.  Raises ResourceCapError when

@@ -26,6 +26,7 @@ from ternrep import (
     scan_compare,
     verify_witness,
 )
+from ternrep import oracle
 from ternrep.cli import dispatch
 from ternrep.oracle import dickson_excluded
 from ternrep.pipeline import SMALL_CORE, construction_frame
@@ -203,7 +204,10 @@ def test_descent_oracle_equivalence(report):
     assert failures == []
 
 
-def test_determinism(tmp_path, report):
+def test_determinism(tmp_path, report, monkeypatch, pool_sizes):
+    # 250 rows per worker earn --jobs 4 a pool of 4 on 2000 rows and of 2
+    # on 500, so both halves run the pool path
+    monkeypatch.setattr(oracle, "POOL_MIN_ROWS", 250)
     argv = ["scan", "--form", "x2+2y2+2z2", "--lo", "1", "--hi", "2000"]
     paths = [str(tmp_path / name) for name in ("a.csv", "b.csv", "c.csv")]
     assert run_cli(argv + ["--out", paths[0]])[0] == 0
@@ -220,11 +224,13 @@ def test_determinism(tmp_path, report):
     rep_argv = ["represent", "--form", "x2+y2+3z2", "--m", "41", "--json"]
     rep_ok = run_cli(rep_argv) == run_cli(rep_argv)
 
-    ok = bool(csv_ok) and json_ok and rep_ok
-    report("determinism", ok)
+    pooled = pool_sizes == [4, 2]
+    ok = bool(csv_ok) and json_ok and rep_ok and pooled
+    report("determinism", ok, "pools %r" % pool_sizes)
     assert csv_ok
     assert json_ok
     assert rep_ok
+    assert pooled
 
 
 def test_golden_fixture(report):

@@ -1,4 +1,7 @@
 import dataclasses
+import itertools
+import math
+from fractions import Fraction
 
 import pytest
 
@@ -7,12 +10,14 @@ from ternrep import (
     InternalError,
     PROFILES,
     TernaryForm,
+    Witness,
+    build_witness,
     eligibility,
     factorize,
     reduce_to_core,
     select_case,
 )
-from ternrep.pipeline import construction_frame, find_q, solve_bh
+from ternrep.pipeline import composed_values, construction_frame, find_q, solve_bh
 
 # Double entry of the normative recipe table: the paper's free constants of
 # each case, in COLUMNS order.
@@ -78,6 +83,58 @@ class TestProfileTable:
     def test_x_substitution_marks_even_core_rows(self):
         for p in PROFILES.values():
             assert p.x_substituted == (p.id in ("T1C", "T1D", "T1E"))
+
+
+# A rational lower bound of pi: the continued-fraction convergent 333/106.
+PI_LO = Fraction(333, 106)
+
+
+def constructions(profile, count):
+    """{frame core: Construction} of the first count cores, in order of m,
+    whose build_witness runs profile."""
+    found = {}
+    for m in itertools.count(1):
+        w = build_witness(profile.form, m)
+        if isinstance(w, Witness) and w.construction is not None:
+            _, frame_profile, core = construction_frame(profile.form, w.core)
+            if frame_profile is profile:
+                found.setdefault(core, w.construction)
+                if len(found) == count:
+                    return found
+
+
+def gram_determinant(profile, core, con):
+    """Exact determinant of F's Gram matrix in the free lattice coordinates,
+    from composed_values at e_i and e_i + e_j (x = 2x' when substituted):
+    the (i, j) entry is (F(e_i + e_j) - F(e_i) - F(e_j)) / 2."""
+    units = [(2 if profile.x_substituted else 1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+    def f(point):
+        return composed_values(profile, core, con.q, con.t, con.b, point)[2]
+
+    (a, b, c), (d, e, g), (h, i, k) = [
+        [Fraction(f(tuple(s + t for s, t in zip(u, v))) - f(u) - f(v), 2)
+         for v in units] for u in units]
+    return a * (e * k - g * i) - b * (d * k - g * h) + c * (d * i - e * h)
+
+
+class TestExistenceBound:
+    """The Minkowski argument of cases.py, checked per row: F's Gram
+    determinant is det_factor * n0^3, and det_factor is small enough for
+    the ellipsoid F < 2*n0 to hold a lattice point."""
+
+    def test_pi_lo_is_below_pi(self):
+        assert PI_LO < math.pi
+
+    @pytest.mark.parametrize("case_id", sorted(TABLE))
+    def test_gram_determinant(self, case_id):
+        p = PROFILES[case_id]
+        for core, con in constructions(p, 50).items():
+            assert gram_determinant(p, core, con) == p.det_factor * p.n0(core) ** 3, core
+
+    @pytest.mark.parametrize("case_id", sorted(TABLE))
+    def test_minkowski_bound(self, case_id):
+        assert 36 * PROFILES[case_id].det_factor < 8 * PI_LO ** 2
 
 
 class TestSelectCase:

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import io
 import json
@@ -324,10 +325,13 @@ class TestScan:
         assert err.startswith("cannot write --out /dev/full: ")
         assert err.endswith("\n") and err.count("\n") == 1
 
-    def test_jobs_byte_identical(self):
+    def test_jobs_byte_identical(self, monkeypatch, pool_sizes):
+        # 30 rows per worker earn a pool of 4 here, so the pool path runs
+        monkeypatch.setattr(oracle, "POOL_MIN_ROWS", 30)
         argv = ["scan", "--form", "x2+2y2+2z2", "--lo", "1", "--hi", "150"]
         serial = run_cli(argv)
         parallel = run_cli(argv + ["--jobs", "4"])
+        assert pool_sizes == [4]
         assert serial == parallel
 
     def test_json_rows(self):
@@ -450,6 +454,67 @@ class TestStreams:
             monkeypatch.setenv("COLUMNS", columns)
             results.append(run_cli(argv))
         assert results[0] == results[1]
+
+
+class FailingOut(io.StringIO):
+    """An out stream whose write or flush fails as on a full disk."""
+
+    def __init__(self, failing: str):
+        super().__init__()
+        self.failing = failing
+
+    def write(self, text):
+        if self.failing == "write":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return super().write(text)
+
+    def flush(self):
+        if self.failing == "flush":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class TestOutputErrors:
+    ARGVS = [
+        ["represent", "--form", "x2+y2+2z2", "--m", "5"],
+        ["witness", "--form", "x2+y2+2z2", "--m", "5", "--json"],
+        ["scan", "--form", "x2+y2+2z2", "--lo", "1", "--hi", "50"],
+        ["selftest"],
+        ["--help"],
+    ]
+
+    @pytest.mark.parametrize("failing", ["write", "flush"])
+    @pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: argv[0])
+    def test_failed_output_exits_4(self, argv, failing):
+        err = io.StringIO()
+        assert dispatch(argv, FailingOut(failing), err) == 4
+        assert err.getvalue() == "cannot write output: No space left on device\n"
+
+    def test_other_os_errors_stay_internal(self, monkeypatch):
+        def out_of_files(*args, **kwargs):
+            raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+
+        monkeypatch.setattr("ternrep.cli.scan_compare", out_of_files)
+        code, out, err = run_cli(["scan", "--form", "x2+y2+2z2", "--lo", "1", "--hi", "5"])
+        assert (code, out) == (3, "")
+        assert err.startswith("internal error: OSError: ")
+
+    # main flushes stdout in dispatch's guard, buffered or not, and a failed
+    # flush leaves nothing for the flush at interpreter exit to fail on
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_full_stdout_exits_4(self, unbuffered):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "ternrep", "represent", "--form",
+                 "x2+y2+2z2", "--m", "5"],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=env,
+                timeout=120,
+            )
+        assert proc.returncode == 4
+        assert proc.stderr == "cannot write output: No space left on device\n"
 
 
 class TestPinnedBytes:

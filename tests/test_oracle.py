@@ -241,9 +241,12 @@ class TestScanCompare:
         assert row.representation == (1, 0, 1)
         assert row.q == 73
 
-    def test_jobs_do_not_change_output(self):
+    def test_jobs_do_not_change_output(self, monkeypatch, pool_sizes):
+        # 60 rows per worker earn a pool of 4 here, so the pool path runs
+        monkeypatch.setattr(oracle, "POOL_MIN_ROWS", 60)
         serial = scan_compare(TernaryForm.D112, 1, 240)
         parallel = scan_compare(TernaryForm.D112, 1, 240, jobs=4)
+        assert pool_sizes == [4]
         assert serial == parallel
         assert serial.to_csv() == parallel.to_csv()
 
@@ -268,15 +271,25 @@ class TestScanCompare:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        serial = scan_compare(TernaryForm.D112, 1, 240)
+        # the rule is relative to POOL_MIN_ROWS; a small value keeps it quick
+        rows = 40
+        monkeypatch.setattr(oracle, "POOL_MIN_ROWS", rows)
+        serial = scan_compare(TernaryForm.D112, 1, 3 * rows)
         assert sizes == []
-        assert scan_compare(TernaryForm.D112, 1, 240, jobs=10000) == serial
-        assert sizes == [3]
-        # one row, or one CPU, is one worker: the scan runs in this process
-        assert scan_compare(TernaryForm.D112, 5, 5, jobs=10000).rows == serial.rows[4:5]
+        # below 2 * POOL_MIN_ROWS rows no pool starts, whatever the job count
+        for jobs in (2, 3, 10000):
+            below = scan_compare(TernaryForm.D112, 1, 2 * rows - 1, jobs=jobs)
+            assert below.rows == serial.rows[:2 * rows - 1]
+        assert sizes == []
+        assert scan_compare(TernaryForm.D112, 1, 2 * rows, jobs=10000).rows \
+            == serial.rows[:2 * rows]
+        assert sizes == [2]
+        assert scan_compare(TernaryForm.D112, 1, 3 * rows, jobs=10000) == serial
+        assert sizes == [2, 3]
+        # an unknown CPU count is one CPU: the scan runs in this process
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert scan_compare(TernaryForm.D112, 1, 240, jobs=10000) == serial
-        assert sizes == [3]
+        assert scan_compare(TernaryForm.D112, 1, 3 * rows, jobs=10000) == serial
+        assert sizes == [2, 3]
 
     def test_resource_cap_ends_the_scan(self, monkeypatch):
         monkeypatch.setattr(pipeline, "Q_CANDIDATE_BUDGET", 1)
