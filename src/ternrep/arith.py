@@ -107,37 +107,50 @@ def sqrt_mod_prime(a: int, p: int) -> int:
     """Canonical square root of a mod odd prime p: the root r with
     0 <= r <= (p - 1) // 2.
 
-    Tonelli-Shanks for every odd prime, with the least non-residue found by
-    direct scan, so the result is deterministic.  Raises NonResidueError
-    when a is a quadratic non-residue mod p.
+    Tonelli-Shanks for every odd prime, which settles residuosity itself:
+    a^((p-1)/2) = -1 on the first pass raises NonResidueError.  The least
+    non-residue, found by direct scan, is sought only once a pass needs it
+    (never for p = 3 mod 4), so the result is deterministic.  Every loop is
+    bounded, so an odd composite p ends too: NonResidueError only when
+    a^((p-1)/2) = -1 (mod p), which proves a a non-square, otherwise a
+    checked root or ValueError.
     """
     if p < 3 or p % 2 == 0:
         raise ValueError("sqrt_mod_prime requires an odd prime modulus, got %r" % (p,))
     a %= p
     if a == 0:
         return 0
-    if jacobi(a, p) != 1:
-        raise NonResidueError("%d is not a square mod %d" % (a, p))
     q = p - 1
     m = (q & -q).bit_length() - 1
     q >>= m
-    z = 2
-    while jacobi(z, p) != -1:
-        z += 1
-    c = pow(z, q, p)
+    c = None
     r = pow(a, (q + 1) // 2, p)
     t = pow(a, q, p)
     while t != 1:
+        # the least i with t^(2^i) = 1; t has order below 2^m unless this
+        # is the first pass and a is a non-residue
         t2 = t
         i = 0
         while t2 != 1:
+            if i == m - 1:
+                if c is None and t2 == p - 1:
+                    raise NonResidueError("%d is not a square mod %d" % (a, p))
+                raise ValueError("sqrt_mod_prime: %d is not prime" % p)
             t2 = t2 * t2 % p
             i += 1
+        if c is None:
+            # stops by z = p at the latest, where the symbol is 0
+            z = 2
+            while jacobi(z, p) == 1:
+                z += 1
+            c = pow(z, q, p)
         bexp = pow(c, 1 << (m - i - 1), p)
         r = r * bexp % p
         c = bexp * bexp % p
         t = t * c % p
         m = i
+    if r * r % p != a:
+        raise ValueError("sqrt_mod_prime: %d is not prime" % p)
     return min(r, p - r)
 
 

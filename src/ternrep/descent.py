@@ -8,8 +8,8 @@ the parts are folded together with the Brahmagupta composition identity.
 
 import math
 
-from .arith import is_prime, jacobi, sqrt_mod_prime
-from .errors import InternalError, NotRepresentableError
+from .arith import is_prime, sqrt_mod_prime
+from .errors import InternalError, NonResidueError, NotRepresentableError
 from .factor import factorize
 
 __all__ = ["cornacchia_prime", "compose", "represent_binary", "BINARY_CONSTANTS"]
@@ -20,9 +20,10 @@ BINARY_CONSTANTS = (2, 3, 7)
 def cornacchia_prime(p: int, c: int) -> tuple:
     """Solve a^2 + c*b^2 = p for an odd prime p.
 
-    Requires p == c (giving (0, 1)) or jacobi(-c, p) == 1.  Uses the root
-    r of -c mod p lying in (p/2, p) and runs the Euclidean remainder
-    sequence on (p, r) down to the first remainder <= sqrt(p).
+    Solvable exactly when p == c (giving (0, 1)) or -c is a square mod p;
+    otherwise raises NotRepresentableError.  Uses the root r of -c mod p
+    lying in (p/2, p) and runs the Euclidean remainder sequence on (p, r)
+    down to the first remainder <= sqrt(p).
     """
     if c not in BINARY_CONSTANTS:
         raise ValueError("unsupported binary constant %r" % (c,))
@@ -30,14 +31,15 @@ def cornacchia_prime(p: int, c: int) -> tuple:
         return (0, 1)
     if p < 3 or p % 2 == 0 or not is_prime(p):
         raise ValueError("cornacchia_prime requires an odd prime, got %r" % (p,))
-    if jacobi(-c, p) != 1:
-        raise NotRepresentableError("-%d is not a square mod %d" % (c, p))
-    return _cornacchia(p, c)
+    try:
+        return _cornacchia(p, c)
+    except NonResidueError:
+        raise NotRepresentableError("-%d is not a square mod %d" % (c, p)) from None
 
 
 def _cornacchia(p: int, c: int) -> tuple:
-    """The Euclidean part of cornacchia_prime, for an odd prime p != c with
-    jacobi(-c, p) == 1 already established by the caller."""
+    """The Euclidean part of cornacchia_prime, for an odd prime p != c.
+    Raises NonResidueError when -c is not a square mod p."""
     r = p - sqrt_mod_prime(-c, p)
     bound = math.isqrt(p)
     prev, cur = p, r
@@ -85,9 +87,11 @@ def _two_part(e: int, c: int) -> list:
 def represent_binary(n: int, c: int) -> tuple:
     """Some (a, b) with a^2 + c*b^2 = n, both nonnegative; (0, 0) for n = 0.
 
-    Deterministic: primes are processed in increasing order, even prime
-    powers contribute their square root, odd residuals go through
-    Cornacchia's algorithm, and everything is folded with compose.
+    Deterministic: primes are processed in increasing order, prime powers
+    p^e with e > 1 contribute p^(e//2), odd residuals go through
+    Cornacchia's algorithm, and everything is folded with compose.  The
+    square part of p^1 would be the identity (1, 0), which compose maps a
+    nonnegative acc to itself, so it is left out.
 
     Raises NotRepresentableError exactly when no representation exists.
     """
@@ -99,21 +103,20 @@ def represent_binary(n: int, c: int) -> tuple:
         return (0, 0)
     acc = (1, 0)
     for p, e in factorize(n):
-        if p == c:  # c = 0^2 + c*1^2; this covers p = 2 when c = 2
-            pieces = [(p ** (e // 2), 0)]
-            if e % 2:
-                pieces.append((0, 1))
-        elif p == 2:
+        if p == 2 and c != 2:
             pieces = _two_part(e, c)
         else:
-            pieces = [(p ** (e // 2), 0)]
-            if e % 2:
-                if jacobi(-c, p) != 1:
+            pieces = [(p ** (e // 2), 0)] if e > 1 else []
+            if e % 2 and p == c:  # c = 0^2 + c*1^2; this covers p = 2 when c = 2
+                pieces.append((0, 1))
+            elif e % 2:
+                try:
+                    pieces.append(_cornacchia(p, c))
+                except NonResidueError:
                     raise NotRepresentableError(
                         "%d divides %d to an odd power and -%d is not a square mod %d"
                         % (p, n, c, p)
-                    )
-                pieces.append(_cornacchia(p, c))
+                    ) from None
         for piece in pieces:
             acc = compose(acc, piece, c)
     a, b = acc

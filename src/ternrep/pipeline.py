@@ -130,10 +130,13 @@ def find_q(profile: CaseProfile, core: int, primes) -> int:
             raise ResourceCapError(
                 "no auxiliary prime for core %d below the proven primality bound" % core
             )
-        if is_prime(q) and all(
-            jacobi(-den * q, p) == 1 for p in primes
-        ):
-            return q
+        if is_prime(q):
+            a = -den * q
+            for p in primes:
+                if jacobi(a, p) != 1:
+                    break
+            else:
+                return q
         q += modulus
     raise ResourceCapError(
         "no auxiliary prime for core %d within %d candidates" % (core, Q_CANDIDATE_BUDGET)

@@ -12,6 +12,7 @@ every value a form takes up to the limit without any per-m search.
 """
 
 import dataclasses
+import hashlib
 import io
 
 import pytest
@@ -35,6 +36,15 @@ SWEEP_LIMIT = 50000
 ORACLE_LIMIT = 5000
 DESCENT_LIMIT = 100000
 BITSET_LIMIT = 10**6
+
+# sha256 of repr(w), in order of m, over every witness each sweep builds:
+# any change to a witness of m <= SWEEP_LIMIT shows here.
+SWEEP_WITNESS_SHA256 = {
+    "x2+2y2+2z2": "a39a4995be1239dc7e10a2d277265597b35d9526b49f12344628cf2377176c2d",
+    "x2+y2+2z2": "26814e37e7796c2ab8cb71dafe9f1b9ee5ba7625765af96487f4613c86b1e506",
+    "x2+y2+3z2": "a735203dbcbf8f1c49ff24ac63e39fbffa453662c3d29825d8306d650ac20481",
+    "x2+y2+7z2": "2374030e89f7dd96746a9880a5642d146ae0ce4ddbd348b34ca6360d11da92d7",
+}
 
 # F mod n0 is a ternary quadratic form.  Its values at e1, e2, e3 are its
 # diagonal coefficients, and its value at e_i + e_j adds the coefficient of
@@ -103,6 +113,7 @@ class SweepResult:
     equivalence_failures: list
     audit_failures: list
     witnesses: int
+    digest: str
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +121,7 @@ def sweeps():
     results = {}
     for form in TernaryForm:
         eq_failures, audit_failures, built = [], [], 0
+        digest = hashlib.sha256()
         for m in range(1, SWEEP_LIMIT + 1):
             w = build_witness(form, m)
             got = isinstance(w, Witness)
@@ -120,10 +132,12 @@ def sweeps():
                 eq_failures.append(m)
             if got:
                 built += 1
+                digest.update(repr(w).encode())
                 reason = audit_witness(w)
                 if reason is not None:
                     audit_failures.append((m, reason))
-        results[form] = SweepResult(eq_failures, audit_failures, built)
+        results[form] = SweepResult(
+            eq_failures, audit_failures, built, digest.hexdigest())
     return results
 
 
@@ -195,6 +209,13 @@ def test_witness_audit(sweeps, report):
     report("witness-audit", ok, "failures %r" % bad)
     assert bad == {}
     assert total > 100000
+
+
+def test_sweep_witness_bytes(sweeps, report):
+    digests = {form.cli_name: res.digest for form, res in sweeps.items()}
+    ok = digests == SWEEP_WITNESS_SHA256
+    report("sweep-witness-bytes", ok, "got %r" % digests)
+    assert digests == SWEEP_WITNESS_SHA256
 
 
 def test_descent_oracle_equivalence(report):

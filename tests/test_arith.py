@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,6 +8,7 @@ from ternrep import (
     NonCoprimeModuliError,
     NonResidueError,
     NotInvertibleError,
+    PRIMALITY_LIMIT,
     crt,
     inv_mod,
     is_prime,
@@ -154,6 +156,54 @@ class TestSqrtModPrime:
                 a = x * x % p
                 r = sqrt_mod_prime(a, p)
                 assert r * r % p == a
+
+    def test_large_primes(self):
+        # seeded 32- to 81-bit primes, a third of them 1 mod 2^20 so that
+        # Tonelli-Shanks takes many passes; residues and non-residues alike
+        rng = random.Random(17)
+        primes = []
+        while len(primes) < 60:
+            bits = rng.randint(32, 81)
+            p = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+            if len(primes) % 3 == 0:
+                p -= p % (1 << 20) - 1
+            if p < PRIMALITY_LIMIT and is_prime(p):
+                primes.append(p)
+        assert {p % 8 for p in primes} == {1, 3, 5, 7}
+        for p in primes:
+            for _ in range(20):
+                x = rng.randrange(1, p)
+                for a in (x * x % p, rng.randrange(1, p)):
+                    if jacobi(a, p) == -1:
+                        with pytest.raises(NonResidueError):
+                            sqrt_mod_prime(a, p)
+                        continue
+                    r = sqrt_mod_prime(a, p)
+                    assert 0 <= r <= (p - 1) // 2
+                    assert r * r % p == a
+
+    def test_odd_composite_moduli_end(self):
+        # every call returns a root, raises NonResidueError for an a that is
+        # no square mod n, or raises ValueError for the composite modulus
+        outcomes = set()
+        for n in range(9, 200, 2):
+            if is_prime(n):
+                continue
+            squares = {x * x % n for x in range(n)}
+            for a in range(n):
+                try:
+                    r = sqrt_mod_prime(a, n)
+                except NonResidueError:
+                    assert a not in squares
+                    outcomes.add("non-residue")
+                except ValueError:
+                    outcomes.add("composite")
+                else:
+                    assert 0 <= r <= (n - 1) // 2
+                    assert r * r % n == a
+                    outcomes.add("root")
+        assert sqrt_mod_prime(1, 9) == 1
+        assert outcomes == {"root", "non-residue", "composite"}
 
 
 class TestInvMod:

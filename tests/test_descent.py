@@ -31,8 +31,9 @@ class TestCornacchiaPrime:
         # jacobi(-2, 5) = -1, jacobi(-3, 5) = -1, jacobi(-7, 5) = -1
         for c in CONSTANTS:
             assert jacobi(-c, 5) == -1
-            with pytest.raises(NotRepresentableError):
+            with pytest.raises(NotRepresentableError) as exc:
                 cornacchia_prime(5, c)
+            assert str(exc.value) == "-%d is not a square mod 5" % c
 
     def test_rejects_composite(self):
         with pytest.raises(ValueError):
@@ -86,8 +87,14 @@ class TestRepresentBinary:
             assert represent_binary(0, c) == (0, 0)
 
     def test_not_representable(self):
-        with pytest.raises(NotRepresentableError):
+        with pytest.raises(NotRepresentableError) as exc:
             represent_binary(5, 2)
+        assert str(exc.value) == (
+            "5 divides 5 to an odd power and -2 is not a square mod 5")
+        with pytest.raises(NotRepresentableError) as exc:
+            represent_binary(45, 7)
+        assert str(exc.value) == (
+            "5 divides 45 to an odd power and -7 is not a square mod 5")
 
     def test_perfect_square_input(self):
         a, beta = represent_binary(9, 2)
