@@ -1,5 +1,5 @@
 """Modular arithmetic primitives: Jacobi symbol, deterministic primality,
-square roots mod p, inverses, CRT.
+the least-prime-factor table below 2**16, square roots mod p, inverses, CRT.
 
 All functions work on plain Python ints and are pure.
 """
@@ -53,19 +53,18 @@ _MR_TIERS = (
 # is_prime is proven exactly for n below this bound (~3.3e24, ~2**81.4).
 PRIMALITY_LIMIT = _MR_TIERS[-1][0]
 
-# Every n below _TABLE_LIMIT is answered from a sieve packed one bit per
-# integer: bit n & 7 of byte n >> 3 is set exactly when n is prime (8 KB).
-_TABLE_LIMIT = 2**16
-_flags = bytearray([0, 0]) + bytearray([1]) * (_TABLE_LIMIT - 2)
-for _p in range(2, math.isqrt(_TABLE_LIMIT - 1) + 1):
-    if _flags[_p]:
-        _flags[_p * _p :: _p] = bytes(len(range(_p * _p, _TABLE_LIMIT, _p)))
-# Byte j of _flags[k::8] is flag 8j + k, which the shift by k moves to bit k
-# of byte j; the eight strides never share a bit, so their sum packs them.
-_PRIME_BITS = sum(
-    int.from_bytes(_flags[k::8], "little") << k for k in range(8)
-).to_bytes(_TABLE_LIMIT // 8, "little")
-del _flags, _p
+# Least prime factors of the odd numbers below TABLE_LIMIT, one byte each
+# (32 KB): byte n >> 1 is the least prime factor of an odd composite n, and
+# 0 for 1 and for every odd prime.  An odd composite below 2**16 has a
+# factor below 2**8, so a byte holds it.  The odd multiples of p from p*p on
+# sit at indices (p*p) >> 1, step p; p runs down, so the least prime writes
+# last, and the writes of an odd composite p are all overwritten.
+TABLE_LIMIT = 2**16
+LEAST_FACTOR = bytearray(TABLE_LIMIT // 2)
+for _p in range(math.isqrt(TABLE_LIMIT - 1) | 1, 1, -2):
+    _start = (_p * _p) >> 1
+    LEAST_FACTOR[_start::_p] = bytes([_p]) * len(range(_start, TABLE_LIMIT // 2, _p))
+del _p, _start
 
 _TINY_PRODUCT = math.prod((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
 
@@ -73,13 +72,16 @@ _TINY_PRODUCT = math.prod((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
 def is_prime(n: int) -> bool:
     """Exact primality test, deterministic for all n below PRIMALITY_LIMIT.
 
-    Below 2**16 the answer is one lookup in a sieve built at import.  From
-    there up, multiples of the primes up to 37 are rejected with one gcd
+    Below 2**16 the answer is one lookup in LEAST_FACTOR, built at import.
+    From there up, multiples of the primes up to 37 are rejected with one gcd
     against their product, and Miller-Rabin runs with a proven witness set.
     No randomness anywhere.
     """
-    if n < _TABLE_LIMIT:
-        return n > 1 and _PRIME_BITS[n >> 3] >> (n & 7) & 1 == 1
+    if n < TABLE_LIMIT:
+        # n > 2 first: a negative n must not index the table
+        if n > 2:
+            return n & 1 == 1 and LEAST_FACTOR[n >> 1] == 0
+        return n == 2
     if math.gcd(n, _TINY_PRODUCT) != 1:
         return False
     if n >= PRIMALITY_LIMIT:
@@ -109,11 +111,11 @@ def sqrt_mod_prime(a: int, p: int) -> int:
 
     Tonelli-Shanks for every odd prime, which settles residuosity itself:
     a^((p-1)/2) = -1 on the first pass raises NonResidueError.  The least
-    non-residue, found by direct scan, is sought only once a pass needs it
-    (never for p = 3 mod 4), so the result is deterministic.  Every loop is
-    bounded, so an odd composite p ends too: NonResidueError only when
-    a^((p-1)/2) = -1 (mod p), which proves a a non-square, otherwise a
-    checked root or ValueError.
+    non-residue, found by direct scan with Euler's criterion, is sought only
+    once a pass needs it (never for p = 3 mod 4), so the result is
+    deterministic.  Every loop is bounded, so an odd composite p ends too:
+    NonResidueError only when a^((p-1)/2) = -1 (mod p), which proves a a
+    non-square, otherwise a checked root or ValueError.
     """
     if p < 3 or p % 2 == 0:
         raise ValueError("sqrt_mod_prime requires an odd prime modulus, got %r" % (p,))
@@ -139,9 +141,11 @@ def sqrt_mod_prime(a: int, p: int) -> int:
             t2 = t2 * t2 % p
             i += 1
         if c is None:
-            # stops by z = p at the latest, where the symbol is 0
+            # Euler's criterion: z^((p-1)/2) = 1 exactly for the residues.  On
+            # an odd composite p the scan stops by the least prime factor of
+            # p at the latest, whose power is not 1.
             z = 2
-            while jacobi(z, p) == 1:
+            while pow(z, p >> 1, p) == 1:
                 z += 1
             c = pow(z, q, p)
         bexp = pow(c, 1 << (m - i - 1), p)

@@ -1,27 +1,32 @@
 """Integer factorization of inputs below arith.PRIMALITY_LIMIT (~3.3e24).
 
-Trial division removes every prime below 2**12 at once, 2 included: one
-gcd against the product of those primes (about 5,800 bits) gives the part
-of n they divide, and only that part is walked prime by prime.
-What is left goes to Brent's variant of Pollard rho, with fixed, documented
-parameters so results are reproducible.  Trial division stops at 2**12
-because rho finds a factor p in about sqrt(p) steps, so past a few thousand
-it beats dividing by every prime up to p.
+Below 2**16, n is factored by lookups alone: the twos are stripped with bit
+operations, then arith.LEAST_FACTOR names the least prime factor of each odd
+cofactor.  From 2**16 up, trial division removes every prime below 2**12 at
+once, 2 included: one gcd against the product of those primes (about 5,800
+bits) gives the part of n they divide, and only that part is walked prime
+by prime.  What is left goes to Brent's variant of Pollard rho, with fixed,
+documented parameters so results are reproducible.  Trial division stops at
+2**12 because rho finds a factor p in about sqrt(p) steps, so past a few
+thousand it beats dividing by every prime up to p.
 """
 
 import math
 from array import array
 
-from .arith import PRIMALITY_LIMIT, is_prime
+from .arith import LEAST_FACTOR, PRIMALITY_LIMIT, TABLE_LIMIT, is_prime
 from .errors import ResourceCapError
 
 __all__ = ["factorize", "squarefree_decompose", "ord_p"]
 
 _TRIAL_LIMIT = 2**12
 
-# The primes below _TRIAL_LIMIT, read from the sieve behind is_prime and
-# packed as 16-bit values: 1.1 KB, where a tuple of ints takes about 19 KB.
-_TRIAL_PRIMES = array("H", [2, *filter(is_prime, range(3, _TRIAL_LIMIT, 2))])
+# The primes below _TRIAL_LIMIT, the odd ones read from arith.LEAST_FACTOR
+# (entry 0), packed as 16-bit values: 1.1 KB, where a tuple of ints takes
+# about 19 KB.
+_TRIAL_PRIMES = array(
+    "H", [2, *(p for p in range(3, _TRIAL_LIMIT, 2) if not LEAST_FACTOR[p >> 1])]
+)
 _TRIAL_PRODUCT = math.prod(_TRIAL_PRIMES)
 
 
@@ -69,6 +74,21 @@ def factorize(n: int) -> list:
         raise ValueError("factorize requires n >= 1, got %r" % (n,))
     if n >= PRIMALITY_LIMIT:
         raise ResourceCapError("factorize: %d is at or above the proven primality bound" % n)
+    if n < TABLE_LIMIT:
+        twos = (n & -n).bit_length() - 1
+        n >>= twos
+        pairs = [(2, twos)] if twos else []
+        # each cofactor's least prime factor is above the last p, so the
+        # pairs come out in increasing order
+        while n > 1:
+            p = LEAST_FACTOR[n >> 1] or n
+            n //= p
+            e = 1
+            while n % p == 0:
+                n //= p
+                e += 1
+            pairs.append((p, e))
+        return pairs
     factors = {}
     # g is the part of n made of trial primes, each counted once.  Once
     # p * p > g, what is left of g is 1 or a prime.

@@ -87,6 +87,40 @@ def _strip_fours(m: int) -> tuple:
     return k, m
 
 
+# One shared verdict per form and branch, (covered, not covered): a verdict
+# is frozen, so every call returns the same object.
+_VERDICTS = {
+    TernaryForm.D122: (
+        EligibilityVerdict(Eligibility.ELIGIBLE, "not of the form 4^k(8l+7)"),
+        EligibilityVerdict(
+            Eligibility.OBSTRUCTED,
+            "stripped residue 7 (mod 8): m lies in the excluded family 4^k(8l+7)",
+        ),
+    ),
+    TernaryForm.D112: (
+        EligibilityVerdict(Eligibility.ELIGIBLE, "not of the form 4^k(16l+14)"),
+        EligibilityVerdict(
+            Eligibility.OBSTRUCTED,
+            "stripped residue 14 (mod 16): m lies in the excluded family 4^k(16l+14)",
+        ),
+    ),
+    TernaryForm.D117: (
+        EligibilityVerdict(Eligibility.ELIGIBLE, "of the form 4^k(8l+5) with ord_7(m) even"),
+        EligibilityVerdict(
+            Eligibility.OUTSIDE_COVERED_CASES,
+            "covered cases are 4^k(8l+5) with ord_7(m) even",
+        ),
+    ),
+    TernaryForm.D113: (
+        EligibilityVerdict(Eligibility.ELIGIBLE, "of the form 4^k(8l+1) with ord_3(m) even"),
+        EligibilityVerdict(
+            Eligibility.OUTSIDE_COVERED_CASES,
+            "covered cases are 4^k(8l+1) with ord_3(m) even",
+        ),
+    ),
+}
+
+
 def eligibility(form: TernaryForm, m: int) -> EligibilityVerdict:
     """Classify m >= 1 for the given form without any searching.
 
@@ -97,38 +131,16 @@ def eligibility(form: TernaryForm, m: int) -> EligibilityVerdict:
         raise ValueError("eligibility requires m >= 1, got %r" % (m,))
     _, stripped = _strip_fours(m)
     if form is TernaryForm.D122:
-        if stripped % 8 == 7:
-            return EligibilityVerdict(
-                Eligibility.OBSTRUCTED,
-                "stripped residue 7 (mod 8): m lies in the excluded family 4^k(8l+7)",
-            )
-        return EligibilityVerdict(Eligibility.ELIGIBLE, "not of the form 4^k(8l+7)")
-    if form is TernaryForm.D112:
-        if stripped % 16 == 14:
-            return EligibilityVerdict(
-                Eligibility.OBSTRUCTED,
-                "stripped residue 14 (mod 16): m lies in the excluded family 4^k(16l+14)",
-            )
-        return EligibilityVerdict(Eligibility.ELIGIBLE, "not of the form 4^k(16l+14)")
-    if form is TernaryForm.D117:
-        if stripped % 8 == 5 and ord_p(m, 7) % 2 == 0:
-            return EligibilityVerdict(
-                Eligibility.ELIGIBLE, "of the form 4^k(8l+5) with ord_7(m) even"
-            )
-        return EligibilityVerdict(
-            Eligibility.OUTSIDE_COVERED_CASES,
-            "covered cases are 4^k(8l+5) with ord_7(m) even",
-        )
-    if form is TernaryForm.D113:
-        if stripped % 8 == 1 and ord_p(m, 3) % 2 == 0:
-            return EligibilityVerdict(
-                Eligibility.ELIGIBLE, "of the form 4^k(8l+1) with ord_3(m) even"
-            )
-        return EligibilityVerdict(
-            Eligibility.OUTSIDE_COVERED_CASES,
-            "covered cases are 4^k(8l+1) with ord_3(m) even",
-        )
-    raise InternalError("unknown form %r" % (form,))
+        covered = stripped % 8 != 7
+    elif form is TernaryForm.D112:
+        covered = stripped % 16 != 14
+    elif form is TernaryForm.D117:
+        covered = stripped % 8 == 5 and ord_p(m, 7) % 2 == 0
+    elif form is TernaryForm.D113:
+        covered = stripped % 8 == 1 and ord_p(m, 3) % 2 == 0
+    else:
+        raise InternalError("unknown form %r" % (form,))
+    return _VERDICTS[form][0 if covered else 1]
 
 
 def reduce_to_core(form: TernaryForm, m: int) -> tuple:

@@ -16,7 +16,7 @@ that bound permits and takes the first hit.
 import math
 from dataclasses import dataclass
 
-from .arith import PRIMALITY_LIMIT, crt, inv_mod, is_prime, jacobi, sqrt_mod_prime
+from .arith import PRIMALITY_LIMIT, crt, inv_mod, is_prime, sqrt_mod_prime
 from .cases import CaseProfile, select_case
 from .descent import represent_binary
 from .errors import (
@@ -116,7 +116,9 @@ class Witness:
 def find_q(profile: CaseProfile, core: int, primes) -> int:
     """Smallest prime q > max(core, 2) in the profile's residue class with
     jacobi(-t_den_factor * q, p) = 1 for each p in primes, those of n0(core):
-    the condition under which solve_t has a root at every p.
+    the condition under which solve_t has a root at every p.  Each p is an
+    odd prime, so the symbol is taken by Euler's criterion,
+    (-t_den_factor * q)^((p-1)/2) = 1 (mod p).
 
     Raises ResourceCapError after Q_CANDIDATE_BUDGET values of the residue
     class have been examined, or when q reaches PRIMALITY_LIMIT.
@@ -133,7 +135,7 @@ def find_q(profile: CaseProfile, core: int, primes) -> int:
         if is_prime(q):
             a = -den * q
             for p in primes:
-                if jacobi(a, p) != 1:
+                if pow(a, p >> 1, p) != 1:
                     break
             else:
                 return q
@@ -426,7 +428,7 @@ def witness_problems(w: Witness) -> list:
         problems.append("q is outside its residue class")
     den = profile.t_den_factor * con.q
     for p, _ in odd_factors:
-        if jacobi(-den, p) != 1:
+        if pow(-den, p >> 1, p) != 1:
             problems.append("character condition fails at p = %d" % p)
 
     if not 0 <= con.t < max(n0, 1):

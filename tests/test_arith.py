@@ -15,6 +15,7 @@ from ternrep import (
     jacobi,
     sqrt_mod_prime,
 )
+from ternrep import arith
 
 
 def sieve(limit):
@@ -98,6 +99,8 @@ class TestIsPrime:
     def test_nonpositive(self):
         assert not is_prime(0)
         assert not is_prime(-7)
+        # a negative n must never index the table from its end
+        assert not any(is_prime(n) for n in range(-2**16, 1))
 
     def test_table_edges(self):
         assert is_prime(65521)  # the largest prime below 2**16
@@ -105,6 +108,19 @@ class TestIsPrime:
         assert is_prime(65537)
         for n in (-1, 1, True):
             assert is_prime(n) is False
+
+    def test_least_factor_table(self):
+        # byte n >> 1 is 0 for 1 and every odd prime, else the least prime
+        # factor of n, which is below 2**8
+        flags = sieve(2**16)
+        table = arith.LEAST_FACTOR
+        assert arith.TABLE_LIMIT == 2**16 and len(table) == 2**15
+        for n in range(1, 2**16, 2):
+            if n == 1 or flags[n]:
+                assert table[n >> 1] == 0
+            else:
+                d = next(d for d in range(3, n, 2) if n % d == 0)
+                assert table[n >> 1] == d < 256
 
     def test_larger_values(self):
         assert is_prime(2**31 - 1)

@@ -14,22 +14,48 @@ from ternrep import (
 )
 
 
+def trial_division(n):
+    """Prime factorization of n >= 1 by dividing by every d up to sqrt(n)."""
+    pairs = []
+    d = 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            pairs.append((d, e))
+        d += 1 if d == 2 else 2
+    if n > 1:
+        pairs.append((n, 1))
+    return pairs
+
+
 class TestFactorize:
     def test_pinned_values(self):
         assert factorize(1) == []
         assert factorize(12) == [(2, 2), (3, 1)]
         assert factorize(9991) == [(97, 1), (103, 1)]
+        # both sides of 2**16, where factorize turns from the least-factor
+        # table to the gcd against the trial primes
+        assert factorize(64507) == [(251, 1), (257, 1)]
+        assert factorize(65025) == [(3, 2), (5, 2), (17, 2)]
+        assert factorize(65521) == [(65521, 1)]
+        assert factorize(65535) == [(3, 1), (5, 1), (17, 1), (257, 1)]
+        assert factorize(65536) == [(2, 16)]
+        assert factorize(65537) == [(65537, 1)]
+        assert factorize(True) == []
+        with pytest.raises(ValueError):
+            factorize(-7)
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             factorize(0)
 
     def test_reconstruction_exhaustive(self):
-        for n in range(1, 100001):
-            pairs = factorize(n)
-            assert math.prod(p**e for p, e in pairs) == n
-            assert all(e >= 1 for _, e in pairs)
-            assert all(p1 < p2 for (p1, _), (p2, _) in zip(pairs, pairs[1:]))
+        # every n below 2**17, so both sides of the table edge at 2**16
+        for n in range(1, 2**17):
+            assert factorize(n) == trial_division(n)
 
     def test_primality_of_listed_primes(self):
         for n in range(2, 20000):

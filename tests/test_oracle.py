@@ -41,6 +41,16 @@ SCAN_JSON_SHA256 = {
     TernaryForm.D113: "ecf1aba313a5242f699b3cfd78c3fe4b61d5bff460503d3dfc57a58a914e723a",
     TernaryForm.D117: "4ed00f56e7df5d700c25afac8d71f0d739c97397d5928c2f4f3cbf691dd4de7e",
 }
+# sha256 of scan_compare(form, 65000, 66100).to_csv(), taken while is_prime
+# read a prime bitset below 2**16 and factorize walked a gcd against the
+# trial primes.  The window crosses 2**16, where both kernels hand over from
+# their table to Miller-Rabin and to gcd/rho.
+SCAN_EDGE_CSV_SHA256 = {
+    TernaryForm.D122: "672ad4759091eaf04ea8dc384f184fbe26c79fbefee6a429c5c65dcf5cffc46b",
+    TernaryForm.D112: "430ea22334dd8b5b02a05f0b67ef5abac68409e8b81757eb6738e8d976dae89d",
+    TernaryForm.D113: "ade94fdf2d1c0a2265dd04985d8df5db7206d417bffdc7dda996c01f888d369f",
+    TernaryForm.D117: "314a01ad7397f9771ab640708554ce5981dbcc423a924ab5cb9805f50ef3f1ed",
+}
 
 
 def all_representations(form, m):
@@ -316,6 +326,11 @@ class TestScanCompare:
     def test_csv_pinned(self, form):
         text = scan_compare(form, 1, 3000).to_csv()
         assert hashlib.sha256(text.encode()).hexdigest() == SCAN_CSV_SHA256[form]
+
+    @pytest.mark.parametrize("form", list(TernaryForm), ids=lambda f: f.name)
+    def test_csv_pinned_across_the_table_edge(self, form):
+        text = scan_compare(form, 65000, 66100).to_csv()
+        assert hashlib.sha256(text.encode()).hexdigest() == SCAN_EDGE_CSV_SHA256[form]
 
     @pytest.mark.parametrize("form", list(TernaryForm), ids=lambda f: f.name)
     def test_json_pinned(self, form):

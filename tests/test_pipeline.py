@@ -105,6 +105,32 @@ class TestFindQ:
             for p, _ in factorize(odd):
                 assert jacobi(-profile.rho * profile.delta_factor * q, p) == 1
 
+    def test_matches_a_jacobi_search_to_20000(self):
+        # every eligible frame core <= 20000 of each profile, against a copy
+        # of the search that takes its symbols with jacobi
+        def find_q_by_jacobi(profile, core, primes):
+            r, modulus = profile.q_residue
+            q = max(core, 2) + 1
+            q += (r - q) % modulus
+            while not (is_prime(q) and all(
+                    jacobi(-profile.t_den_factor * q, p) == 1 for p in primes)):
+                q += modulus
+            return q
+
+        frames = set()
+        for form in TernaryForm:
+            for core in range(1, 20001):
+                if (eligibility(form, core).eligible
+                        and reduce_to_core(form, core) == (0, 1, core)
+                        and (form, core) not in _SMALL_CORE_BASE):
+                    _, profile, frame_core = construction_frame(form, core)
+                    frames.add((profile.id, frame_core))
+        assert {profile_id for profile_id, _ in frames} == set(PROFILES)
+        for profile_id, core in sorted(frames):
+            profile = PROFILES[profile_id]
+            primes = primes_of(profile, core)
+            assert find_q(profile, core, primes) == find_q_by_jacobi(profile, core, primes)
+
     def test_cap(self, monkeypatch):
         monkeypatch.setattr(pipeline, "Q_CANDIDATE_BUDGET", 1)
         with pytest.raises(ResourceCapError, match="within 1 candidates"):
