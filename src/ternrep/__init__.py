@@ -54,6 +54,8 @@ from .pipeline import (
     solve_bh,
     solve_t,
     verify_witness,
+    witness_fields,
+    witness_from_fields,
     witness_problems,
 )
 
@@ -74,7 +76,7 @@ __all__ = [
     "Construction", "Witness", "build_witness", "construction_frame", "find_q",
     "solve_t", "solve_bh", "enumerate_point", "LATTICE_STEP_BUDGET",
     "Q_CANDIDATE_BUDGET", "verify_witness",
-    "witness_problems",
+    "witness_problems", "witness_fields", "witness_from_fields",
     "TernrepError", "NonResidueError", "NotInvertibleError",
     "NonCoprimeModuliError", "NotRepresentableError",
     "ResourceCapError", "InternalError",

@@ -1,13 +1,15 @@
 """Command-line surface.
 
-Subcommands: represent, witness, check, oracle, scan, selftest.  All
-output is deterministic for fixed arguments: JSON objects use a pinned
-field order, scan CSV uses a pinned header, line endings are LF, and
---help and usage errors wrap at a fixed width, whatever the terminal.
+Subcommands: represent, witness, check, oracle, scan, and verify, which
+re-checks one witness JSON object read from stdin.  All output is
+deterministic for fixed arguments: JSON objects use a pinned field order,
+scan CSV uses a pinned header, line endings are LF, and --help and usage
+errors wrap at a fixed width, whatever the terminal.
 
-Exit codes: 0 success/representable, 1 obstructed or not representable,
-2 outside the covered cases, 3 internal error, 4 usage error or output that
-cannot be written, 5 resource cap hit.
+Exit codes: 0 success/representable, 1 obstructed, not representable or a
+witness that does not verify, 2 outside the covered cases, 3 internal
+error, 4 usage error, output that cannot be written or verify input that
+is not a JSON object, 5 resource cap hit.
 """
 
 import argparse
@@ -19,8 +21,9 @@ import sys
 
 from .errors import InternalError, ResourceCapError
 from .forms import Eligibility, FORM_BY_NAME, TernaryForm, eligibility, evaluate
-from .oracle import check_scan_hi, descent_mismatches, oracle_triple, scan_compare
-from .pipeline import Construction, Witness, build_witness, verify_witness
+from .oracle import check_scan_hi, oracle_triple, scan_compare
+from .pipeline import (WITNESS_KEYS, Witness, build_witness, witness_fields,
+                       witness_from_fields, witness_problems)
 
 __all__ = ["main", "dispatch"]
 
@@ -66,32 +69,6 @@ def _equation(form: TernaryForm, m: int, rep) -> str:
         else:
             parts.append("%d*%d^2" % (coeff, value))
     return "%d = %s" % (m, " + ".join(parts))
-
-
-def _json_fields(form, m, *, eligible, verdict, case=None, k=None, s=None,
-                 core=None, construction=None, representation=None,
-                 verified=False) -> dict:
-    con = construction
-    if con is None:
-        built = dict.fromkeys(("q", "t", "b", "h", "point", "R",
-                               "binary_value", "binary_rep"))
-    else:
-        built = {"q": con.q, "t": con.t, "b": con.b, "h": con.h,
-                 "point": list(con.point), "R": con.r1,
-                 "binary_value": con.n, "binary_rep": list(con.binary)}
-    return {
-        "form": form.cli_name,
-        "m": m,
-        "eligible": eligible,
-        "verdict": verdict,
-        "case": case,
-        "k": k,
-        "s": s,
-        "core": core,
-        **built,
-        "representation": None if representation is None else list(representation),
-        "verified": verified,
-    }
 
 
 def _emit(out, args, fields: dict, text: str, trail: bool = False) -> None:
@@ -160,30 +137,22 @@ def _cmd_represent(args, out, err, trail: bool) -> int:
     result = build_witness(form, args.m)
     if isinstance(result, Witness):
         rep, code = result.representation, EXIT_OK
-        fields = _json_fields(
-            form, args.m,
-            eligible=True,
-            verdict=Eligibility.ELIGIBLE.value,
-            case=result.case_id,
-            k=result.k, s=result.s, core=result.core,
-            construction=result.construction,
-            representation=rep,
-            verified=verify_witness(result),
-        )
+        fields = witness_fields(result)
         if not fields["verified"]:
             return _fail(err, EXIT_INTERNAL, "witness failed verification")
     else:
         fallback = (args.fallback_oracle
                     and result.kind is Eligibility.OUTSIDE_COVERED_CASES)
         rep = oracle_triple(form, args.m) if fallback else None
-        fields = _json_fields(
-            form, args.m,
-            eligible=False,
-            verdict=result.kind.value,
-            case=ORACLE_CASE if rep is not None else None,
-            representation=rep,
-            verified=rep is not None and evaluate(form, rep) == args.m,
-        )
+        fields = dict.fromkeys(WITNESS_KEYS) | {
+            "form": form.cli_name,
+            "m": args.m,
+            "eligible": False,
+            "verdict": result.kind.value,
+            "case": ORACLE_CASE if rep is not None else None,
+            "representation": None if rep is None else list(rep),
+            "verified": rep is not None and evaluate(form, rep) == args.m,
+        }
         code = (EXIT_OK if rep is not None else
                 EXIT_OBSTRUCTED if fallback else _VERDICT_EXIT[result.kind])
     text = (_verdict_line(result, args.m) if rep is None
@@ -253,34 +222,17 @@ def _cmd_scan(args, out, err) -> int:
     return EXIT_OK
 
 
-def _selftest_suites():
-    def golden():
-        w = build_witness(TernaryForm.D122, 3)
-        expected = Construction(73, 1, 17, 2, (1, -4, -2), -1, 1, (1, 0))
-        return (isinstance(w, Witness) and w.construction == expected
-                and w.representation == (1, 0, 1) and verify_witness(w))
-
-    def scans():
-        return all(scan_compare(form, 1, 120).all_agree for form in TernaryForm)
-
-    def descent():
-        return not descent_mismatches(500)
-
-    def audits():
-        witnesses = (build_witness(form, m) for form in TernaryForm for m in range(1, 120))
-        return all(verify_witness(w) for w in witnesses if isinstance(w, Witness))
-
-    return [("golden fixture", golden), ("oracle scans", scans),
-            ("binary descent", descent), ("witness audits", audits)]
-
-
-def _cmd_selftest(args, out, err) -> int:
-    failed = False
-    for name, suite in _selftest_suites():
-        ok = suite()
-        out.write("%s: %s\n" % (name, "ok" if ok else "FAIL"))
-        failed = failed or not ok
-    return EXIT_INTERNAL if failed else EXIT_OK
+def _cmd_verify(args, out, err) -> int:
+    try:
+        doc = json.loads(sys.stdin.read())
+    except (ValueError, RecursionError) as exc:  # RecursionError: deep nesting
+        return _fail(err, EXIT_USAGE, "stdin is not JSON: %s" % exc)
+    if not isinstance(doc, dict):
+        return _fail(err, EXIT_USAGE, "stdin is not a JSON object")
+    problems = witness_problems(witness_from_fields(doc))
+    for problem in problems:
+        out.write(problem + "\n")
+    return EXIT_OBSTRUCTED if problems else EXIT_OK
 
 
 @functools.cache
@@ -320,8 +272,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--jobs", type=int, default=1, metavar="N")
     p_scan.set_defaults(run=_cmd_scan)
 
-    sub.add_parser("selftest", help="run the invariant suites").set_defaults(
-        run=_cmd_selftest)
+    sub.add_parser("verify", help="re-check a witness JSON object read from stdin"
+                   ).set_defaults(run=_cmd_verify)
     return parser
 
 

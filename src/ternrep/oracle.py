@@ -6,7 +6,8 @@ A single search costs Theta(m) when m is not represented, so it is bounded:
 brute_force_ternary stops with ResourceCapError after ORACLE_STEP_BUDGET
 (x, y) steps, and oracle_triple answers the m that a classical criterion
 rules out (the local obstruction of the two exact forms, Dickson's
-9^k(9l+6) for x^2+y^2+3z^2) without searching at all.
+9^k(9l+6) for x^2+y^2+3z^2) without searching at all, and refuses any m
+at or above PRIMALITY_LIMIT.
 
 Range checks decide representability for every value at once instead:
 represented_bits marks all values <= hi of a diagonal form in one bitset,
@@ -26,6 +27,7 @@ import math
 import os
 from dataclasses import dataclass, field
 
+from .arith import PRIMALITY_LIMIT
 from .descent import represent_binary
 from .errors import InternalError, NotRepresentableError, ResourceCapError
 from .forms import Eligibility, TernaryForm, eligibility
@@ -136,7 +138,10 @@ def oracle_triple(form: TernaryForm, m: int):
     """brute_force_ternary(form, m), except that an m >= 1 which a proven
     criterion rules out is answered None without a search: the obstructed
     m of the two exact forms (their obstruction is local) and, for the
-    regular form x^2+y^2+3z^2, Dickson's exceptions 9^k(9l+6)."""
+    regular form x^2+y^2+3z^2, Dickson's exceptions 9^k(9l+6).  It raises
+    ResourceCapError for m >= PRIMALITY_LIMIT, where steps grow too costly."""
+    if m >= PRIMALITY_LIMIT:
+        raise ResourceCapError("oracle: %d is at or above the proven primality bound" % m)
     if m >= 1 and (eligibility(form, m).kind is Eligibility.OBSTRUCTED
                    or form is TernaryForm.D113 and dickson_excluded(m)):
         return None

@@ -14,7 +14,7 @@ that bound permits and takes the first hit.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .arith import PRIMALITY_LIMIT, crt, inv_mod, is_prime, sqrt_mod_prime
 from .cases import CaseProfile, select_case
@@ -28,6 +28,8 @@ from .errors import (
 )
 from .factor import factorize
 from .forms import (
+    FORM_BY_NAME,
+    Eligibility,
     TernaryForm,
     checked_representation,
     eligibility,
@@ -40,8 +42,11 @@ __all__ = [
     "LATTICE_STEP_BUDGET",
     "Q_CANDIDATE_BUDGET",
     "SMALL_CORE",
+    "WITNESS_KEYS",
     "Construction",
     "Witness",
+    "witness_fields",
+    "witness_from_fields",
     "construction_frame",
     "find_q",
     "solve_t",
@@ -60,7 +65,7 @@ __all__ = [
 Q_CANDIDATE_BUDGET = 10**6
 
 # enumerate_point stops with ResourceCapError once |y| passes this bound,
-# after 4-6 s on a 2-vCPU Xeon.  The budget delta*n0 - gamma*n0*y^2 turns
+# after 3.0-3.8 s on a 2-vCPU Xeon.  The budget delta*n0 - gamma*n0*y^2 turns
 # negative past |y| = isqrt(delta_factor*q // gamma) <= isqrt(2q), so no
 # core with q < 2^41 can reach it: every m up to 2^40 keeps its witness
 # unless its q exceeds the core by more than 2^40.  Below the bound the
@@ -111,6 +116,47 @@ class Witness:
     case_id: str
     construction: Construction | None
     representation: tuple
+
+
+# The JSON keys of a witness, in output order.  The eight from q to
+# binary_rep hold the Construction's fields in its order, and are null
+# exactly when the construction is None.
+WITNESS_KEYS = ("form", "m", "eligible", "verdict", "case", "k", "s", "core",
+                "q", "t", "b", "h", "point", "R", "binary_value", "binary_rep",
+                "representation", "verified")
+
+
+def witness_fields(w: Witness) -> dict:
+    """The JSON object of a witness, keyed by WITNESS_KEYS: tuples become
+    lists, and verified is verify_witness(w).  witness_from_fields reads
+    it back."""
+    con = w.construction
+    built = [None] * 8 if con is None else [getattr(con, f.name) for f in fields(con)]
+    values = [w.form.cli_name, w.m, True, Eligibility.ELIGIBLE.value, w.case_id,
+              w.k, w.s, w.core, *built, w.representation, verify_witness(w)]
+    return {key: list(v) if isinstance(v, tuple) else v
+            for key, v in zip(WITNESS_KEYS, values)}
+
+
+def witness_from_fields(d: dict) -> Witness:
+    """The Witness that a JSON object in witness_fields' schema describes.
+
+    It never raises: a list becomes a tuple and a form name its form, and
+    a value of the wrong type is kept for witness_problems to report.
+    Eight null or absent construction keys give a None construction.  The
+    producer's claims eligible, verdict and verified are not read.
+    """
+    def get(key):
+        value = d.get(key)
+        return tuple(value) if isinstance(value, list) else value
+
+    form = get("form")
+    if isinstance(form, str):
+        form = FORM_BY_NAME.get(form, form)
+    built = [get(key) for key in WITNESS_KEYS[8:16]]
+    con = None if all(v is None for v in built) else Construction(*built)
+    return Witness(form, get("m"), get("k"), get("s"), get("core"), get("case"),
+                   con, get("representation"))
 
 
 def find_q(profile: CaseProfile, core: int, primes) -> int:

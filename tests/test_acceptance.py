@@ -14,6 +14,7 @@ every value a form takes up to the limit without any per-m search.
 import dataclasses
 import hashlib
 import io
+import json
 
 import pytest
 
@@ -30,11 +31,13 @@ from ternrep import (
 from ternrep import oracle
 from ternrep.cli import dispatch
 from ternrep.oracle import dickson_excluded
-from ternrep.pipeline import SMALL_CORE, construction_frame
+from ternrep.pipeline import (SMALL_CORE, construction_frame, witness_fields,
+                              witness_from_fields)
 
 SWEEP_LIMIT = 50000
 ORACLE_LIMIT = 5000
 DESCENT_LIMIT = 100000
+ROUND_TRIP_LIMIT = 20000
 BITSET_LIMIT = 10**6
 
 # sha256 of repr(w), in order of m, over every witness each sweep builds:
@@ -89,7 +92,14 @@ def criterion_misses(form, excluded):
 
 def audit_witness(w):
     """None when the witness passes re-verification and F = 0 (mod n0)
-    holds identically; otherwise a short reason."""
+    holds identically; otherwise a short reason.  For m <= ROUND_TRIP_LIMIT
+    the witness is first read back from its JSON object, as `verify` reads
+    the output of `witness --json`, and must come back equal."""
+    if w.m <= ROUND_TRIP_LIMIT:
+        rebuilt = witness_from_fields(json.loads(json.dumps(witness_fields(w))))
+        if rebuilt != w:
+            return "JSON round trip changed the witness"
+        w = rebuilt
     if not verify_witness(w):
         return "re-verification failed"
     if w.case_id == SMALL_CORE:

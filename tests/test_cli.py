@@ -7,10 +7,12 @@ import re
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import pytest
 
 from ternrep import (
+    PRIMALITY_LIMIT,
     SCAN_HI_LIMIT,
     Eligibility,
     TernaryForm,
@@ -21,6 +23,7 @@ from ternrep import (
 from ternrep import oracle, pipeline
 from ternrep.cli import dispatch
 from ternrep.oracle import CSV_HEADER, dickson_excluded
+from ternrep.pipeline import witness_from_fields
 
 JSON_FIELDS = [
     "form", "m", "eligible", "verdict", "case", "k", "s", "core", "q", "t",
@@ -54,10 +57,21 @@ def pinned_argvs():
             yield ["scan", "--form", form, "--lo", "1", "--hi", "300"] + flag
 
 
-def run_cli(argv):
+def run_cli(argv, stdin=""):
     out, err = io.StringIO(), io.StringIO()
-    code = dispatch(argv, out=out, err=err)
+    with mock.patch.object(sys, "stdin", io.StringIO(stdin)):
+        code = dispatch(argv, out=out, err=err)
     return code, out.getvalue(), err.getvalue()
+
+
+def witness_json(form, m):
+    code, out, err = run_cli(["witness", "--form", form, "--m", str(m), "--json"])
+    assert (code, err) == (0, "")
+    return out
+
+
+# The m = 3 witness of x2+2y2+2z2 with h one too large
+BAD_WITNESS = witness_json("x2+2y2+2z2", 3).replace('"h": 2,', '"h": 3,')
 
 
 def json_keys(text):
@@ -270,6 +284,33 @@ class TestOracleCommand:
                     assert run_cli(["oracle", "--form", form.cli_name, "--m", str(m)]
                                    ) == (1, "no representation: %d\n" % m, "")
 
+    # 7 * 4^41 is answered (0, 0, 2^41) by a short search, but lies above
+    # the supported range like the 300-digit m
+    @pytest.mark.parametrize("form", FORMS)
+    @pytest.mark.parametrize("m", [PRIMALITY_LIMIT, 7 * 4**41, 10**300 + 5],
+                             ids=["limit", "7*4^41", "300-digit"])
+    def test_above_the_primality_bound_exits_5_at_once(self, form, m):
+        argvs = [["oracle", "--form", form, "--m", str(m)]]
+        if form in ("x2+y2+3z2", "x2+y2+7z2"):
+            argvs.append(["represent", "--form", form, "--m", str(m), "--fallback-oracle"])
+        for argv in argvs:
+            start = time.perf_counter()
+            result = run_cli(argv)
+            assert time.perf_counter() - start < 1.0
+            assert result[:2] == (5, "")
+            assert result[2].startswith("resource cap: ")
+            assert result[2].endswith(" is at or above the proven primality bound\n")
+
+    def test_below_the_primality_bound_still_searches(self, monkeypatch):
+        m = 2 * 4**40
+        start = time.perf_counter()
+        result = run_cli(["oracle", "--form", "x2+y2+2z2", "--m", str(m)])
+        assert time.perf_counter() - start < 1.0
+        assert result == (0, "%d = 0^2 + 0^2 + 2*%d^2\n" % (m, 2**40), "")
+        monkeypatch.setattr(oracle, "brute_force_ternary", lambda form, m: (m,))
+        top = PRIMALITY_LIMIT - 1
+        assert oracle.oracle_triple(TernaryForm.D117, top) == (top,)
+
     def test_search_budget_exits_5(self, monkeypatch):
         monkeypatch.setattr(oracle, "ORACLE_STEP_BUDGET", 1000)
         for flag in ([], ["--json"]):
@@ -391,7 +432,7 @@ class TestOptions:
         "check": {"--form", "--m", "--json"},
         "oracle": {"--form", "--m", "--json"},
         "scan": {"--form", "--lo", "--hi", "--json", "--out", "--jobs"},
-        "selftest": set(),
+        "verify": set(),
     }
 
     @pytest.mark.parametrize("command", sorted(FLAGS))
@@ -478,15 +519,17 @@ class TestOutputErrors:
         ["represent", "--form", "x2+y2+2z2", "--m", "5"],
         ["witness", "--form", "x2+y2+2z2", "--m", "5", "--json"],
         ["scan", "--form", "x2+y2+2z2", "--lo", "1", "--hi", "50"],
-        ["selftest"],
+        ["verify"],
         ["--help"],
     ]
 
+    # verify reads BAD_WITNESS, so that it has a problem line to write
     @pytest.mark.parametrize("failing", ["write", "flush"])
     @pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: argv[0])
     def test_failed_output_exits_4(self, argv, failing):
         err = io.StringIO()
-        assert dispatch(argv, FailingOut(failing), err) == 4
+        with mock.patch.object(sys, "stdin", io.StringIO(BAD_WITNESS)):
+            assert dispatch(argv, FailingOut(failing), err) == 4
         assert err.getvalue() == "cannot write output: No space left on device\n"
 
     def test_other_os_errors_stay_internal(self, monkeypatch):
@@ -529,12 +572,59 @@ class TestPinnedBytes:
         assert capsys.readouterr() == ("", "")
 
 
-class TestSelftest:
-    def test_passes(self):
-        code, out, _ = run_cli(["selftest"])
-        assert code == 0
-        assert out.count("ok") == 4
-        assert "FAIL" not in out
+class TestVerify:
+    # Every witness of m <= 1000 round-trips and verifies through the CLI;
+    # tests/test_acceptance.py reads every witness of m <= 20000 back from
+    # its JSON object in-process
+    def test_round_trip(self):
+        for form in TernaryForm:
+            for m in range(1, 1001):
+                code, out, _ = run_cli(
+                    ["witness", "--form", form.cli_name, "--m", str(m), "--json"])
+                if code == 0:
+                    assert witness_from_fields(json.loads(out)) == pipeline.build_witness(form, m)
+                    assert run_cli(["verify"], out) == (0, "", "")
+
+    def test_claims_are_not_read(self):
+        doc = json.loads(witness_json("x2+y2+7z2", 53))
+        doc.update(verified=False, eligible=False, verdict="obstructed")
+        assert run_cli(["verify"], json.dumps(doc)) == (0, "", "")
+        del doc["verified"], doc["eligible"], doc["verdict"]
+        assert run_cli(["verify"], json.dumps(doc)) == (0, "", "")
+
+    def test_bad_witness_exits_1(self):
+        assert run_cli(["verify"], BAD_WITNESS) == (1, "b^2 + gamma*n0 != d*h\n", "")
+
+    def test_non_witness_output_exits_1(self):
+        code, out, err = run_cli(["verify"], run_cli(
+            ["represent", "--form", "x2+y2+7z2", "--m", "11", "--json",
+             "--fallback-oracle"])[1])
+        assert (code, err) == (1, "")
+        assert "k is not an integer\n" in out
+
+    @pytest.mark.parametrize("text, message", [
+        ("not json", "stdin is not JSON: Expecting value: line 1 column 1 (char 0)"),
+        ("", "stdin is not JSON: Expecting value: line 1 column 1 (char 0)"),
+        ("[]\n", "stdin is not a JSON object"),
+        ("3", "stdin is not a JSON object"),
+        ('{"m": %s}' % ("7" * 4301), "stdin is not JSON: Exceeds the limit"),
+        ("[" * 100000, "stdin is not JSON: maximum recursion depth exceeded"),
+    ], ids=["text", "empty", "array", "number", "huge-int", "deep"])
+    def test_not_an_object_exits_4(self, text, message):
+        code, out, err = run_cli(["verify"], text)
+        assert (code, out) == (4, "")
+        assert err.startswith(message)
+        assert err.endswith("\n") and err.count("\n") == 1
+
+    def test_no_file_argument(self):
+        code, out, err = run_cli(["verify", "witness.json"], BAD_WITNESS)
+        assert (code, out) == (4, "")
+        assert "unrecognized arguments: witness.json" in err
+
+    def test_selftest_is_gone(self):
+        code, out, err = run_cli(["selftest"])
+        assert (code, out) == (4, "")
+        assert "invalid choice: 'selftest'" in err
 
 
 class TestSubprocessEntry:
@@ -546,6 +636,22 @@ class TestSubprocessEntry:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["representation"] == [1, 0, 1]
+
+    def test_witness_pipes_into_verify(self):
+        witness = subprocess.run(
+            [sys.executable, "-m", "ternrep", "witness", "--form", "x2+y2+2z2",
+             "--m", "1000006", "--json"],
+            capture_output=True, text=True, timeout=120, check=True,
+        ).stdout
+        for text, expected in ((witness, (0, "")),
+                               (witness.replace('"verified": true', '"verified": false'),
+                                (0, "")),
+                               (witness.replace('"m": 1000006', '"m": 1000007'),
+                                (1, "4^k * s^2 * core != m\n"
+                                    "representation does not evaluate to m\n"))):
+            proc = subprocess.run([sys.executable, "-m", "ternrep", "verify"],
+                                  input=text, capture_output=True, text=True, timeout=120)
+            assert (proc.returncode, proc.stdout, proc.stderr) == expected + ("",)
 
     def test_exit_code_survives_process_boundary(self):
         proc = subprocess.run(

@@ -1,8 +1,11 @@
 import dataclasses
 import hashlib
 import io
+import json
 import math
 import random
+import sys
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -33,12 +36,16 @@ from ternrep import (
 )
 from ternrep import pipeline
 from ternrep.cli import dispatch
+from ternrep.forms import FORM_BY_NAME
 from ternrep.pipeline import (
     SMALL_CORE,
+    WITNESS_KEYS,
     _SMALL_CORE_BASE,
     composed_values,
     construction_frame,
     enumerate_point,
+    witness_fields,
+    witness_from_fields,
 )
 
 T1A = PROFILES["T1A"]
@@ -59,6 +66,51 @@ def edit(w, **changes):
     if inner:
         changes["construction"] = dataclasses.replace(w.construction, **inner)
     return dataclasses.replace(w, **changes)
+
+
+# The JSON key of each Witness or Construction field whose name differs
+JSON_KEY = {"case_id": "case", "r1": "R", "n": "binary_value", "binary": "binary_rep"}
+
+
+def json_edit(w, **changes):
+    """The witness JSON text of w with changes applied to its object under
+    the fields' keys; None when a change has no JSON text apart from the
+    correct one: a form given by its name, a list, or a construction that
+    is neither None nor a Construction."""
+    doc = witness_fields(w)
+    for name, value in changes.items():
+        if isinstance(value, list) or name == "form" and value in FORM_BY_NAME:
+            return None
+        if name == "construction":
+            if value is not None and not isinstance(value, Construction):
+                return None
+            doc.update(zip(WITNESS_KEYS[8:16], [None] * 8 if value is None
+                           else dataclasses.astuple(value)))
+        else:
+            doc[JSON_KEY.get(name, name)] = (
+                value.cli_name if isinstance(value, TernaryForm) else value)
+    return json.dumps(doc)
+
+
+def run_verify(text):
+    """(exit code, stdout, stderr) of `ternrep verify` with text on stdin."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(text)):
+        code = dispatch(["verify"], out, err)
+    return code, out.getvalue(), err.getvalue()
+
+
+def rejected(w, **changes):
+    """The problems of w under changes, after checking that they reject the
+    edited Witness and that `ternrep verify` prints the same problems and
+    exits 1 on the edited witness JSON, where it has one."""
+    bad = edit(w, **changes)
+    problems = witness_problems(bad)
+    assert problems and not verify_witness(bad)
+    text = json_edit(w, **changes)
+    if text is not None:
+        assert run_verify(text) == (1, "".join(p + "\n" for p in problems), "")
+    return problems
 
 
 def constructive_witnesses(form, lo, hi):
@@ -409,6 +461,16 @@ FUZZ_VALUES = st.one_of(
     st.lists(st.integers(-10**6, 10**6), max_size=3),
 )
 
+# JSON values, huge integers below the 4300-digit conversion limit included
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**64, 2**64) | st.floats()
+    | st.text(max_size=3) | st.sampled_from([10**4000, -10**4000, 2**13000]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=6)
+# The producer's claims, which verify does not read
+CLAIMS = ("eligible", "verdict", "verified")
+
 
 class TestVerifyWitness:
     def test_accepts_pipeline_output(self):
@@ -421,9 +483,7 @@ class TestVerifyWitness:
 
     def test_corrupted_h(self):
         w = build_witness(TernaryForm.D122, 3)
-        bad = edit(w, h=w.construction.h + 1)
-        assert not verify_witness(bad)
-        assert any("d*h" in p for p in witness_problems(bad))
+        assert any("d*h" in p for p in rejected(w, h=w.construction.h + 1))
 
     @pytest.mark.parametrize("form, m", [
         (TernaryForm.D112, 13), (TernaryForm.D122, 3), (TernaryForm.D117, 13),
@@ -434,57 +494,45 @@ class TestVerifyWitness:
         w = build_witness(form, m)
         profile = construction_frame(w.form, w.core)[1]
         q, b, h = w.construction.q, w.construction.b, w.construction.h
-        bad = edit(w, b=2 * q - b, h=h + 4 * (q - b) // profile.d_factor)
-        problems = witness_problems(bad)
+        problems = rejected(w, b=2 * q - b, h=h + 4 * (q - b) // profile.d_factor)
         assert "b is not in canonical range" in problems
         assert "b^2 + gamma*n0 != d*h" not in problems
 
     def test_zero_point(self):
         w = build_witness(TernaryForm.D122, 3)
-        bad = edit(w, point=(0, 0, 0))
-        assert not verify_witness(bad)
-        assert any("zero" in p for p in witness_problems(bad))
+        assert any("zero" in p for p in rejected(w, point=(0, 0, 0)))
 
     def test_corrupted_q(self):
         w = build_witness(TernaryForm.D122, 3)
-        bad = edit(w, q=w.construction.q + 8)  # 81 stays in the class
-        assert not verify_witness(bad)
+        rejected(w, q=w.construction.q + 8)  # 81 stays in the class
 
     def test_corrupted_t(self):
         w = build_witness(TernaryForm.D122, 11)
-        bad = edit(w, t=w.construction.t + 1)
-        assert not verify_witness(bad)
+        rejected(w, t=w.construction.t + 1)
 
     def test_corrupted_b_parity(self):
         w = build_witness(TernaryForm.D122, 3)
-        bad = edit(w, b=w.construction.b + 1)
-        assert not verify_witness(bad)
+        rejected(w, b=w.construction.b + 1)
 
     def test_corrupted_representation(self):
         w = build_witness(TernaryForm.D122, 3)
-        bad = dataclasses.replace(w, representation=(1, 1, 1))
-        assert not verify_witness(bad)
+        rejected(w, representation=(1, 1, 1))
 
     def test_corrupted_case_id(self):
         w = build_witness(TernaryForm.D122, 3)
-        bad = dataclasses.replace(w, case_id="T1B")
-        assert not verify_witness(bad)
+        rejected(w, case_id="T1B")
 
     def test_corrupted_binary(self):
         w = build_witness(TernaryForm.D122, 11)
-        bad = edit(w, binary=(w.construction.binary[0] + 1, w.construction.binary[1]))
-        assert not verify_witness(bad)
+        rejected(w, binary=(w.construction.binary[0] + 1, w.construction.binary[1]))
 
     def test_corrupted_scale(self):
         w = build_witness(TernaryForm.D122, 12)
-        bad = dataclasses.replace(w, s=3)
-        assert not verify_witness(bad)
+        rejected(w, s=3)
 
     def test_unknown_case(self):
         w = build_witness(TernaryForm.D122, 3)
-        bad = dataclasses.replace(w, case_id="T9Z")
-        assert not verify_witness(bad)
-        assert any("unknown case" in p for p in witness_problems(bad))
+        assert any("unknown case" in p for p in rejected(w, case_id="T9Z"))
 
     @pytest.mark.parametrize("form, m, core", [
         (TernaryForm.D122, 3, 7),
@@ -493,9 +541,7 @@ class TestVerifyWitness:
     ])
     def test_uncovered_core(self, form, m, core):
         w = build_witness(form, m)
-        bad = dataclasses.replace(w, core=core)
-        assert not verify_witness(bad)
-        assert "no case covers core %d" % core in witness_problems(bad)
+        assert "no case covers core %d" % core in rejected(w, core=core)
 
     @pytest.mark.parametrize("form, m, core", [
         (TernaryForm.D112, 6, 4),
@@ -504,10 +550,8 @@ class TestVerifyWitness:
     ])
     def test_misshapen_core(self, form, m, core):
         w = build_witness(form, m)
-        bad = dataclasses.replace(w, core=core)
-        assert not verify_witness(bad)
         assert ("core is not squarefree of the expected shape"
-                in witness_problems(bad))
+                in rejected(w, core=core))
 
     @pytest.mark.parametrize("field, value, problem", [
         ("k", -1, "k < 0"),
@@ -517,17 +561,13 @@ class TestVerifyWitness:
     ])
     def test_out_of_range_field(self, field, value, problem):
         w = build_witness(TernaryForm.D112, 6)
-        bad = edit(w, **{field: value})
-        assert not verify_witness(bad)
-        assert problem in witness_problems(bad)
+        assert problem in rejected(w, **{field: value})
 
     @pytest.mark.parametrize("core", [2**89 - 1, 2 * (2**89 - 1)])
     def test_core_beyond_primality_range(self, core):
         w = build_witness(TernaryForm.D122, 3)
-        bad = dataclasses.replace(w, core=core)
-        assert not verify_witness(bad)
         assert ("core is beyond the proven primality range"
-                in witness_problems(bad))
+                in rejected(w, core=core))
 
     @pytest.mark.parametrize("form, m, changes, problem", [
         (TernaryForm.D113, 4,
@@ -559,10 +599,9 @@ class TestVerifyWitness:
             "binary-single", "binary-triple", "construction-tuple",
             "construction-missing", "negative-s", "small-core-negative-s"])
     def test_hand_edited(self, form, m, changes, problem):
-        bad = edit(build_witness(form, m), **changes)
-        assert not verify_witness(bad)
+        problems = rejected(build_witness(form, m), **changes)
         if problem is not None:
-            assert problem in witness_problems(bad)
+            assert problem in problems
 
     @pytest.mark.parametrize("changes, problem", [
         (dict(representation=None), "representation is not a triple"),
@@ -581,9 +620,23 @@ class TestVerifyWitness:
             "point-list", "representation-bool", "k-bool", "m-float",
             "binary-float", "form-str", "case-id-none", "k-huge"])
     def test_wrongly_typed_field(self, changes, problem):
-        bad = edit(build_witness(TernaryForm.D122, 3), **changes)
-        assert witness_problems(bad) == [problem]
-        assert not verify_witness(bad)
+        assert rejected(build_witness(TernaryForm.D122, 3), **changes) == [problem]
+
+    # The JSON forms of the edits that json_edit cannot write: a name that
+    # names no form, a point that is a JSON object, and a construction of
+    # two keys
+    @pytest.mark.parametrize("changes, problems", [
+        (dict(form="x2+y2+5z2"), ["form is not a TernaryForm"]),
+        (dict(form=3), ["form is not a TernaryForm"]),
+        (dict(point={"x": 1}), ["point is not a triple"]),
+        (dict(q=73, t=1, **dict.fromkeys(WITNESS_KEYS[10:16])),
+         ["b is not an integer", "h is not an integer", "r1 is not an integer",
+          "n is not an integer", "point is not a triple", "binary rep is not a pair"]),
+    ], ids=["form-unknown-name", "form-int", "point-object", "construction-pair"])
+    def test_json_only_edit(self, changes, problems):
+        doc = witness_fields(build_witness(TernaryForm.D122, 3)) | changes
+        assert run_verify(json.dumps(doc)) == (
+            1, "".join(p + "\n" for p in problems), "")
 
     @given(st.sampled_from(FUZZ_WITNESSES),
            st.dictionaries(st.sampled_from(WITNESS_FIELDS), FUZZ_VALUES,
@@ -604,6 +657,19 @@ class TestVerifyWitness:
         if any(type(new) is not type(old) for old, new in edits):
             assert problems
 
+    # Every change of a value's JSON type outside the producer's claims is
+    # rejected; nothing raises, so verify exits 0 or 1 and writes no stderr
+    @given(st.sampled_from(FUZZ_WITNESSES),
+           st.dictionaries(st.sampled_from(WITNESS_KEYS), JSON_VALUES, max_size=3))
+    def test_json_field_type_fuzz_exits_0_or_1(self, w, changes):
+        doc = witness_fields(w)
+        edits = [(doc[k], v) for k, v in changes.items() if k not in CLAIMS]
+        code, out, err = run_verify(json.dumps(doc | changes))
+        assert code in (0, 1) and err == ""
+        assert (code == 1) == bool(out)
+        if any(type(new) is not type(old) for old, new in edits):
+            assert code == 1
+
     def test_every_substituted_core_is_judged(self):
         by_case = {}
         for form in TernaryForm:
@@ -613,6 +679,7 @@ class TestVerifyWitness:
             for core in range(-2, 80):
                 bad = dataclasses.replace(w, core=core)
                 assert verify_witness(bad) == (core == w.core)
+                assert run_verify(json_edit(w, core=core))[0] == (0 if core == w.core else 1)
 
 
 class TestWitnessIdentities:
