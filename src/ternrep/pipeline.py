@@ -65,9 +65,11 @@ __all__ = [
 Q_CANDIDATE_BUDGET = 10**6
 
 # enumerate_point stops with ResourceCapError once |y| passes this bound,
-# after 3.0-3.8 s on a 2-vCPU Xeon.  The budget delta*n0 - gamma*n0*y^2 turns
-# negative past |y| = isqrt(delta_factor*q // gamma) <= isqrt(2q), so no
-# core with q < 2^41 can reach it: every m up to 2^40 keeps its witness
+# after 1.8-2.0 s on a 2-vCPU Xeon: each |y| carries its coset of x from
+# the last, at a few additions and comparisons.  The budget
+# delta*n0 - gamma*n0*y^2 turns negative past
+# |y| = isqrt(delta_factor*q // gamma) <= isqrt(2q), so no core with
+# q < 2^41 can reach it: every m up to 2^40 keeps its witness
 # unless its q exceeds the core by more than 2^40.  Below the bound the
 # scan always ends at a hit, since a point with F = n0 exists for every
 # core (the Minkowski bound on CaseProfile.det_factor, proved in cases.py).
@@ -262,12 +264,24 @@ def enumerate_point(profile: CaseProfile, core: int, q: int, t: int, b: int) -> 
     lam = alpha*q and e = lam*x + b*y, the binary part is
     (e^2 + gamma*n0*y^2) / delta and R = t*e + n0*z, so
     rho*delta*R^2 + e^2 = budget with budget = delta*n0 - gamma*n0*y^2.
-    The budget shrinks as |y| grows and is carried from one |y| to the
-    next; x ascends with e over [-isqrt(budget), isqrt(budget)] in steps
-    of lam.  As |R| <= isqrt(n0 / rho) < n0 / 2 and n0 is odd, the only
-    candidate R is the centred residue of t*e mod n0, and z = (R - t*e) / n0
-    is exact.  All arithmetic is in exact integers.  The scan does not
-    read h, and it ends where the budget turns negative, at
+    x ascends with e over the coset b*y + lam*Z inside [-s, s], where
+    s >= isqrt(budget).  As |R| <= isqrt(n0 / rho) < n0 / 2 and n0 is odd,
+    the only candidate R is the centred residue of t*e mod n0, and
+    z = (R - t*e) / n0 is exact.  The residue r = t*e mod n0 walks by
+    t*lam with e, and two comparisons reject it unless |R| <= isqrt(n0 / rho)
+    before the exact test rho*delta*R^2 + e^2 = budget.
+
+    The next |y| takes additions and comparisons only.  The budget drops
+    by a carried difference.  The coset's least member e0 >= -s and
+    r0 = t*e0 mod n0 are carried: y falls by one, so e0 falls by b and r0
+    by t*b, and as 0 <= b < q <= lam one wrap by lam (and t*lam) restores
+    e0 >= -s.  s = isqrt(budget), e0 and r0 are re-derived only once the
+    budget falls below (s - lam//4)^2.  Until then s exceeds isqrt(budget)
+    by at most lam/4, which adds at most one candidate per side, and the
+    exact test rejects it as e^2 > budget.
+
+    All arithmetic is in exact integers.  The scan does not read h, and it
+    ends where the budget turns negative, at
     |y| = isqrt(delta_factor*q // gamma).  Every point with F = n0 lies
     inside that range, and for the t and b that build_witness solves one
     exists: Minkowski's theorem on the Gram determinant
@@ -281,29 +295,48 @@ def enumerate_point(profile: CaseProfile, core: int, q: int, t: int, b: int) -> 
     target = profile.n0(core)
     if target < 3:
         raise ValueError("enumerate_point requires n0 >= 3, got %d" % target)
-    half = target // 2
+    r_max = math.isqrt(target // profile.rho)
+    r_neg = target - r_max
     gn = profile.gamma * target
     gn2 = 2 * gn
     rho_delta = profile.rho * profile.delta_factor * q
     lam = profile.alpha * q
+    quarter = lam // 4
+    tb, tl = t * b % target, t * lam % target
     budget = profile.delta_factor * q * target
     ay_max = math.isqrt(budget // gn)
-    isqrt = math.isqrt
-    by, drop = 0, gn  # b*y at y = -|y|, and budget(|y|) - budget(|y| + 1)
+    drop = gn  # budget(|y|) - budget(|y| + 1)
+    refresh = budget + 1  # s, e0 and r0 are re-derived once budget < refresh
 
     for ay in range(min(ay_max, LATTICE_STEP_BUDGET) + 1):
-        s = isqrt(budget)
-        e = (by + s) % lam - s
+        if budget < refresh:
+            s = math.isqrt(budget)
+            e0 = (s - b * ay) % lam - s
+            r0 = t * e0 % target
+            refresh = (s - quarter) ** 2 if s > quarter else -1
+        e, r = e0, r0
         while e <= s:
-            r_val = (t * e + half) % target - half
-            if rho_delta * r_val * r_val + e * e == budget:
-                x = (e - by) // lam
-                lattice_x = 2 * x if profile.x_substituted else x
-                return (lattice_x, -ay, (r_val - t * e) // target)
+            if r <= r_max or r >= r_neg:
+                r_val = r if r <= r_max else r - target
+                if rho_delta * r_val * r_val + e * e == budget:
+                    x = (e + b * ay) // lam
+                    lattice_x = 2 * x if profile.x_substituted else x
+                    return (lattice_x, -ay, (r_val - t * e) // target)
             e += lam
+            r += tl
+            if r >= target:
+                r -= target
         budget -= drop
         drop += gn2
-        by -= b
+        e0 -= b
+        r0 -= tb
+        if r0 < 0:
+            r0 += target
+        if e0 < -s:
+            e0 += lam
+            r0 += tl
+            if r0 >= target:
+                r0 -= target
     if ay_max > LATTICE_STEP_BUDGET:
         raise ResourceCapError(
             "lattice scan for core %d (profile %s) passed its budget of %d values of |y|"
@@ -379,22 +412,24 @@ def _is_int(v) -> bool:
 
 
 def _shape_problems(w: Witness) -> list:
-    """Fields of the wrong type or length: integers are ints but not bools,
-    point, binary and representation are tuples of ints, and the
-    construction, when present, is a Construction."""
+    """Fields of the wrong type or length, each named by its JSON key:
+    integers are ints but not bools, point, binary_rep and representation
+    are tuples of ints, and the construction, when present, is a
+    Construction."""
     problems = []
     if not isinstance(w.form, TernaryForm):
-        problems.append("form is not a TernaryForm")
+        problems.append("form is not one of the four forms")
     if not isinstance(w.case_id, str):
-        problems.append("case id is not a string")
+        problems.append("case is not a string")
     con = w.construction
     if con is not None and not isinstance(con, Construction):
         problems.append("construction is not a Construction")
     ints = [(name, getattr(w, name)) for name in ("m", "k", "s", "core")]
     tuples = [("representation", w.representation, 3)]
     if isinstance(con, Construction):
-        ints += [(name, getattr(con, name)) for name in ("q", "t", "b", "h", "r1", "n")]
-        tuples += [("point", con.point, 3), ("binary rep", con.binary, 2)]
+        ints += [("q", con.q), ("t", con.t), ("b", con.b), ("h", con.h),
+                 ("R", con.r1), ("binary_value", con.n)]
+        tuples += [("point", con.point, 3), ("binary_rep", con.binary, 2)]
     for name, value in ints:
         if not _is_int(value):
             problems.append("%s is not an integer" % name)

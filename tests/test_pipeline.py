@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import math
 import random
@@ -281,8 +282,10 @@ def first_point_reference(profile, core, q, t, b):
     """Naive rescan used to cross-check enumerate_point.
 
     Iterates the same normative order but derives the ranges from
-    conservative symmetric bounds instead of the tight interval: y runs over
-    y^2 < 2*delta_factor*q/gamma, twice the scan's own bound on y^2.
+    conservative bounds instead of the scan's shrinking interval: y runs
+    over y^2 < 2*delta_factor*q/gamma, twice the scan's own bound on y^2,
+    and x over |alpha*q*x + b*y| <= isqrt(delta_factor*q*n0) + alpha*q, one
+    step of x past the bound that every point with F = n0 meets at y = 0.
     """
     target = profile.n0(core)
     u, w, v = profile.binary_coefficients(core, q, b)
@@ -291,13 +294,13 @@ def first_point_reference(profile, core, q, t, b):
     y_max = 0
     while (y_max + 1) * (y_max + 1) * profile.gamma < 2 * profile.delta_factor * q:
         y_max += 1
-    budget = profile.delta_factor * q * target
-    x_max = (math.isqrt(budget) + b * y_max) // (profile.alpha * q) + 1
+    lam = profile.alpha * q
+    s = math.isqrt(profile.delta_factor * q * target)
     ys = [0]
     for ay in range(1, y_max + 1):
         ys.extend((-ay, ay))
     for y in ys:
-        for x in range(-x_max, x_max + 1):
+        for x in range((-s - b * y) // lam - 1, (s - b * y) // lam + 2):
             rem = target - (u * x * x + w * x * y + v * y * y)
             if rem < 0 or rem % profile.rho != 0:
                 continue
@@ -328,12 +331,33 @@ class TestEnumeratePoint:
     def test_agrees_with_reference_scan(self):
         witnesses = [w for form in TernaryForm
                      for w in constructive_witnesses(form, 1, 260)]
+        rng = random.Random(2015)
         witnesses += [build_witness(form, m) for form, m in seeded_case_inputs(
-            random.Random(2015), per_case=8, min_bits=14, max_bits=19)]
+            rng, per_case=8, min_bits=14, max_bits=19)]
+        # q is mostly above 2^20 here, and some hits lie past |y| = 3000
+        witnesses += [build_witness(form, m) for form, m in seeded_case_inputs(
+            rng, per_case=6, min_bits=22, max_bits=26)]
         for w in witnesses:
             _, profile, core = construction_frame(w.form, w.core)
             con = w.construction
             assert first_point_reference(profile, core, con.q, con.t, con.b) == con.point
+
+    # The scan re-derives s = isqrt(budget) once the budget falls below
+    # (s - lam//4)^2; each of these hits lies past the first such |y|
+    @pytest.mark.parametrize("form, m", [(TernaryForm.D112, 3646777),
+                                         (TernaryForm.D117, 5910740)])
+    def test_hit_after_a_refresh(self, form, m):
+        w = build_witness(form, m)
+        _, profile, core = construction_frame(form, w.core)
+        con = w.construction
+        n0 = profile.n0(core)
+        budget = profile.delta_factor * con.q * n0
+        floor = (math.isqrt(budget) - profile.alpha * con.q // 4) ** 2
+        first = next(ay for ay in itertools.count()
+                     if budget - profile.gamma * n0 * ay * ay < floor)
+        assert con.q > 2**20 and first <= -con.point[1]
+        assert first_point_reference(profile, core, con.q, con.t, con.b) == con.point
+        assert enumerate_point(profile, core, con.q, con.t, con.b) == con.point
 
     @given(st.sampled_from(list(TernaryForm)), st.integers(1, 2**32))
     def test_point_is_on_the_nonpositive_y_side(self, form, m):
@@ -583,8 +607,8 @@ class TestVerifyWitness:
          "representation is not a triple"),
         (TernaryForm.D113, 4, dict(representation=(1, 0)),
          "representation is not a triple"),
-        (TernaryForm.D122, 3, dict(binary=(1,)), "binary rep is not a pair"),
-        (TernaryForm.D122, 3, dict(binary=(1, 0, 0)), "binary rep is not a pair"),
+        (TernaryForm.D122, 3, dict(binary=(1,)), "binary_rep is not a pair"),
+        (TernaryForm.D122, 3, dict(binary=(1, 0, 0)), "binary_rep is not a pair"),
         (TernaryForm.D122, 3, dict(construction=(73, 1)),
          "construction is not a Construction"),
         (TernaryForm.D122, 3, dict(construction=None),
@@ -612,9 +636,9 @@ class TestVerifyWitness:
         (dict(representation=(True, 0, 1)), "representation has a non-integer entry"),
         (dict(k=False), "k is not an integer"),
         (dict(m=3.0), "m is not an integer"),
-        (dict(binary=(1.0, 0)), "binary rep has a non-integer entry"),
-        (dict(form="x2+2y2+2z2"), "form is not a TernaryForm"),
-        (dict(case_id=None), "case id is not a string"),
+        (dict(binary=(1.0, 0)), "binary_rep has a non-integer entry"),
+        (dict(form="x2+2y2+2z2"), "form is not one of the four forms"),
+        (dict(case_id=None), "case is not a string"),
         (dict(k=2**80), "4^k * s^2 * core != m"),
     ], ids=["representation-none", "point-int", "q-str", "point-floats",
             "point-list", "representation-bool", "k-bool", "m-float",
@@ -626,12 +650,12 @@ class TestVerifyWitness:
     # names no form, a point that is a JSON object, and a construction of
     # two keys
     @pytest.mark.parametrize("changes, problems", [
-        (dict(form="x2+y2+5z2"), ["form is not a TernaryForm"]),
-        (dict(form=3), ["form is not a TernaryForm"]),
+        (dict(form="x2+y2+5z2"), ["form is not one of the four forms"]),
+        (dict(form=3), ["form is not one of the four forms"]),
         (dict(point={"x": 1}), ["point is not a triple"]),
         (dict(q=73, t=1, **dict.fromkeys(WITNESS_KEYS[10:16])),
-         ["b is not an integer", "h is not an integer", "r1 is not an integer",
-          "n is not an integer", "point is not a triple", "binary rep is not a pair"]),
+         ["b is not an integer", "h is not an integer", "R is not an integer",
+          "binary_value is not an integer", "point is not a triple", "binary_rep is not a pair"]),
     ], ids=["form-unknown-name", "form-int", "point-object", "construction-pair"])
     def test_json_only_edit(self, changes, problems):
         doc = witness_fields(build_witness(TernaryForm.D122, 3)) | changes
