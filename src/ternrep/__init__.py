@@ -18,7 +18,7 @@ from .errors import (
     ResourceCapError,
     TernrepError,
 )
-from .factor import factorize, ord_p, squarefree_decompose
+from .factor import RHO_STEP_BUDGET, factorize, ord_p, squarefree_decompose
 from .forms import (
     Eligibility,
     EligibilityVerdict,
@@ -64,7 +64,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "jacobi", "is_prime", "sqrt_mod_prime", "inv_mod", "crt", "PRIMALITY_LIMIT",
-    "factorize", "squarefree_decompose", "ord_p",
+    "factorize", "squarefree_decompose", "ord_p", "RHO_STEP_BUDGET",
     "TernaryForm", "Eligibility", "EligibilityVerdict",
     "eligibility", "evaluate", "reduce_to_core", "lift_representation",
     "CaseProfile", "PROFILES", "select_case",

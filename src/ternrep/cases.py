@@ -41,6 +41,16 @@ What follows from them is derived, not stored:
   Geometry of Numbers, ch. III) some lattice point has 0 < F < 2*n0, since
   F is positive definite, and F = 0 (mod n0) forces F = n0 (the argument
   of Ankeny, Sums of three squares, Proc. AMS 8, 1957).
+* the parity of |y| at a point with F = n0, in two rows.  delta*F = n0*delta
+  reads rho*delta*R^2 + e^2 + gamma*n0*y^2 = delta_factor*q*n0.  In T1B
+  (rho = delta_factor = alpha = 2, gamma = 1) e = 2qx + by has the parity
+  of y, as b is odd: an even y makes the left side 0 (mod 4) and the right
+  side 2qn0 = 2 (mod 4), so |y| is odd.  In T2C (rho = delta_factor =
+  alpha = 1, gamma = 2, q = 1 (mod 8)) an odd y leaves
+  R^2 + e^2 = qn0 - 2n0 = -n0 (mod 8), which is 3 or 7 for n0 = 1, 5
+  (mod 8) and no sum of two squares, so |y| is even.  In every other row
+  both parities pass the congruence mod 64 (tests/test_cases.py enumerates
+  it for each row), so the lattice scan visits every |y| there.
 
 For the even-core profiles of x^2+2y^2+2z^2 the lattice is restricted to
 even x; the substitution x = 2x' is already folded into the coefficients,
@@ -104,6 +114,12 @@ class CaseProfile:
         coordinates is det_factor * n0^3, and a row needs
         36*det_factor < 8*pi^2 for a lattice point with F = n0 to exist."""
         return Fraction(self.rho * self.alpha ** 2 * self.gamma, self.delta_factor ** 2)
+
+    @property
+    def y_parity(self) -> int | None:
+        """The parity of |y| at every lattice point with F = n0: 1 in T1B,
+        0 in T2C, and None where both occur."""
+        return {"T1B": 1, "T2C": 0}.get(self.id)
 
     def n0(self, core: int) -> int:
         """Odd part of the core: the value F must take, the modulus of t

@@ -16,7 +16,15 @@ that bound permits and takes the first hit.
 import math
 from dataclasses import dataclass, fields
 
-from .arith import PRIMALITY_LIMIT, crt, inv_mod, is_prime, sqrt_mod_prime
+from .arith import (
+    LEAST_FACTOR,
+    PRIMALITY_LIMIT,
+    TABLE_LIMIT,
+    crt,
+    inv_mod,
+    is_prime,
+    sqrt_mod_prime,
+)
 from .cases import CaseProfile, select_case
 from .descent import represent_binary
 from .errors import (
@@ -66,7 +74,11 @@ Q_CANDIDATE_BUDGET = 10**6
 
 # enumerate_point stops with ResourceCapError once |y| passes this bound,
 # after 1.8-2.0 s on a 2-vCPU Xeon: each |y| carries its coset of x from
-# the last, at a few additions and comparisons.  The budget
+# the last, at a few additions and comparisons.  T1B and T2C visit one
+# parity of |y| only, so they reach |y| = 2^21 after 2^20 visited values
+# (2^20 + 1 in T2C, which starts at 0), in about half that time; as no
+# point has the other parity, the same inputs are refused with the same
+# message.  The budget
 # delta*n0 - gamma*n0*y^2 turns negative past
 # |y| = isqrt(delta_factor*q // gamma) <= isqrt(2q), so no core with
 # q < 2^41 can reach it: every m up to 2^40 keeps its witness
@@ -168,6 +180,13 @@ def find_q(profile: CaseProfile, core: int, primes) -> int:
     odd prime, so the symbol is taken by Euler's criterion,
     (-t_den_factor * q)^((p-1)/2) = 1 (mod p).
 
+    Each value of the class meets the cheaper test first.  Below TABLE_LIMIT
+    that is primality, one byte of arith.LEAST_FACTOR (every class holds odd
+    numbers only), and then the characters.  From TABLE_LIMIT up it is the
+    characters, each of which fails for about half of the values, and
+    is_prime runs only on a value that passes them all.  The order of the
+    tests does not change which q is returned.
+
     Raises ResourceCapError after Q_CANDIDATE_BUDGET values of the residue
     class have been examined, or when q reaches PRIMALITY_LIMIT.
     """
@@ -176,16 +195,20 @@ def find_q(profile: CaseProfile, core: int, primes) -> int:
     q = max(core, 2) + 1
     q += (r - q) % modulus
     for _ in range(Q_CANDIDATE_BUDGET):
-        if q >= PRIMALITY_LIMIT:
+        if q < TABLE_LIMIT:
+            if LEAST_FACTOR[q >> 1]:
+                q += modulus
+                continue
+        elif q >= PRIMALITY_LIMIT:
             raise ResourceCapError(
                 "no auxiliary prime for core %d below the proven primality bound" % core
             )
-        if is_prime(q):
-            a = -den * q
-            for p in primes:
-                if pow(a, p >> 1, p) != 1:
-                    break
-            else:
+        a = -den * q
+        for p in primes:
+            if pow(a, p >> 1, p) != 1:
+                break
+        else:
+            if q < TABLE_LIMIT or is_prime(q):
                 return q
         q += modulus
     raise ResourceCapError(
@@ -271,10 +294,16 @@ def enumerate_point(profile: CaseProfile, core: int, q: int, t: int, b: int) -> 
     t*lam with e, and two comparisons reject it unless |R| <= isqrt(n0 / rho)
     before the exact test rho*delta*R^2 + e^2 = budget.
 
+    In T1B every point has |y| odd, and in T2C every point has |y| even
+    (CaseProfile.y_parity, proved in cases.py), so there the scan starts at
+    |y| = 1 or 0 and steps by 2; elsewhere it visits every |y|.  Skipping
+    |y| values without a point keeps the first point.
+
     The next |y| takes additions and comparisons only.  The budget drops
-    by a carried difference.  The coset's least member e0 >= -s and
-    r0 = t*e0 mod n0 are carried: y falls by one, so e0 falls by b and r0
-    by t*b, and as 0 <= b < q <= lam one wrap by lam (and t*lam) restores
+    by a carried difference, which grows by 2*step^2*gamma*n0.  The
+    coset's least member e0 >= -s and r0 = t*e0 mod n0 are carried: y falls
+    by step, so the coset moves by step*b, and e0 falls by step*b mod lam
+    and r0 by t times that.  One wrap by lam (and t*lam) then restores
     e0 >= -s.  s = isqrt(budget), e0 and r0 are re-derived only once the
     budget falls below (s - lam//4)^2.  Until then s exceeds isqrt(budget)
     by at most lam/4, which adds at most one candidate per side, and the
@@ -298,17 +327,20 @@ def enumerate_point(profile: CaseProfile, core: int, q: int, t: int, b: int) -> 
     r_max = math.isqrt(target // profile.rho)
     r_neg = target - r_max
     gn = profile.gamma * target
-    gn2 = 2 * gn
     rho_delta = profile.rho * profile.delta_factor * q
     lam = profile.alpha * q
     quarter = lam // 4
-    tb, tl = t * b % target, t * lam % target
-    budget = profile.delta_factor * q * target
-    ay_max = math.isqrt(budget // gn)
-    drop = gn  # budget(|y|) - budget(|y| + 1)
+    start, step = (0, 1) if profile.y_parity is None else (profile.y_parity, 2)
+    eb = step * b % lam  # the coset's shift per visited |y|, reduced mod lam
+    tb, tl = t * eb % target, t * lam % target
+    full = profile.delta_factor * q * target
+    ay_max = math.isqrt(full // gn)
+    budget = full - gn * start * start
+    drop = gn * step * (2 * start + step)  # budget(|y|) - budget(|y| + step)
+    drop_step = 2 * gn * step * step
     refresh = budget + 1  # s, e0 and r0 are re-derived once budget < refresh
 
-    for ay in range(min(ay_max, LATTICE_STEP_BUDGET) + 1):
+    for ay in range(start, min(ay_max, LATTICE_STEP_BUDGET) + 1, step):
         if budget < refresh:
             s = math.isqrt(budget)
             e0 = (s - b * ay) % lam - s
@@ -327,8 +359,8 @@ def enumerate_point(profile: CaseProfile, core: int, q: int, t: int, b: int) -> 
             if r >= target:
                 r -= target
         budget -= drop
-        drop += gn2
-        e0 -= b
+        drop += drop_step
+        e0 -= eb
         r0 -= tb
         if r0 < 0:
             r0 += target
@@ -536,13 +568,13 @@ def witness_problems(w: Witness) -> list:
     if r1 != con.r1:
         problems.append("R does not match the point")
     if n != con.n:
-        problems.append("binary value does not match the point")
+        problems.append("binary_value does not match the point")
 
     a, beta = con.binary
     if a < 0 or beta < 0:
-        problems.append("binary rep not normalized")
+        problems.append("binary_rep not normalized")
     if a * a + profile.c * beta * beta != con.n:
-        problems.append("binary rep does not evaluate to n")
+        problems.append("binary_rep does not evaluate to n")
 
     base = _assemble(case_id, profile, con.binary, con.r1)
     if w.representation != lift_representation(base, w.k, w.s):

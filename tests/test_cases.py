@@ -137,6 +137,61 @@ class TestExistenceBound:
         assert 36 * PROFILES[case_id].det_factor < 8 * PI_LO ** 2
 
 
+def admissible_y_parities(profile, modulus=64):
+    """Parities of y for which rho*delta_f*q*R^2 + e^2 + gamma*n0*y^2
+    = delta_f*q*n0 has a solution mod 64.
+
+    q runs over the odd residues of its class, n0 over the odd residues in
+    core_residues (mod 8), b over the parities that solve_bh allows (that
+    of gamma*n0 when d_factor is even), and e = alpha*q*x + b*y over the
+    residues = b*y (mod 2) when alpha is even.  R, e and y run over every
+    residue: a point with F = n0 has a parity of y that appears here."""
+    r, q_mod = profile.q_residue
+    step = math.gcd(q_mod, modulus)
+    squares = [{v * v % modulus for v in range(modulus) if v % 2 == par}
+               for par in (0, 1)]
+    every = squares[0] | squares[1]
+    found = set()
+    for q in range(1, modulus, 2):
+        if q % step != r % step:
+            continue
+        r_part = {profile.rho * profile.delta_factor * q * v % modulus for v in every}
+        for n0 in range(1, modulus, 2):
+            if n0 % 8 not in profile.core_residues:
+                continue
+            b_parities = (0, 1) if profile.d_factor % 2 else (profile.gamma * n0 % 2,)
+            for b, y in itertools.product(b_parities, range(modulus)):
+                e_part = squares[b * y % 2] if profile.alpha % 2 == 0 else every
+                rest = (profile.delta_factor * q - profile.gamma * y * y) * n0
+                if any((rest - e2) % modulus in r_part for e2 in e_part):
+                    found.add(y % 2)
+    return found
+
+
+class TestParityOfY:
+    """CaseProfile.y_parity, which lets the lattice scan step |y| by 2, is
+    what the 2-adic congruence of each row proves."""
+
+    def test_parity_is_forced_by_the_congruence(self):
+        # exactly T1B and T2C admit a single parity of y mod 64
+        single = {}
+        for p in PROFILES.values():
+            parities = admissible_y_parities(p)
+            assert parities, p.id
+            if len(parities) == 1:
+                single[p.id] = parities.pop()
+        assert single == {"T1B": 1, "T2C": 0}
+        assert {p.id: p.y_parity for p in PROFILES.values()} == {
+            case_id: single.get(case_id) for case_id in PROFILES}
+
+    @pytest.mark.parametrize("case_id", sorted(TABLE))
+    def test_points_of_both_parities_where_allowed(self, case_id):
+        # the rows that visit every |y| do have points at each parity
+        p = PROFILES[case_id]
+        parities = {con.point[1] % 2 for con in constructions(p, 60).values()}
+        assert parities == ({0, 1} if p.y_parity is None else {p.y_parity})
+
+
 class TestSelectCase:
     def test_pinned_values(self):
         assert select_case(TernaryForm.D122, 3).id == "T1A"

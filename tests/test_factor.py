@@ -1,3 +1,4 @@
+import io
 import math
 
 import pytest
@@ -12,6 +13,7 @@ from ternrep import (
     ord_p,
     squarefree_decompose,
 )
+from ternrep.cli import dispatch
 
 
 def trial_division(n):
@@ -123,6 +125,20 @@ class TestFactorize:
     def test_budget_cap(self):
         with pytest.raises(ResourceCapError):
             factorize(PRIMALITY_LIMIT)
+
+    def test_rho_step_budget(self, monkeypatch):
+        # rho splits 1000003 * 1000033 after exactly 1022 steps of f
+        n = 1000003 * 1000033
+        monkeypatch.setattr(factor, "RHO_STEP_BUDGET", 1022)
+        assert factorize(n) == [(1000003, 1), (1000033, 1)]
+        monkeypatch.setattr(factor, "RHO_STEP_BUDGET", 1021)
+        with pytest.raises(ResourceCapError, match="budget of 1021 steps"):
+            factorize(n)
+        # n = 3 (mod 8) is eligible for x2+2y2+2z2, and reducing it factors it
+        out, err = io.StringIO(), io.StringIO()
+        code = dispatch(["represent", "--form", "x2+2y2+2z2", "--m", str(n)], out, err)
+        assert (code, out.getvalue()) == (5, "")
+        assert err.getvalue().startswith("resource cap: factorize: Pollard rho on %d" % n)
 
 
 class TestSquarefreeDecompose:

@@ -121,6 +121,35 @@ def constructive_witnesses(form, lo, hi):
             yield w
 
 
+def eligible_frames(cores):
+    """{(profile id, frame core)} of the eligible constructive cores among
+    cores, where a T2D core 2*m1 counts with its frame core m1 in cores."""
+    frames = set()
+    for form in TernaryForm:
+        even = [2 * c for c in cores] if form is TernaryForm.D112 else []
+        for core in itertools.chain(cores, even):
+            if (eligibility(form, core).eligible
+                    and reduce_to_core(form, core) == (0, 1, core)
+                    and (form, core) not in _SMALL_CORE_BASE):
+                _, profile, frame_core = construction_frame(form, core)
+                if frame_core in cores:
+                    frames.add((profile.id, frame_core))
+    return frames
+
+
+def assert_matches_jacobi_search(profile, core):
+    """find_q against a copy of the search that walks q's class and tests
+    is_prime, then each character with jacobi."""
+    primes = primes_of(profile, core)
+    r, modulus = profile.q_residue
+    q = max(core, 2) + 1
+    q += (r - q) % modulus
+    while not (is_prime(q) and all(
+            jacobi(-profile.t_den_factor * q, p) == 1 for p in primes)):
+        q += modulus
+    assert find_q(profile, core, primes) == q, (profile.id, core)
+
+
 class TestFindQ:
     def test_pinned_values(self):
         assert find_q(T1A, 3, [3]) == 73
@@ -159,30 +188,33 @@ class TestFindQ:
                 assert jacobi(-profile.rho * profile.delta_factor * q, p) == 1
 
     def test_matches_a_jacobi_search_to_20000(self):
-        # every eligible frame core <= 20000 of each profile, against a copy
-        # of the search that takes its symbols with jacobi
-        def find_q_by_jacobi(profile, core, primes):
-            r, modulus = profile.q_residue
-            q = max(core, 2) + 1
-            q += (r - q) % modulus
-            while not (is_prime(q) and all(
-                    jacobi(-profile.t_den_factor * q, p) == 1 for p in primes)):
-                q += modulus
-            return q
-
-        frames = set()
-        for form in TernaryForm:
-            for core in range(1, 20001):
-                if (eligibility(form, core).eligible
-                        and reduce_to_core(form, core) == (0, 1, core)
-                        and (form, core) not in _SMALL_CORE_BASE):
-                    _, profile, frame_core = construction_frame(form, core)
-                    frames.add((profile.id, frame_core))
+        # every eligible frame core <= 20000 of each profile
+        frames = eligible_frames(range(1, 20001))
         assert {profile_id for profile_id, _ in frames} == set(PROFILES)
         for profile_id, core in sorted(frames):
-            profile = PROFILES[profile_id]
-            primes = primes_of(profile, core)
-            assert find_q(profile, core, primes) == find_q_by_jacobi(profile, core, primes)
+            assert_matches_jacobi_search(PROFILES[profile_id], core)
+
+    def test_matches_a_jacobi_search_across_the_table_limit(self):
+        # find_q reads primality from the table below TABLE_LIMIT = 2^16 and
+        # tests the characters first from there up
+        frames = eligible_frames(range(2**16 - 3000, 2**16 + 3001))
+        assert {profile_id for profile_id, _ in frames} == set(PROFILES)
+        for profile_id, core in sorted(frames):
+            assert_matches_jacobi_search(PROFILES[profile_id], core)
+
+    def test_matches_a_jacobi_search_on_seeded_cores(self):
+        rng = random.Random(2116)
+        forms = list(TernaryForm)
+        found = 0
+        while found < 200:
+            bits = rng.randint(24, 40)
+            form = rng.choice(forms)
+            m = rng.getrandbits(bits) | 1 << (bits - 1)
+            if eligibility(form, m).eligible:
+                _, profile, core = construction_frame(form, reduce_to_core(form, m)[2])
+                if core.bit_length() >= 24:
+                    assert_matches_jacobi_search(profile, core)
+                    found += 1
 
     def test_cap(self, monkeypatch):
         monkeypatch.setattr(pipeline, "Q_CANDIDATE_BUDGET", 1)
@@ -377,17 +409,23 @@ class TestEnumeratePoint:
             enumerate_point(PROFILES[profile_id], core, 73, 1, 17)
 
     def test_budget_caps_the_scan(self, monkeypatch):
-        # the golden point sits at |y| = 4 and the scan's y bound is 8
-        monkeypatch.setattr(pipeline, "LATTICE_STEP_BUDGET", 4)
-        assert enumerate_point(T1A, 3, 73, 1, 17) == (1, -4, -2)
-        monkeypatch.setattr(pipeline, "LATTICE_STEP_BUDGET", 3)
-        with pytest.raises(ResourceCapError, match="budget of 3 values of"):
-            enumerate_point(T1A, 3, 73, 1, 17)
-        out, err = io.StringIO(), io.StringIO()
-        code = dispatch(["witness", "--form", "x2+2y2+2z2", "--m", "3", "--json"],
-                        out, err)
-        assert (code, out.getvalue()) == (5, "")
-        assert err.getvalue().startswith("resource cap: lattice scan for core 3")
+        # the golden T1A point sits at |y| = 4 and the scan's y bound is 8;
+        # the T1B point of m = 5 sits at |y| = 5, and T1B visits odd |y| only
+        cases = [(T1A, 3, (73, 1, 17), (1, -4, -2)), (T1B, 5, (41, 1, 35), (2, -5, 2))]
+        for profile, core, _, _ in cases:
+            assert build_witness(TernaryForm.D122, core).case_id == profile.id
+        for profile, core, (q, t, b), point in cases:
+            ay = -point[1]
+            monkeypatch.setattr(pipeline, "LATTICE_STEP_BUDGET", ay)
+            assert enumerate_point(profile, core, q, t, b) == point
+            monkeypatch.setattr(pipeline, "LATTICE_STEP_BUDGET", ay - 1)
+            with pytest.raises(ResourceCapError, match="budget of %d values of" % (ay - 1)):
+                enumerate_point(profile, core, q, t, b)
+            out, err = io.StringIO(), io.StringIO()
+            code = dispatch(["witness", "--form", "x2+2y2+2z2", "--m", str(core), "--json"],
+                            out, err)
+            assert (code, out.getvalue()) == (5, "")
+            assert err.getvalue().startswith("resource cap: lattice scan for core %d" % core)
 
     def test_substituted_lattice_coordinate_is_even(self):
         for w in constructive_witnesses(TernaryForm.D122, 1, 300):
@@ -547,8 +585,13 @@ class TestVerifyWitness:
         rejected(w, case_id="T1B")
 
     def test_corrupted_binary(self):
+        # the value lines name the JSON keys binary_rep and binary_value
         w = build_witness(TernaryForm.D122, 11)
-        rejected(w, binary=(w.construction.binary[0] + 1, w.construction.binary[1]))
+        a, beta = w.construction.binary
+        assert a > 0
+        assert "binary_rep does not evaluate to n" in rejected(w, binary=(a + 1, beta))
+        assert "binary_rep not normalized" in rejected(w, binary=(-a, beta))
+        assert "binary_value does not match the point" in rejected(w, n=w.construction.n + 1)
 
     def test_corrupted_scale(self):
         w = build_witness(TernaryForm.D122, 12)
