@@ -6,9 +6,9 @@ x^2+y^2+3z^2 and x^2+y^2+7z^2, and ships an independent brute-force oracle
 for auditing every claim.
 """
 
-from .arith import PRIMALITY_LIMIT, crt, inv_mod, is_prime, jacobi, sqrt_mod_prime
+from .arith import PRIMALITY_LIMIT, crt, inv_mod, is_prime, sqrt_mod_prime
 from .cases import CaseProfile, PROFILES, select_case
-from .descent import compose, cornacchia_prime, represent_binary
+from .descent import compose, represent_binary
 from .errors import (
     InternalError,
     NonCoprimeModuliError,
@@ -34,9 +34,7 @@ from .oracle import (
     SCAN_HI_LIMIT,
     ScanReport,
     ScanRow,
-    brute_force_binary,
     brute_force_ternary,
-    descent_mismatches,
     first_triples,
     oracle_triple,
     represented_bits,
@@ -63,15 +61,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "jacobi", "is_prime", "sqrt_mod_prime", "inv_mod", "crt", "PRIMALITY_LIMIT",
+    "is_prime", "sqrt_mod_prime", "inv_mod", "crt", "PRIMALITY_LIMIT",
     "factorize", "squarefree_decompose", "ord_p", "RHO_STEP_BUDGET",
     "TernaryForm", "Eligibility", "EligibilityVerdict",
     "eligibility", "evaluate", "reduce_to_core", "lift_representation",
     "CaseProfile", "PROFILES", "select_case",
-    "cornacchia_prime", "compose", "represent_binary",
+    "compose", "represent_binary",
     "brute_force_ternary", "first_triples", "oracle_triple", "ORACLE_STEP_BUDGET",
-    "brute_force_binary", "represented_bits",
-    "descent_mismatches", "SCAN_HI_LIMIT", "POOL_MIN_ROWS", "ScanRow", "ScanReport",
+    "represented_bits", "SCAN_HI_LIMIT", "POOL_MIN_ROWS", "ScanRow", "ScanReport",
     "scan_compare",
     "Construction", "Witness", "build_witness", "construction_frame", "find_q",
     "solve_t", "solve_bh", "enumerate_point", "LATTICE_STEP_BUDGET",

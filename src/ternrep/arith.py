@@ -1,35 +1,16 @@
-"""Modular arithmetic primitives: Jacobi symbol, deterministic primality,
-the least-prime-factor table below 2**16, square roots mod p, inverses, CRT.
+"""Modular arithmetic primitives: deterministic primality, the
+least-prime-factor table below 2**16, square roots mod p, inverses, CRT.
 
-All functions work on plain Python ints and are pure.
+The chain takes Legendre symbols only at proven primes p, so its callers
+use Euler's criterion, one pow: (a/p) = 1 exactly when a^((p-1)/2) = 1
+(mod p).  All functions work on plain Python ints and are pure.
 """
 
 import math
 
 from .errors import NonCoprimeModuliError, NonResidueError, NotInvertibleError
 
-__all__ = ["jacobi", "is_prime", "sqrt_mod_prime", "inv_mod", "crt", "PRIMALITY_LIMIT"]
-
-
-def jacobi(a: int, n: int) -> int:
-    """Jacobi symbol (a/n) for odd positive n; jacobi(a, 1) == 1.
-
-    Returns -1, 0 or 1.  0 exactly when gcd(a, n) > 1.
-    """
-    if n <= 0 or n % 2 == 0:
-        raise ValueError("jacobi requires odd positive n, got %r" % (n,))
-    a %= n
-    result = 1
-    while a != 0:
-        twos = (a & -a).bit_length() - 1
-        a >>= twos
-        if twos & 1 and (n & 7) in (3, 5):
-            result = -result
-        # reciprocity flips the sign when both odd numbers are 3 mod 4
-        if a & n & 2:
-            result = -result
-        a, n = n % a, a
-    return result if n == 1 else 0
+__all__ = ["is_prime", "sqrt_mod_prime", "inv_mod", "crt", "PRIMALITY_LIMIT"]
 
 
 # Deterministic Miller-Rabin witness sets.  Each entry (bound, bases) is a

@@ -5,8 +5,8 @@ fixes the whole shape of the construction:
 
 * which residue class the auxiliary prime q is drawn from,
 * the modular parameter t with t^2 = -1/(t_den_factor * q) mod n0, the odd
-  part of the core, and the character condition jacobi(-t_den_factor * q,
-  p) = 1 at each prime p of n0 that makes it solvable,
+  part of the core, and the character condition that makes it solvable:
+  the Legendre symbol (-t_den_factor * q / p) = 1 at each prime p of n0,
 * the pair (b, h) with b^2 + gamma*n0 = d*q*h,
 * the integer quadratic form F(x, y, z) = rho*R^2 + u*x^2 + w*x*y + v*y^2
   whose value at the searched lattice point equals the target, and

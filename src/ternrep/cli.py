@@ -20,9 +20,9 @@ import os
 import sys
 
 from .errors import InternalError, ResourceCapError
-from .forms import Eligibility, FORM_BY_NAME, TernaryForm, eligibility, evaluate
+from .forms import Eligibility, FORM_BY_NAME, TernaryForm, eligibility
 from .oracle import check_scan_hi, oracle_triple, scan_compare
-from .pipeline import (WITNESS_KEYS, Witness, build_witness, witness_fields,
+from .pipeline import (Witness, build_witness, verdict_fields, witness_fields,
                        witness_from_fields, witness_problems)
 
 __all__ = ["main", "dispatch"]
@@ -41,10 +41,6 @@ _VERDICT_EXIT = {
 }
 
 _FALLBACK_FORMS = (TernaryForm.D113, TernaryForm.D117)
-
-# Marker used in the "case" slot when a representation came from the
-# brute-force fallback rather than the constructive pipeline.
-ORACLE_CASE = "ORACLE"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -144,15 +140,7 @@ def _cmd_represent(args, out, err, trail: bool) -> int:
         fallback = (args.fallback_oracle
                     and result.kind is Eligibility.OUTSIDE_COVERED_CASES)
         rep = oracle_triple(form, args.m) if fallback else None
-        fields = dict.fromkeys(WITNESS_KEYS) | {
-            "form": form.cli_name,
-            "m": args.m,
-            "eligible": False,
-            "verdict": result.kind.value,
-            "case": ORACLE_CASE if rep is not None else None,
-            "representation": None if rep is None else list(rep),
-            "verified": rep is not None and evaluate(form, rep) == args.m,
-        }
+        fields = verdict_fields(form, args.m, result, rep)
         code = (EXIT_OK if rep is not None else
                 EXIT_OBSTRUCTED if fallback else _VERDICT_EXIT[result.kind])
     text = (_verdict_line(result, args.m) if rep is None

@@ -8,38 +8,24 @@ the parts are folded together with the Brahmagupta composition identity.
 
 import math
 
-from .arith import is_prime, sqrt_mod_prime
+from .arith import sqrt_mod_prime
 from .errors import InternalError, NonResidueError, NotRepresentableError
 from .factor import factorize
 
-__all__ = ["cornacchia_prime", "compose", "represent_binary", "BINARY_CONSTANTS"]
+__all__ = ["compose", "represent_binary", "BINARY_CONSTANTS"]
 
 BINARY_CONSTANTS = (2, 3, 7)
 
 
-def cornacchia_prime(p: int, c: int) -> tuple:
-    """Solve a^2 + c*b^2 = p for an odd prime p.
-
-    Solvable exactly when p == c (giving (0, 1)) or -c is a square mod p;
-    otherwise raises NotRepresentableError.  Uses the root r of -c mod p
-    lying in (p/2, p) and runs the Euclidean remainder sequence on (p, r)
-    down to the first remainder <= sqrt(p).
-    """
-    if c not in BINARY_CONSTANTS:
-        raise ValueError("unsupported binary constant %r" % (c,))
-    if p == c:
-        return (0, 1)
-    if p < 3 or p % 2 == 0 or not is_prime(p):
-        raise ValueError("cornacchia_prime requires an odd prime, got %r" % (p,))
-    try:
-        return _cornacchia(p, c)
-    except NonResidueError:
-        raise NotRepresentableError("-%d is not a square mod %d" % (c, p)) from None
-
-
 def _cornacchia(p: int, c: int) -> tuple:
-    """The Euclidean part of cornacchia_prime, for an odd prime p != c.
-    Raises NonResidueError when -c is not a square mod p."""
+    """Cornacchia's algorithm: (a, b) with a^2 + c*b^2 = p, both >= 0, for
+    an odd prime p != c.
+
+    Takes the root r of -c mod p lying in (p/2, p) and runs the Euclidean
+    remainder sequence on (p, r) down to the first remainder a <= sqrt(p);
+    then (p - a^2) / c is b^2.  Raises NonResidueError when -c is not a
+    square mod p, which is exactly when no solution exists.
+    """
     r = p - sqrt_mod_prime(-c, p)
     bound = math.isqrt(p)
     prev, cur = p, r

@@ -15,11 +15,11 @@ built from about sqrt(hi) big-integer shifts in hi/8 bytes.  scan_compare
 builds it once per scan and reads oracle_found from it.  The rows whose
 oracle triple it prints get their triples from one first_triples sweep
 per chunk, which walks (x, y) in brute_force_ternary's order and z only
-over the values that land in the chunk's range; descent_mismatches reads
-the binary forms (1, c) the same way.  Scans are bounded by SCAN_HI_LIMIT.
+over the values that land in the chunk's range.  Scans are bounded by
+SCAN_HI_LIMIT.
 
-This module sits downstream of the pipeline: it imports the pipeline and
-the descent, and neither of them imports it.
+This module sits downstream of the pipeline: it imports the pipeline, and
+no module it imports imports it back.
 """
 
 import json
@@ -28,15 +28,14 @@ import os
 from dataclasses import dataclass, field
 
 from .arith import PRIMALITY_LIMIT
-from .descent import represent_binary
-from .errors import InternalError, NotRepresentableError, ResourceCapError
+from .errors import InternalError, ResourceCapError
 from .forms import Eligibility, TernaryForm, eligibility
 from .pipeline import Witness, build_witness
 
 __all__ = ["brute_force_ternary", "first_triples", "oracle_triple",
-           "dickson_excluded", "ORACLE_STEP_BUDGET", "brute_force_binary",
-           "represented_bits", "descent_mismatches", "SCAN_HI_LIMIT",
-           "POOL_MIN_ROWS", "ScanRow", "ScanReport", "scan_compare"]
+           "dickson_excluded", "ORACLE_STEP_BUDGET", "represented_bits",
+           "SCAN_HI_LIMIT", "POOL_MIN_ROWS", "ScanRow", "ScanReport",
+           "scan_compare"]
 
 CSV_HEADER = "m,verdict,pipeline_found,oracle_found,agree,x,y,z,q,elapsed_micros"
 _SCAN_COLUMNS = CSV_HEADER.split(",")
@@ -158,21 +157,6 @@ def dickson_excluded(m: int) -> bool:
     return m % 9 == 6
 
 
-def brute_force_binary(c: int, n: int):
-    """First (a, b) with a, b >= 0 and a^2 + c*b^2 = n under an a-outer
-    ascending scan; None when there is no solution."""
-    if n < 0:
-        raise ValueError("brute_force_binary requires n >= 0, got %r" % (n,))
-    for a in range(math.isqrt(n) + 1):
-        rem = n - a * a
-        if rem % c == 0:
-            b2 = rem // c
-            b = math.isqrt(b2)
-            if b * b == b2:
-                return (a, b)
-    return None
-
-
 def represented_bits(coefficients, hi: int) -> int:
     """Bitset of the values of a diagonal form: bit v is set iff v <= hi and
     sum(c * v_i^2) = v for some non-negative integers v_i.
@@ -198,27 +182,6 @@ def _bit_reader(bits: int, hi: int):
     """O(1) lookup of bits 0..hi of a bitset: one bytes copy, hi/8 bytes."""
     table = bits.to_bytes(hi // 8 + 1, "little")
     return lambda v: table[v >> 3] >> (v & 7) & 1 == 1
-
-
-def descent_mismatches(limit: int) -> list:
-    """(c, n) for each c in (2, 3, 7) and 0 <= n <= limit where the descent
-    and the exhaustive oracle disagree on solvability, or the descent
-    returns a pair that is negative or does not evaluate to n.
-
-    The oracle side is represented_bits((1, c), limit), which agrees with
-    brute_force_binary on solvability."""
-    failures = []
-    for c in (2, 3, 7):
-        represented = _bit_reader(represented_bits((1, c), limit), limit)
-        for n in range(limit + 1):
-            try:
-                a, beta = represent_binary(n, c)
-                sound = a >= 0 and beta >= 0 and a * a + c * beta * beta == n
-            except NotRepresentableError:
-                sound = None
-            if (sound is None) == represented(n) or sound is False:
-                failures.append((c, n))
-    return failures
 
 
 @dataclass(frozen=True)

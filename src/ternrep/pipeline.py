@@ -38,6 +38,7 @@ from .factor import factorize
 from .forms import (
     FORM_BY_NAME,
     Eligibility,
+    EligibilityVerdict,
     TernaryForm,
     checked_representation,
     eligibility,
@@ -50,10 +51,12 @@ __all__ = [
     "LATTICE_STEP_BUDGET",
     "Q_CANDIDATE_BUDGET",
     "SMALL_CORE",
+    "ORACLE_CASE",
     "WITNESS_KEYS",
     "Construction",
     "Witness",
     "witness_fields",
+    "verdict_fields",
     "witness_from_fields",
     "construction_frame",
     "find_q",
@@ -99,6 +102,10 @@ _SMALL_CORE_BASE = {
     (TernaryForm.D112, 2): (0, 0, 1),
     (TernaryForm.D113, 1): (0, 1, 0),
 }
+
+# The case of an answer whose triple came from the exhaustive search
+# (represent --fallback-oracle), not from the construction.
+ORACLE_CASE = "ORACLE"
 
 
 @dataclass(frozen=True)
@@ -152,6 +159,23 @@ def witness_fields(w: Witness) -> dict:
             for key, v in zip(WITNESS_KEYS, values)}
 
 
+def verdict_fields(form: TernaryForm, m: int, verdict: EligibilityVerdict,
+                   rep) -> dict:
+    """The JSON object of an answer without a witness, keyed by WITNESS_KEYS:
+    verdict is m's EligibilityVerdict, and rep, when not None, the oracle's
+    triple under case ORACLE_CASE.  verified is whether rep evaluates to m;
+    the keys that only a witness fills are null."""
+    return dict.fromkeys(WITNESS_KEYS) | {
+        "form": form.cli_name,
+        "m": m,
+        "eligible": False,
+        "verdict": verdict.kind.value,
+        "case": ORACLE_CASE if rep is not None else None,
+        "representation": None if rep is None else list(rep),
+        "verified": rep is not None and evaluate(form, rep) == m,
+    }
+
+
 def witness_from_fields(d: dict) -> Witness:
     """The Witness that a JSON object in witness_fields' schema describes.
 
@@ -175,10 +199,10 @@ def witness_from_fields(d: dict) -> Witness:
 
 def find_q(profile: CaseProfile, core: int, primes) -> int:
     """Smallest prime q > max(core, 2) in the profile's residue class with
-    jacobi(-t_den_factor * q, p) = 1 for each p in primes, those of n0(core):
-    the condition under which solve_t has a root at every p.  Each p is an
-    odd prime, so the symbol is taken by Euler's criterion,
-    (-t_den_factor * q)^((p-1)/2) = 1 (mod p).
+    the Legendre symbol (-t_den_factor * q / p) = 1 for each p in primes,
+    those of n0(core): the condition under which solve_t has a root at
+    every p.  Each p is an odd prime, so the symbol is taken by Euler's
+    criterion, (-t_den_factor * q)^((p-1)/2) = 1 (mod p).
 
     Each value of the class meets the cheaper test first.  Below TABLE_LIMIT
     that is primality, one byte of arith.LEAST_FACTOR (every class holds odd

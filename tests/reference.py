@@ -1,0 +1,68 @@
+"""Independent references that the tests check the library against.
+
+None of them runs in the chain, the oracle or the CLI: the chain takes
+Legendre symbols at proven primes by Euler's criterion, and its descent
+is checked here against exhaustive search.
+"""
+
+import math
+
+from ternrep import NotRepresentableError, represent_binary, represented_bits
+
+
+def jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd positive n; jacobi(a, 1) == 1.
+
+    Returns -1, 0 or 1.  0 exactly when gcd(a, n) > 1.
+    """
+    if n <= 0 or n % 2 == 0:
+        raise ValueError("jacobi requires odd positive n, got %r" % (n,))
+    a %= n
+    result = 1
+    while a != 0:
+        twos = (a & -a).bit_length() - 1
+        a >>= twos
+        if twos & 1 and (n & 7) in (3, 5):
+            result = -result
+        # reciprocity flips the sign when both odd numbers are 3 mod 4
+        if a & n & 2:
+            result = -result
+        a, n = n % a, a
+    return result if n == 1 else 0
+
+
+def brute_force_binary(c: int, n: int):
+    """First (a, b) with a, b >= 0 and a^2 + c*b^2 = n under an a-outer
+    ascending scan; None when there is no solution."""
+    if n < 0:
+        raise ValueError("brute_force_binary requires n >= 0, got %r" % (n,))
+    for a in range(math.isqrt(n) + 1):
+        rem = n - a * a
+        if rem % c == 0:
+            b2 = rem // c
+            b = math.isqrt(b2)
+            if b * b == b2:
+                return (a, b)
+    return None
+
+
+def descent_mismatches(limit: int) -> list:
+    """(c, n) for each c in (2, 3, 7) and 0 <= n <= limit where the descent
+    and the exhaustive oracle disagree on solvability, or the descent
+    returns a pair that is negative or does not evaluate to n.
+
+    The oracle side is represented_bits((1, c), limit), which agrees with
+    brute_force_binary on solvability; each n is one lookup in its bytes."""
+    failures = []
+    for c in (2, 3, 7):
+        table = represented_bits((1, c), limit).to_bytes(limit // 8 + 1, "little")
+        for n in range(limit + 1):
+            try:
+                a, beta = represent_binary(n, c)
+                sound = a >= 0 and beta >= 0 and a * a + c * beta * beta == n
+            except NotRepresentableError:
+                sound = None
+            represented = table[n >> 3] >> (n & 7) & 1 == 1
+            if (sound is None) == represented or sound is False:
+                failures.append((c, n))
+    return failures

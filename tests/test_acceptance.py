@@ -22,7 +22,6 @@ from ternrep import (
     TernaryForm,
     Witness,
     build_witness,
-    descent_mismatches,
     eligibility,
     represented_bits,
     scan_compare,
@@ -33,6 +32,8 @@ from ternrep.cli import dispatch
 from ternrep.oracle import dickson_excluded
 from ternrep.pipeline import (SMALL_CORE, construction_frame, witness_fields,
                               witness_from_fields)
+
+from reference import descent_mismatches
 
 SWEEP_LIMIT = 50000
 ORACLE_LIMIT = 5000

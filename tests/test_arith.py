@@ -12,10 +12,11 @@ from ternrep import (
     crt,
     inv_mod,
     is_prime,
-    jacobi,
     sqrt_mod_prime,
 )
 from ternrep import arith
+
+from reference import jacobi
 
 
 def sieve(limit):

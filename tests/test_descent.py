@@ -4,47 +4,47 @@ from hypothesis import given, strategies as st
 from ternrep import (
     InternalError,
     NotRepresentableError,
-    brute_force_binary,
     compose,
-    cornacchia_prime,
     factorize,
     is_prime,
-    jacobi,
     represent_binary,
 )
+
+from reference import brute_force_binary, jacobi
 
 CONSTANTS = (2, 3, 7)
 ODD_PRIMES_5K = [p for p in range(3, 5000) if is_prime(p)]
 
 
 class TestCornacchiaPrime:
+    """Cornacchia's algorithm, run through represent_binary on primes: a
+    prime p other than c is its own single factor p^1, so the descent
+    returns Cornacchia's (a, b) composed with the identity (1, 0)."""
+
     def test_pinned_values(self):
-        assert cornacchia_prime(11, 7) == (2, 1)
-        assert cornacchia_prime(3, 2) == (1, 1)
-        assert cornacchia_prime(13, 3) == (1, 2)
+        assert represent_binary(11, 7) == (2, 1)
+        assert represent_binary(3, 2) == (1, 1)
+        assert represent_binary(13, 3) == (1, 2)
 
     def test_p_equals_c(self):
         for c in CONSTANTS:
-            assert cornacchia_prime(c, c) == (0, 1)
+            assert represent_binary(c, c) == (0, 1)
 
     def test_character_failure(self):
         # jacobi(-2, 5) = -1, jacobi(-3, 5) = -1, jacobi(-7, 5) = -1
         for c in CONSTANTS:
             assert jacobi(-c, 5) == -1
             with pytest.raises(NotRepresentableError) as exc:
-                cornacchia_prime(5, c)
-            assert str(exc.value) == "-%d is not a square mod 5" % c
-
-    def test_rejects_composite(self):
-        with pytest.raises(ValueError):
-            cornacchia_prime(15, 2)
+                represent_binary(5, c)
+            assert str(exc.value) == (
+                "5 divides 5 to an odd power and -%d is not a square mod 5" % c)
 
     def test_all_applicable_primes(self):
         for c in CONSTANTS:
             for p in ODD_PRIMES_5K:
                 if p != c and jacobi(-c, p) != 1:
                     continue
-                a, beta = cornacchia_prime(p, c)
+                a, beta = represent_binary(p, c)
                 assert a >= 0 and beta >= 0
                 assert a * a + c * beta * beta == p
 

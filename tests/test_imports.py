@@ -1,4 +1,5 @@
-"""The package's internal import graph: acyclic, and resolved at import time."""
+"""The package's internal import graph: acyclic, and resolved at import
+time; and every public name has a reader in the package."""
 
 import ast
 import pathlib
@@ -56,3 +57,36 @@ def test_import_graph_is_acyclic():
 def test_no_function_local_package_imports():
     local = [(s, t) for s, t, top in package_imports() if not top]
     assert local == []
+
+
+def public_names():
+    """The names in ternrep.__all__ and in each module's __all__, read from
+    the source, without __version__."""
+    names = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if (isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__"
+                            for t in node.targets)):
+                names.update(ast.literal_eval(node.value))
+    return names - {"__version__"}
+
+
+def names_read_in_package():
+    """Every name the package's modules other than __init__.py read, as a
+    bare name or as an attribute."""
+    read = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return read
+
+
+def test_every_public_name_is_read_in_the_package():
+    # A helper that only the tests call belongs in tests/reference.py.
+    assert sorted(public_names() - names_read_in_package()) == []

@@ -13,7 +13,6 @@ from ternrep import (
     InternalError,
     ResourceCapError,
     TernaryForm,
-    brute_force_binary,
     brute_force_ternary,
     evaluate,
     first_triples,
@@ -24,6 +23,8 @@ from ternrep import (
 from ternrep import oracle, pipeline
 from ternrep.cli import dispatch
 from ternrep.oracle import CSV_HEADER, dickson_excluded
+
+from reference import brute_force_binary
 
 # sha256 of scan_compare(form, 1, 3000).to_csv() as written when every row
 # still ran brute_force_ternary; the bitset scan must print the same bytes.

@@ -28,7 +28,6 @@ from ternrep import (
     factorize,
     find_q,
     is_prime,
-    jacobi,
     reduce_to_core,
     solve_bh,
     solve_t,
@@ -48,6 +47,8 @@ from ternrep.pipeline import (
     witness_fields,
     witness_from_fields,
 )
+
+from reference import jacobi
 
 T1A = PROFILES["T1A"]
 T1B = PROFILES["T1B"]
