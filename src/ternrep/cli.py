@@ -6,6 +6,10 @@ deterministic for fixed arguments: JSON objects use a pinned field order,
 scan CSV uses a pinned header, line endings are LF, and --help and usage
 errors wrap at a fixed width, whatever the terminal.
 
+Each command returns its answer, (exit code, stdout text, stderr line or
+None), and writes nothing; dispatch alone writes stdout, in one write and
+one flush, and then the stderr line.
+
 Exit codes: 0 success/representable, 1 obstructed, not representable or a
 witness that does not verify, 2 outside the covered cases, 3 internal
 error, 4 usage error, output that cannot be written or verify input that
@@ -15,6 +19,7 @@ is not a JSON object, 5 resource cap hit.
 import argparse
 import contextlib
 import functools
+import io
 import json
 import os
 import sys
@@ -67,75 +72,47 @@ def _equation(form: TernaryForm, m: int, rep) -> str:
     return "%d = %s" % (m, " + ".join(parts))
 
 
-def _emit(out, args, fields: dict, text: str, trail: bool = False) -> None:
-    """Write one result: fields as JSON under --json, fields as `key: value`
-    lines for a trail, and the text line otherwise."""
+def _emit(args, fields: dict, text: str, trail: bool = False) -> str:
+    """The stdout text of one result: fields as JSON under --json, fields as
+    `key: value` lines for a trail, and the text line otherwise."""
     if args.json:
-        out.write(json.dumps(fields, indent=2) + "\n")
-    elif trail:
-        for key, value in fields.items():
-            if isinstance(value, list):
-                value = "(%s)" % ", ".join(str(v) for v in value)
-            elif isinstance(value, bool):
-                value = "true" if value else "false"
-            elif value is None:
-                value = "-"
-            out.write("%s: %s\n" % (key, value))
-    else:
-        out.write(text + "\n")
+        return json.dumps(fields, indent=2) + "\n"
+    if not trail:
+        return text + "\n"
+    lines = []
+    for key, value in fields.items():
+        if isinstance(value, list):
+            value = "(%s)" % ", ".join(str(v) for v in value)
+        elif isinstance(value, bool):
+            value = "true" if value else "false"
+        elif value is None:
+            value = "-"
+        lines.append("%s: %s\n" % (key, value))
+    return "".join(lines)
 
 
-def _fail(err, code: int, message: str) -> int:
-    err.write(message + "\n")
-    return code
-
-
-def _cannot_write(err, what: str, exc: OSError) -> int:
-    return _fail(err, EXIT_USAGE, "cannot write %s: %s" % (what, exc.strerror or exc))
-
-
-class _OutputError(Exception):
-    """An OSError from writing or flushing dispatch's out stream."""
-
-
-class _Output:
-    """The out stream, raising _OutputError where it raises OSError, so that
-    a failed write of the output is told apart from any other OSError."""
-
-    def __init__(self, stream):
-        self._stream = stream
-
-    def write(self, text: str) -> None:
-        try:
-            self._stream.write(text)
-        except OSError as exc:
-            raise _OutputError(exc) from exc
-
-    def flush(self) -> None:
-        try:
-            self._stream.flush()
-        except OSError as exc:
-            raise _OutputError(exc) from exc
+def _cannot_write(what: str, exc: OSError) -> tuple:
+    return EXIT_USAGE, "", "cannot write %s: %s" % (what, exc.strerror or exc)
 
 
 def _verdict_line(verdict, m: int) -> str:
     return "%s: %d %s" % (verdict.kind.value, m, verdict.detail)
 
 
-def _cmd_represent(args, out, err, trail: bool) -> int:
+def _cmd_represent(args, trail: bool) -> tuple:
     if args.m < 1:
-        return _fail(err, EXIT_USAGE, "--m must be at least 1")
+        return EXIT_USAGE, "", "--m must be at least 1"
     form = FORM_BY_NAME[args.form]
     if args.fallback_oracle and form not in _FALLBACK_FORMS:
-        return _fail(err, EXIT_USAGE,
-                     "--fallback-oracle applies only to x2+y2+3z2 and x2+y2+7z2")
+        return (EXIT_USAGE, "",
+                "--fallback-oracle applies only to x2+y2+3z2 and x2+y2+7z2")
 
     result = build_witness(form, args.m)
     if isinstance(result, Witness):
         rep, code = result.representation, EXIT_OK
         fields = witness_fields(result)
         if not fields["verified"]:
-            return _fail(err, EXIT_INTERNAL, "witness failed verification")
+            return EXIT_INTERNAL, "", "witness failed verification"
     else:
         fallback = (args.fallback_oracle
                     and result.kind is Eligibility.OUTSIDE_COVERED_CASES)
@@ -145,45 +122,42 @@ def _cmd_represent(args, out, err, trail: bool) -> int:
                 EXIT_OBSTRUCTED if fallback else _VERDICT_EXIT[result.kind])
     text = (_verdict_line(result, args.m) if rep is None
             else _equation(form, args.m, rep))
-    _emit(out, args, fields, text, trail)
-    return code
+    return code, _emit(args, fields, text, trail), None
 
 
-def _cmd_check(args, out, err) -> int:
+def _cmd_check(args) -> tuple:
     if args.m < 1:
-        return _fail(err, EXIT_USAGE, "--m must be at least 1")
+        return EXIT_USAGE, "", "--m must be at least 1"
     form = FORM_BY_NAME[args.form]
     verdict = eligibility(form, args.m)
-    _emit(out, args, {
+    return _VERDICT_EXIT[verdict.kind], _emit(args, {
         "form": form.cli_name,
         "m": args.m,
         "eligible": verdict.eligible,
         "verdict": verdict.kind.value,
         "detail": verdict.detail,
-    }, _verdict_line(verdict, args.m))
-    return _VERDICT_EXIT[verdict.kind]
+    }, _verdict_line(verdict, args.m)), None
 
 
-def _cmd_oracle(args, out, err) -> int:
+def _cmd_oracle(args) -> tuple:
     if args.m < 0:
-        return _fail(err, EXIT_USAGE, "--m must be nonnegative")
+        return EXIT_USAGE, "", "--m must be nonnegative"
     form = FORM_BY_NAME[args.form]
     rep = oracle_triple(form, args.m)
     text = "no representation: %d" % args.m if rep is None else _equation(form, args.m, rep)
-    _emit(out, args, {
+    return EXIT_OK if rep is not None else EXIT_OBSTRUCTED, _emit(args, {
         "form": form.cli_name,
         "m": args.m,
         "found": rep is not None,
         "representation": None if rep is None else list(rep),
-    }, text)
-    return EXIT_OK if rep is not None else EXIT_OBSTRUCTED
+    }, text), None
 
 
-def _cmd_scan(args, out, err) -> int:
+def _cmd_scan(args) -> tuple:
     if args.jobs < 1:
-        return _fail(err, EXIT_USAGE, "--jobs must be at least 1")
+        return EXIT_USAGE, "", "--jobs must be at least 1"
     if not 1 <= args.lo <= args.hi:
-        return _fail(err, EXIT_USAGE, "scan requires 1 <= LO <= HI")
+        return EXIT_USAGE, "", "scan requires 1 <= LO <= HI"
     check_scan_hi(args.hi)
     form = FORM_BY_NAME[args.form]
     try:
@@ -193,34 +167,35 @@ def _cmd_scan(args, out, err) -> int:
         fh = (None if args.out is None
               else open(args.out, "w", encoding="utf-8", newline="\n"))
     except OSError as exc:
-        return _cannot_write(err, "--out " + args.out, exc)
-    report = None
+        return _cannot_write("--out " + args.out, exc)
+    text = None
     try:
-        with fh or contextlib.nullcontext(out) as sink:
+        with fh or contextlib.nullcontext():
             report = scan_compare(form, args.lo, args.hi, jobs=args.jobs)
-            sink.write(report.to_json() if args.json else report.to_csv())
+            text = report.to_json() if args.json else report.to_csv()
+            if fh is not None:
+                fh.write(text)
+                text = ""
     except OSError as exc:
-        # A failed write or close of FILE; the scan's own errors propagate,
-        # and a failed write of out is dispatch's _OutputError.
-        if report is None:
+        # A failed write or close of FILE; the scan's own errors propagate.
+        if text is None:
             raise
-        return _cannot_write(err, "--out " + args.out, exc)
+        return _cannot_write("--out " + args.out, exc)
     if not report.all_agree:
-        return _fail(err, EXIT_INTERNAL, "scan found disagreement rows")
-    return EXIT_OK
+        return EXIT_INTERNAL, text, "scan found disagreement rows"
+    return EXIT_OK, text, None
 
 
-def _cmd_verify(args, out, err) -> int:
+def _cmd_verify(args) -> tuple:
     try:
         doc = json.loads(sys.stdin.read())
     except (ValueError, RecursionError) as exc:  # RecursionError: deep nesting
-        return _fail(err, EXIT_USAGE, "stdin is not JSON: %s" % exc)
+        return EXIT_USAGE, "", "stdin is not JSON: %s" % exc
     if not isinstance(doc, dict):
-        return _fail(err, EXIT_USAGE, "stdin is not a JSON object")
+        return EXIT_USAGE, "", "stdin is not a JSON object"
     problems = witness_problems(witness_from_fields(doc))
-    for problem in problems:
-        out.write(problem + "\n")
-    return EXIT_OBSTRUCTED if problems else EXIT_OK
+    return (EXIT_OBSTRUCTED if problems else EXIT_OK,
+            "".join(problem + "\n" for problem in problems), None)
 
 
 @functools.cache
@@ -265,38 +240,63 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def dispatch(argv, out, err) -> int:
-    """Parse argv (no program name) and run one command.
+def _answer(argv) -> tuple:
+    """(exit code, stdout text, stderr line or None) of one command.
 
-    Every byte goes to the streams out and err: the command's output and
-    messages, and argparse's --help and usage errors too.  out is flushed
-    before the return, and a failed write or flush of it exits 4 with one
-    `cannot write output` line on err.  Returns the exit code instead of
-    raising SystemExit so the function is directly testable.
-    """
-    out = _Output(out)
+    argparse's --help text and usage errors are caught in StringIOs and
+    answered like a command's; so are the errors a command raises."""
+    help_text, usage = io.StringIO(), io.StringIO()
     try:
         try:
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with contextlib.redirect_stdout(help_text), contextlib.redirect_stderr(usage):
                 args = _build_parser().parse_args(argv)
         except SystemExit as exc:
-            code = exc.code if isinstance(exc.code, int) else EXIT_USAGE
-        else:
-            code = args.run(args, out, err)
-        out.flush()
-        return code
-    except _OutputError as exc:
-        return _cannot_write(err, "output", exc.__cause__)
+            return (exc.code if isinstance(exc.code, int) else EXIT_USAGE,
+                    help_text.getvalue(), usage.getvalue().rstrip("\n") or None)
+        return args.run(args)
     except ResourceCapError as exc:
-        return _fail(err, EXIT_RESOURCE_CAP, "resource cap: %s" % exc)
+        return EXIT_RESOURCE_CAP, "", "resource cap: %s" % exc
     except InternalError as exc:
-        return _fail(err, EXIT_INTERNAL, "internal error: %s" % exc)
+        return EXIT_INTERNAL, "", "internal error: %s" % exc
     except Exception as exc:  # no stack traces on the CLI surface
-        return _fail(err, EXIT_INTERNAL,
-                     "internal error: %s: %s" % (type(exc).__name__, exc))
+        return (EXIT_INTERNAL, "",
+                "internal error: %s: %s" % (type(exc).__name__, exc))
+
+
+def dispatch(argv, out, err) -> int:
+    """Parse argv (no program name), run one command and write its answer.
+
+    Every byte goes to the streams out and err: the command's output and
+    messages, and argparse's --help and usage errors too.  Commands return
+    their answer and write nothing.  A non-empty stdout text is written to
+    out in a single write and flushed; a failed write or flush exits 4 with
+    one `cannot write output` line instead of the command's own.  The
+    stderr line follows on err; a failed write of it leaves the exit code
+    as it is.  Returns the exit code instead of raising SystemExit so the
+    function is directly testable.
+    """
+    code, text, line = _answer(argv)
+    if text:
+        try:
+            out.write(text)
+            out.flush()
+        except OSError as exc:
+            code, _, line = _cannot_write("output", exc)
+    if line is not None:
+        with contextlib.suppress(OSError):
+            err.write(line + "\n")
+    return code
 
 
 def main(argv=None) -> int:
+    if None in (sys.stdin, sys.stdout, sys.stderr):
+        # Python sets a standard stream that the process started with closed
+        # to None.  devnull opened for reading stands in for it: it reads as
+        # empty input, and a write to it raises io.UnsupportedOperation, an
+        # OSError, so that a closed stdout is output that cannot be written.
+        closed = open(os.devnull, encoding="utf-8")
+        sys.stdin, sys.stdout, sys.stderr = (
+            stream or closed for stream in (sys.stdin, sys.stdout, sys.stderr))
     code = dispatch(sys.argv[1:] if argv is None else argv, sys.stdout, sys.stderr)
     try:
         sys.stdout.flush()

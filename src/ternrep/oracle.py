@@ -22,6 +22,7 @@ This module sits downstream of the pipeline: it imports the pipeline, and
 no module it imports imports it back.
 """
 
+import itertools
 import json
 import math
 import os
@@ -39,6 +40,7 @@ __all__ = ["brute_force_ternary", "first_triples", "oracle_triple",
 
 CSV_HEADER = "m,verdict,pipeline_found,oracle_found,agree,x,y,z,q,elapsed_micros"
 _SCAN_COLUMNS = CSV_HEADER.split(",")
+_CSV_WORDS = {None: "", False: "false", True: "true"}
 
 # Largest m a scan accepts, so that every scan is bounded.  The bitset to
 # 2^22 takes 512 KiB and 0.9-1.5 s to build (2-vCPU Xeon, Python 3.11.7).
@@ -195,6 +197,12 @@ class ScanRow:
     q: int | None
     elapsed_micros: int = 0
 
+    def cells(self) -> tuple:
+        """The row's values in CSV_HEADER's column order; empty cells are None."""
+        x, y, z = self.representation or (None, None, None)
+        return (self.m, self.verdict, self.pipeline_found, self.oracle_found,
+                self.agree, x, y, z, self.q, self.elapsed_micros)
+
 
 @dataclass(frozen=True)
 class ScanReport:
@@ -212,27 +220,16 @@ class ScanReport:
         return all(row.agree for row in self.rows)
 
     def to_csv(self) -> str:
-        def b(v):
-            return "true" if v else "false"
-
         lines = [CSV_HEADER]
         for row in self.rows:
-            x, y, z = row.representation if row.representation else ("", "", "")
-            lines.append(
-                "%d,%s,%s,%s,%s,%s,%s,%s,%s,%d"
-                % (row.m, row.verdict, b(row.pipeline_found), b(row.oracle_found),
-                   b(row.agree), x, y, z, "" if row.q is None else row.q,
-                   row.elapsed_micros)
-            )
+            lines.append(",".join([
+                _CSV_WORDS[v] if v is None or v is True or v is False else str(v)
+                for v in row.cells()]))
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        lines = []
-        for row in self.rows:
-            x, y, z = row.representation if row.representation else (None, None, None)
-            lines.append(json.dumps(dict(zip(_SCAN_COLUMNS, (
-                row.m, row.verdict, row.pipeline_found, row.oracle_found,
-                row.agree, x, y, z, row.q, row.elapsed_micros)))))
+        lines = [json.dumps(dict(zip(_SCAN_COLUMNS, row.cells())))
+                 for row in self.rows]
         return "[\n" + ",\n".join(lines) + "\n]\n"
 
 
@@ -274,11 +271,6 @@ def _scan_rows(form: TernaryForm, lo: int, hi: int, window: int) -> list:
     return rows
 
 
-def _scan_chunk(args) -> list:
-    form_name, lo, hi, window = args
-    return _scan_rows(TernaryForm[form_name], lo, hi, window)
-
-
 def scan_compare(form: TernaryForm, lo: int, hi: int, jobs: int = 1) -> ScanReport:
     """Compare pipeline, exhaustive oracle and the local conditions for
     every m in [lo, hi].
@@ -311,11 +303,10 @@ def scan_compare(form: TernaryForm, lo: int, hi: int, jobs: int = 1) -> ScanRepo
     import concurrent.futures
 
     chunk = -(-span // (workers * 4))
-    tasks = []
-    for start in range(lo, hi + 1, chunk):
-        end = min(hi, start + chunk - 1)
-        piece = window >> (start - lo) & ((1 << (end - start + 1)) - 1)
-        tasks.append((form.name, start, end, piece))
+    starts = range(lo, hi + 1, chunk)
+    ends = [min(hi, start + chunk - 1) for start in starts]
+    windows = [window >> (start - lo) & ((1 << (end - start + 1)) - 1)
+               for start, end in zip(starts, ends)]
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        pieces = list(pool.map(_scan_chunk, tasks))
+        pieces = list(pool.map(_scan_rows, itertools.repeat(form), starts, ends, windows))
     return ScanReport(form, lo, hi, tuple(row for piece in pieces for row in piece))

@@ -76,7 +76,7 @@ __all__ = [
 Q_CANDIDATE_BUDGET = 10**6
 
 # enumerate_point stops with ResourceCapError once |y| passes this bound,
-# after 1.8-2.0 s on a 2-vCPU Xeon: each |y| carries its coset of x from
+# after 1.6-1.7 s on a 2-vCPU Xeon (Python 3.11.7): each |y| carries its coset of x from
 # the last, at a few additions and comparisons.  T1B and T2C visit one
 # parity of |y| only, so they reach |y| = 2^21 after 2^20 visited values
 # (2^20 + 1 in T2C, which starts at 0), in about half that time; as no

@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import hashlib
 import io
@@ -558,6 +559,123 @@ class TestOutputErrors:
             )
         assert proc.returncode == 4
         assert proc.stderr == "cannot write output: No space left on device\n"
+
+
+class RecordingOut(io.StringIO):
+    """An out stream that records the name of every write and flush."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def write(self, text):
+        self.calls.append("write")
+        return super().write(text)
+
+    def flush(self):
+        self.calls.append("flush")
+
+
+class TestSingleWrite:
+    # Each is the same call through run_cli and through a RecordingOut
+    ARGVS = [
+        ["represent", "--form", "x2+y2+2z2", "--m", "5"],
+        ["witness", "--form", "x2+y2+2z2", "--m", "5"],
+        ["witness", "--form", "x2+y2+7z2", "--m", "53", "--json"],
+        ["check", "--form", "x2+y2+3z2", "--m", "9"],
+        ["oracle", "--form", "x2+2y2+2z2", "--m", "7"],
+        ["scan", "--form", "x2+y2+2z2", "--lo", "1", "--hi", "50"],
+        ["scan", "--form", "x2+y2+2z2", "--lo", "1", "--hi", "50", "--json"],
+        ["--help"],
+        ["scan", "--help"],
+        ["represent", "--form", "x2+y2+2z2", "--m", "0"],
+        ["represent", "--form", "x2+y2+5z2", "--m", "3"],
+        ["verify"],
+    ]
+
+    # verify reads a witness with two problems
+    @pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: "_".join(a.lstrip("-") for a in argv))
+    def test_one_write_then_one_flush(self, argv):
+        stdin = witness_json("x2+y2+2z2", 6).replace('"m": 6', '"m": 7')
+        expected = run_cli(argv, stdin)
+        out, err = RecordingOut(), io.StringIO()
+        with mock.patch.object(sys, "stdin", io.StringIO(stdin)):
+            code = dispatch(argv, out, err)
+        assert (code, out.getvalue(), err.getvalue()) == expected
+        if argv == ["verify"]:
+            assert expected[1].count("\n") == 2
+        assert out.calls == (["write", "flush"] if expected[1] else [])
+
+    # A command with no stdout text leaves out untouched
+    def test_out_file_leaves_out_alone(self, tmp_path):
+        out = RecordingOut()
+        code = dispatch(["scan", "--form", "x2+y2+2z2", "--lo", "1", "--hi", "50",
+                         "--out", str(tmp_path / "rows.csv")], out, io.StringIO())
+        assert (code, out.calls) == (0, [])
+        assert len((tmp_path / "rows.csv").read_text().splitlines()) == 51
+
+    def test_stdout_comes_before_the_stderr_line(self, monkeypatch):
+        def disagreeing(*args, **kwargs):
+            report = oracle.scan_compare(*args, **kwargs)
+            first = dataclasses.replace(report.rows[0], agree=False)
+            return dataclasses.replace(report, rows=(first,) + report.rows[1:])
+
+        monkeypatch.setattr("ternrep.cli.scan_compare", disagreeing)
+        shared = io.StringIO()
+        code = dispatch(["scan", "--form", "x2+y2+2z2", "--lo", "1", "--hi", "20"],
+                        shared, shared)
+        text = disagreeing(TernaryForm.D112, 1, 20).to_csv()
+        assert "1,eligible,true,true,false," in text
+        assert (code, shared.getvalue()) == (3, text + "scan found disagreement rows\n")
+
+    def test_failed_err_keeps_the_exit_code(self):
+        out = io.StringIO()
+        assert dispatch(["represent", "--form", "x2+y2+2z2", "--m", "0"],
+                        out, FailingOut("write")) == 4
+        assert dispatch(["bogus"], out, FailingOut("write")) == 4
+        assert out.getvalue() == ""
+
+
+def run_closed(command, redirect):
+    """Run `python -m ternrep command` under sh with a standard fd closed."""
+    return subprocess.run(
+        ["sh", "-c", 'exec "$@" ' + redirect, "sh", sys.executable, "-m", "ternrep"]
+        + command, capture_output=True, text=True, timeout=120)
+
+
+class TestClosedStreams:
+    # Python sets a stream that the process starts with closed to None
+    @pytest.mark.parametrize("command", [
+        ["represent", "--form", "x2+y2+2z2", "--m", "5"],
+        ["witness", "--form", "x2+y2+2z2", "--m", "5"],
+        ["--help"],
+    ], ids=lambda command: command[0])
+    def test_closed_stdout_exits_4(self, command):
+        proc = run_closed(command, ">&-")
+        assert proc.returncode == 4
+        assert proc.stderr.startswith("cannot write output: ")
+        assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+
+    def test_scan_out_file_ignores_closed_stdout(self, tmp_path):
+        target = tmp_path / "closed.csv"
+        proc = run_closed(["scan", "--form", "x2+y2+2z2", "--lo", "1", "--hi", "50",
+                           "--out", str(target)], ">&-")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert len(target.read_text().splitlines()) == 51
+
+    @pytest.mark.parametrize("command, code", [
+        (["represent", "--form", "x2+y2+2z2", "--m", "0"], 4),
+        (["represent", "--form", "x2+y2+2z2", "--m", "14"], 1),
+        (["bogus"], 4),
+    ], ids=["usage", "obstructed", "bad-command"])
+    def test_closed_stderr_keeps_the_exit_code(self, command, code):
+        assert run_closed(command, "2>&-").returncode == code
+
+    def test_closed_stdin_is_empty_input(self):
+        proc = run_closed(["verify"], "<&-")
+        assert (proc.returncode, proc.stdout) == (4, "")
+        assert proc.stderr == ("stdin is not JSON: Expecting value: "
+                               "line 1 column 1 (char 0)\n")
 
 
 class TestPinnedBytes:
