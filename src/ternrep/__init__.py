@@ -40,14 +40,13 @@ from .oracle import (
     represented_bits,
     scan_compare,
 )
+from .lattice import enumerate_point
 from .pipeline import (
-    LATTICE_STEP_BUDGET,
     Q_CANDIDATE_BUDGET,
     Construction,
     Witness,
     build_witness,
     construction_frame,
-    enumerate_point,
     find_q,
     solve_bh,
     solve_t,
@@ -71,8 +70,8 @@ __all__ = [
     "represented_bits", "SCAN_HI_LIMIT", "POOL_MIN_ROWS", "ScanRow", "ScanReport",
     "scan_compare",
     "Construction", "Witness", "build_witness", "construction_frame", "find_q",
-    "solve_t", "solve_bh", "enumerate_point", "LATTICE_STEP_BUDGET",
-    "Q_CANDIDATE_BUDGET", "verify_witness",
+    "solve_t", "solve_bh", "enumerate_point", "Q_CANDIDATE_BUDGET",
+    "verify_witness",
     "witness_problems", "witness_fields", "witness_from_fields",
     "TernrepError", "NonResidueError", "NotInvertibleError",
     "NonCoprimeModuliError", "NotRepresentableError",

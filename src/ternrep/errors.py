@@ -29,10 +29,9 @@ class ResourceCapError(TernrepError, RuntimeError):
     """A bounded search or input ran out: the q search examined
     Q_CANDIDATE_BUDGET values or reached PRIMALITY_LIMIT, a number to
     factor or an m for oracle_triple reached PRIMALITY_LIMIT, Pollard rho
-    passed RHO_STEP_BUDGET, a scan
-    reached past SCAN_HI_LIMIT, an oracle search passed
-    ORACLE_STEP_BUDGET, or the lattice scan passed LATTICE_STEP_BUDGET.
-    Inside a scan, any of them ends the scan."""
+    passed RHO_STEP_BUDGET, a scan reached past SCAN_HI_LIMIT, or an
+    oracle search passed ORACLE_STEP_BUDGET.  Inside a scan, any of them
+    ends the scan."""
 
 
 class InternalError(TernrepError, RuntimeError):

@@ -1,0 +1,263 @@
+"""The lattice point of the construction: the first point with F = n0.
+
+With delta = delta_factor*q, lam = alpha*q, e = lam*x + b*y and
+R = t*e + n0*z, delta*F is the positive definite form
+Q(e, y, R) = e^2 + gamma*n0*y^2 + rho*delta*R^2 on the lattice coordinates
+(x, y, z), and F = n0 reads Q = T with T = delta*n0.  Every point lies in
+|y| <= isqrt(delta_factor*q // gamma), and one exists (Minkowski's theorem
+on CaseProfile.det_factor, proved in cases.py).  The answer is pinned: the
+least point with y <= 0 under the key (|y|, x, z), the first point of the
+normative scan order.
+
+Two exact searches return it.  Up to SCAN_Y_LIMIT values of |y| a scan
+walks the completed square, at a few additions per candidate.  Above it
+an integral LLL reduction of Q and a Fincke-Pohst enumeration of Q <= T
+visit at most 13 coefficient vectors, whatever the size of q.  F is
+integral and F = 0 (mod n0) on the whole lattice (t makes it vanish, see
+cases.py), so every nonzero point has Q >= T, and the box Q <= T holds the
+zero vector and the shortest vectors alone: at most 12 of them, the kissing
+number in dimension 3.
+"""
+
+import math
+
+from .cases import CaseProfile
+from .errors import InternalError
+
+__all__ = ["SCAN_Y_LIMIT", "enumerate_point"]
+
+# enumerate_point scans when the bound on |y| is at most this, and reduces
+# above it.  On seeded cores of 16 to 26 bits, binned by the bound (2-vCPU
+# Xeon, Python 3.11.7), the reduction took 0.05-0.12 ms and the scan
+# 0.006-0.014 ms below 128, the two met between 1792 and 2048, and from
+# 4096 on the scan took 2 to 3 times as long.  A bound of 2048 means q near
+# 2^22 * gamma / delta_factor.
+SCAN_Y_LIMIT = 2048
+
+
+def enumerate_point(profile: CaseProfile, core: int, q: int, t: int, b: int) -> tuple:
+    """The least lattice point with F(point) = n0 and y <= 0 under the key
+    (|y|, x, z): the scan's first point in the order y = 0, -1, 1, -2, 2,
+    ..., then x ascending, then z, as F(-point) = F(point).
+
+    It scans when isqrt(delta_factor*q // gamma), the bound on |y|, is at
+    most SCAN_Y_LIMIT, and reduces otherwise; both return the same point.
+    The x-coordinate is doubled for the substituted profiles.  Requires
+    n0 >= 3 (ValueError otherwise); build_witness settles the cores whose
+    odd part is 1 without a search.  For the t and b that build_witness
+    solves a point exists, so the InternalError for a search without one
+    is unreachable from there.
+    """
+    target = profile.n0(core)
+    if target < 3:
+        raise ValueError("enumerate_point requires n0 >= 3, got %d" % target)
+    if math.isqrt(profile.delta_factor * q // profile.gamma) <= SCAN_Y_LIMIT:
+        point = _scan_point(profile, core, q, t, b)
+    else:
+        point = _reduced_point(profile, core, q, t, b)
+    if point is None:
+        raise InternalError(
+            "no lattice point with F = %d for core %d (profile %s)"
+            % (target, core, profile.id)
+        )
+    return point
+
+
+def _scan_point(profile: CaseProfile, core: int, q: int, t: int, b: int):
+    """The first point of the normative scan, or None.
+
+    The scan visits y = -|y| alone, |y| ascending, and at each |y| works on
+    the completed square rho*delta*R^2 + e^2 = budget with
+    budget = delta*n0 - gamma*n0*y^2.  x ascends with e over the coset
+    b*y + lam*Z inside [-s, s], where s >= isqrt(budget).  As
+    |R| <= isqrt(n0 / rho) < n0 / 2 and n0 is odd, the only candidate R is
+    the centred residue of t*e mod n0, and z = (R - t*e) / n0 is exact.
+    The residue r = t*e mod n0 walks by t*lam with e, and two comparisons
+    reject it unless |R| <= isqrt(n0 / rho) before the exact test
+    rho*delta*R^2 + e^2 = budget.
+
+    In T1B every point has |y| odd, and in T2C every point has |y| even
+    (CaseProfile.y_parity, proved in cases.py), so there the scan starts at
+    |y| = 1 or 0 and steps by 2; elsewhere it visits every |y|.  Skipping
+    |y| values without a point keeps the first point.
+
+    The next |y| takes additions and comparisons only.  The budget drops
+    by a carried difference, which grows by 2*step^2*gamma*n0.  The
+    coset's least member e0 >= -s and r0 = t*e0 mod n0 are carried: y falls
+    by step, so the coset moves by step*b, and e0 falls by step*b mod lam
+    and r0 by t times that.  One wrap by lam (and t*lam) then restores
+    e0 >= -s.  s = isqrt(budget), e0 and r0 are re-derived only once the
+    budget falls below (s - lam//4)^2.  Until then s exceeds isqrt(budget)
+    by at most lam/4, which adds at most one candidate per side, and the
+    exact test rejects it as e^2 > budget.  The scan ends where the budget
+    turns negative, at |y| = isqrt(delta_factor*q // gamma).
+    """
+    target = profile.n0(core)
+    r_max = math.isqrt(target // profile.rho)
+    r_neg = target - r_max
+    gn = profile.gamma * target
+    rho_delta = profile.rho * profile.delta_factor * q
+    lam = profile.alpha * q
+    quarter = lam // 4
+    start, step = (0, 1) if profile.y_parity is None else (profile.y_parity, 2)
+    eb = step * b % lam  # the coset's shift per visited |y|, reduced mod lam
+    tb, tl = t * eb % target, t * lam % target
+    full = profile.delta_factor * q * target
+    ay_max = math.isqrt(full // gn)
+    budget = full - gn * start * start
+    drop = gn * step * (2 * start + step)  # budget(|y|) - budget(|y| + step)
+    drop_step = 2 * gn * step * step
+    refresh = budget + 1  # s, e0 and r0 are re-derived once budget < refresh
+
+    for ay in range(start, ay_max + 1, step):
+        if budget < refresh:
+            s = math.isqrt(budget)
+            e0 = (s - b * ay) % lam - s
+            r0 = t * e0 % target
+            refresh = (s - quarter) ** 2 if s > quarter else -1
+        e, r = e0, r0
+        while e <= s:
+            if r <= r_max or r >= r_neg:
+                r_val = r if r <= r_max else r - target
+                if rho_delta * r_val * r_val + e * e == budget:
+                    x = (e + b * ay) // lam
+                    lattice_x = 2 * x if profile.x_substituted else x
+                    return (lattice_x, -ay, (r_val - t * e) // target)
+            e += lam
+            r += tl
+            if r >= target:
+                r -= target
+        budget -= drop
+        drop += drop_step
+        e0 -= eb
+        r0 -= tb
+        if r0 < 0:
+            r0 += target
+        if e0 < -s:
+            e0 += lam
+            r0 += tl
+            if r0 >= target:
+                r0 -= target
+    return None
+
+
+def _reduced_point(profile: CaseProfile, core: int, q: int, t: int, b: int):
+    """The least point under the key (|y|, x, z) among every point with
+    Q = T and y <= 0, or None.
+
+    The rows (lam, 0, t*lam), (b, 1, t*b) and (0, 0, n0) are the images in
+    (e, y, R) of the x, y and z directions, so the reduced basis, kept in
+    coordinates of these rows, gives the points (x, y, z) directly.  The
+    enumeration runs over the whole box, which holds every point together
+    with its negative: a point with y = 0 comes in both signs, and of any
+    other pair the one with y < 0 is kept.  The box is small for any q: the
+    reduced basis has Gram-Schmidt norms B1 = Q(b1) >= T and
+    B_i >= B_(i-1) / 2, so |c3| <= 2.
+    """
+    n0 = profile.n0(core)
+    lam = profile.alpha * q
+    gn = profile.gamma * n0
+    rho_delta = profile.rho * profile.delta_factor * q
+    rows = ((lam, 0, t * lam), (b, 1, t * b), (0, 0, n0))
+    gram = [[u[0] * v[0] + gn * u[1] * v[1] + rho_delta * u[2] * v[2] for v in rows]
+            for u in rows]
+    basis, d, lams = _lll(gram)
+    best = None
+    for c1, c2, c3, excess in _fincke_pohst(d, lams, profile.delta_factor * q * n0):
+        if excess:
+            continue
+        x, y, z = (c1 * u + c2 * v + c3 * w for u, v, w in zip(*basis))
+        if y <= 0 and (best is None or (-y, x, z) < best):
+            best = (-y, x, z)
+    if best is None:
+        return None
+    ay, x, z = best
+    return (2 * x if profile.x_substituted else x, -ay, z)
+
+
+def _lll(gram):
+    """Integral LLL reduction with delta = 3/4 (Cohen, A Course in
+    Computational Algebraic Number Theory, Algorithm 2.6.7) of a positive
+    definite 3x3 Gram matrix, in exact integers.
+
+    Returns (basis, d, lams): the reduced basis as rows of integer
+    coordinates in the given one, the Gram determinants d = (d1, d2, d3)
+    of its leading sub-bases, and lams = (l21, l31, l32), the integral
+    Gram-Schmidt coefficients l_kj = d_j * mu_kj.  Indices here are
+    Cohen's, from 1; index 0 of d is d0 = 1.
+    """
+    h = [None, [1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    d = [1, gram[0][0], 0, 0]
+    lam = [[0] * 4 for _ in range(4)]
+
+    def redi(k, l):
+        if 2 * abs(lam[k][l]) > d[l]:
+            r = (2 * lam[k][l] + d[l]) // (2 * d[l])
+            h[k] = [a - r * c for a, c in zip(h[k], h[l])]
+            lam[k][l] -= r * d[l]
+            for i in range(1, l):
+                lam[k][i] -= r * lam[l][i]
+
+    def swapi(k):
+        h[k], h[k - 1] = h[k - 1], h[k]
+        for j in range(1, k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        v = lam[k][k - 1]
+        big = (d[k - 2] * d[k] + v * v) // d[k - 1]
+        for i in range(k + 1, k_max + 1):
+            s = lam[i][k]
+            lam[i][k] = (d[k] * lam[i][k - 1] - v * s) // d[k - 1]
+            lam[i][k - 1] = (big * s + v * lam[i][k]) // d[k]
+        d[k - 1] = big
+
+    k, k_max = 2, 1
+    while k <= 3:
+        if k > k_max:
+            # Incremental Gram-Schmidt: b_k is still the k-th given row.
+            k_max = k
+            row = gram[k - 1]
+            for j in range(1, k + 1):
+                u = sum(c * g for c, g in zip(h[j], row))
+                for i in range(1, j):
+                    u = (d[i] * u - lam[k][i] * lam[j][i]) // d[i - 1]
+                if j < k:
+                    lam[k][j] = u
+                else:
+                    d[k] = u
+        redi(k, k - 1)
+        if 4 * d[k] * d[k - 2] < 3 * d[k - 1] ** 2 - 4 * lam[k][k - 1] ** 2:
+            swapi(k)
+            k = max(2, k - 1)
+        else:
+            for l in range(k - 2, 0, -1):
+                redi(k, l)
+            k += 1
+    return h[1:], d[1:], (lam[2][1], lam[3][1], lam[3][2])
+
+
+def _fincke_pohst(d, lams, bound):
+    """Every coefficient vector (c1, c2, c3) with Q(c1*b1 + c2*b2 + c3*b3)
+    <= bound (Fincke and Pohst, Math. Comp. 44, 1985), each with
+    excess = d1*d2*(bound - Q) >= 0, so Q = bound exactly when excess = 0.
+
+    d and lams are _lll's integral Gram-Schmidt data.  With the Gram-Schmidt
+    norms d3/d2, d2/d1, d1, d1*d2*Q = d1*d3*c3^2 + u2^2 + d2*u1^2, where
+    u2 = c2*d2 + l32*c3 and u1 = c1*d1 + l21*c2 + l31*c3.  So the bounds,
+    taken coordinate by coordinate from c3 down, are
+    |c3| <= isqrt(bound*d2 // d3); u2^2 <= d1*N2 with
+    N2 = bound*d2 - d3*c3^2; and u1^2 <= N1 // d2 with N1 = d1*N2 - u2^2.
+    Each range follows from one isqrt, with no rounding.
+    """
+    d1, d2, d3 = d
+    l21, l31, l32 = lams
+    top = math.isqrt(bound * d2 // d3)
+    for c3 in range(-top, top + 1):
+        n2 = bound * d2 - d3 * c3 * c3
+        s2, w2 = math.isqrt(d1 * n2), l32 * c3
+        for c2 in range(-((w2 + s2) // d2), (s2 - w2) // d2 + 1):
+            u2 = c2 * d2 + w2
+            n1 = d1 * n2 - u2 * u2
+            s1, w1 = math.isqrt(n1 // d2), l21 * c2 + l31 * c3
+            for c1 in range(-((w1 + s1) // d1), (s1 - w1) // d1 + 1):
+                u1 = c1 * d1 + w1
+                yield c1, c2, c3, n1 - d2 * u1 * u1

@@ -2,15 +2,15 @@
 
 For an eligible m the solver reduces to a squarefree core, picks the case
 profile, finds the auxiliary prime q, solves the modular parameters t and
-(b, h), enumerates the unique-shape lattice point with F(point) = target,
+(b, h), finds the lattice point with F(point) = target (lattice.py),
 descends the binary value n = a^2 + c*beta^2, and assembles a
 representation of m.  The Witness records every intermediate so the whole
 chain can be re-audited offline.
 
-Scan orders are normative: witnesses are bit-reproducible across runs and
-job counts.  The existence argument behind the enumeration is a
-geometry-of-numbers volume bound; the search simply walks the finite box
-that bound permits and takes the first hit.
+Search orders are normative: witnesses are bit-reproducible across runs
+and job counts.  A geometry-of-numbers volume bound proves that the
+lattice point exists, and the pinned order picks one of the O(1) points
+that the bound allows.
 """
 
 import math
@@ -46,9 +46,9 @@ from .forms import (
     lift_representation,
     reduce_to_core,
 )
+from .lattice import enumerate_point
 
 __all__ = [
-    "LATTICE_STEP_BUDGET",
     "Q_CANDIDATE_BUDGET",
     "SMALL_CORE",
     "ORACLE_CASE",
@@ -62,7 +62,6 @@ __all__ = [
     "find_q",
     "solve_t",
     "solve_bh",
-    "enumerate_point",
     "composed_values",
     "build_witness",
     "verify_witness",
@@ -74,21 +73,6 @@ __all__ = [
 # forms (5,152,766 constructions), the most any core needs is 3,307: core
 # 3,293,745 under T1B and T2C, with q = 3,320,201.
 Q_CANDIDATE_BUDGET = 10**6
-
-# enumerate_point stops with ResourceCapError once |y| passes this bound,
-# after 1.6-1.7 s on a 2-vCPU Xeon (Python 3.11.7): each |y| carries its coset of x from
-# the last, at a few additions and comparisons.  T1B and T2C visit one
-# parity of |y| only, so they reach |y| = 2^21 after 2^20 visited values
-# (2^20 + 1 in T2C, which starts at 0), in about half that time; as no
-# point has the other parity, the same inputs are refused with the same
-# message.  The budget
-# delta*n0 - gamma*n0*y^2 turns negative past
-# |y| = isqrt(delta_factor*q // gamma) <= isqrt(2q), so no core with
-# q < 2^41 can reach it: every m up to 2^40 keeps its witness
-# unless its q exceeds the core by more than 2^40.  Below the bound the
-# scan always ends at a hit, since a point with F = n0 exists for every
-# core (the Minkowski bound on CaseProfile.det_factor, proved in cases.py).
-LATTICE_STEP_BUDGET = 2**21
 
 # Cores whose odd part is 1 make every modulus in the construction
 # degenerate, so they are settled by inspection: each base is the first hit
@@ -296,112 +280,6 @@ def composed_values(profile: CaseProfile, core: int, q: int, t: int, b: int, poi
     binary = u * x * x + w * x * y + v * y * y
     r_val = profile.alpha * t * q * x + b * t * y + profile.n0(core) * z
     return r_val, binary, profile.rho * r_val * r_val + binary
-
-
-def enumerate_point(profile: CaseProfile, core: int, q: int, t: int, b: int) -> tuple:
-    """First lattice point with F(point) = target under the normative scan.
-
-    Scan order: y ascending by absolute value with the negative sign first
-    (0, -1, 1, -2, 2, ...), then x ascending, then z.  F is a quadratic
-    form, so F(-point) = F(point), and every bound below depends on |y|
-    only: a hit at y = +a negates to a hit at y = -a, which comes first.
-    The scan therefore visits y = -|y| alone and never returns y > 0.
-
-    It works on the completed square: with delta = delta_factor*q,
-    lam = alpha*q and e = lam*x + b*y, the binary part is
-    (e^2 + gamma*n0*y^2) / delta and R = t*e + n0*z, so
-    rho*delta*R^2 + e^2 = budget with budget = delta*n0 - gamma*n0*y^2.
-    x ascends with e over the coset b*y + lam*Z inside [-s, s], where
-    s >= isqrt(budget).  As |R| <= isqrt(n0 / rho) < n0 / 2 and n0 is odd,
-    the only candidate R is the centred residue of t*e mod n0, and
-    z = (R - t*e) / n0 is exact.  The residue r = t*e mod n0 walks by
-    t*lam with e, and two comparisons reject it unless |R| <= isqrt(n0 / rho)
-    before the exact test rho*delta*R^2 + e^2 = budget.
-
-    In T1B every point has |y| odd, and in T2C every point has |y| even
-    (CaseProfile.y_parity, proved in cases.py), so there the scan starts at
-    |y| = 1 or 0 and steps by 2; elsewhere it visits every |y|.  Skipping
-    |y| values without a point keeps the first point.
-
-    The next |y| takes additions and comparisons only.  The budget drops
-    by a carried difference, which grows by 2*step^2*gamma*n0.  The
-    coset's least member e0 >= -s and r0 = t*e0 mod n0 are carried: y falls
-    by step, so the coset moves by step*b, and e0 falls by step*b mod lam
-    and r0 by t times that.  One wrap by lam (and t*lam) then restores
-    e0 >= -s.  s = isqrt(budget), e0 and r0 are re-derived only once the
-    budget falls below (s - lam//4)^2.  Until then s exceeds isqrt(budget)
-    by at most lam/4, which adds at most one candidate per side, and the
-    exact test rejects it as e^2 > budget.
-
-    All arithmetic is in exact integers.  The scan does not read h, and it
-    ends where the budget turns negative, at
-    |y| = isqrt(delta_factor*q // gamma).  Every point with F = n0 lies
-    inside that range, and for the t and b that build_witness solves one
-    exists: Minkowski's theorem on the Gram determinant
-    CaseProfile.det_factor * n0^3 (proved in cases.py).  So the
-    InternalError for a scan without a hit is unreachable from there.
-
-    Requires n0 >= 3 (ValueError otherwise); build_witness settles the
-    cores whose odd part is 1 without a scan.  Raises ResourceCapError when
-    |y| passes LATTICE_STEP_BUDGET before a hit.
-    """
-    target = profile.n0(core)
-    if target < 3:
-        raise ValueError("enumerate_point requires n0 >= 3, got %d" % target)
-    r_max = math.isqrt(target // profile.rho)
-    r_neg = target - r_max
-    gn = profile.gamma * target
-    rho_delta = profile.rho * profile.delta_factor * q
-    lam = profile.alpha * q
-    quarter = lam // 4
-    start, step = (0, 1) if profile.y_parity is None else (profile.y_parity, 2)
-    eb = step * b % lam  # the coset's shift per visited |y|, reduced mod lam
-    tb, tl = t * eb % target, t * lam % target
-    full = profile.delta_factor * q * target
-    ay_max = math.isqrt(full // gn)
-    budget = full - gn * start * start
-    drop = gn * step * (2 * start + step)  # budget(|y|) - budget(|y| + step)
-    drop_step = 2 * gn * step * step
-    refresh = budget + 1  # s, e0 and r0 are re-derived once budget < refresh
-
-    for ay in range(start, min(ay_max, LATTICE_STEP_BUDGET) + 1, step):
-        if budget < refresh:
-            s = math.isqrt(budget)
-            e0 = (s - b * ay) % lam - s
-            r0 = t * e0 % target
-            refresh = (s - quarter) ** 2 if s > quarter else -1
-        e, r = e0, r0
-        while e <= s:
-            if r <= r_max or r >= r_neg:
-                r_val = r if r <= r_max else r - target
-                if rho_delta * r_val * r_val + e * e == budget:
-                    x = (e + b * ay) // lam
-                    lattice_x = 2 * x if profile.x_substituted else x
-                    return (lattice_x, -ay, (r_val - t * e) // target)
-            e += lam
-            r += tl
-            if r >= target:
-                r -= target
-        budget -= drop
-        drop += drop_step
-        e0 -= eb
-        r0 -= tb
-        if r0 < 0:
-            r0 += target
-        if e0 < -s:
-            e0 += lam
-            r0 += tl
-            if r0 >= target:
-                r0 -= target
-    if ay_max > LATTICE_STEP_BUDGET:
-        raise ResourceCapError(
-            "lattice scan for core %d (profile %s) passed its budget of %d values of |y|"
-            % (core, profile.id, LATTICE_STEP_BUDGET)
-        )
-    raise InternalError(
-        "no lattice point with F = %d for core %d (profile %s)"
-        % (target, core, profile.id)
-    )
 
 
 def construction_frame(form: TernaryForm, core: int) -> tuple:

@@ -73,10 +73,11 @@ class TestProfileTable:
             assert p.t_den_factor == p.rho * p.delta_factor == t_den, case_id
 
     def test_delta_at_most_twice_gamma(self):
-        # The lattice scan's budget delta_factor*q*n0 - gamma*n0*y^2 turns
-        # negative past y^2 = delta_factor*q/gamma, so delta_factor <= 2*gamma
-        # bounds the scan by sqrt(2q) values of |y|, the bound that the
-        # LATTICE_STEP_BUDGET comment and the README rely on.
+        # delta_factor*q*n0 - gamma*n0*y^2, the room left for e^2 and R^2 at
+        # a lattice point with F = n0, turns negative past
+        # y^2 = delta_factor*q/gamma, so delta_factor <= 2*gamma puts every
+        # point at |y| <= sqrt(2q): the scan case of lattice.enumerate_point
+        # visits at most that many values of |y|, as the README states.
         for p in PROFILES.values():
             assert p.delta_factor <= 2 * p.gamma, p.id
 

@@ -34,7 +34,7 @@ from ternrep import (
     verify_witness,
     witness_problems,
 )
-from ternrep import pipeline
+from ternrep import lattice, pipeline
 from ternrep.cli import dispatch
 from ternrep.forms import FORM_BY_NAME
 from ternrep.pipeline import (
@@ -47,6 +47,7 @@ from ternrep.pipeline import (
     witness_fields,
     witness_from_fields,
 )
+from ternrep.lattice import SCAN_Y_LIMIT
 
 from reference import jacobi
 
@@ -120,6 +121,45 @@ def constructive_witnesses(form, lo, hi):
         w = build_witness(form, m)
         if isinstance(w, Witness) and w.case_id != SMALL_CORE:
             yield w
+
+
+def constructions_up_to(hi):
+    """(frame profile, frame core, Construction) of every construction with
+    m <= hi, of all four forms."""
+    for form in TernaryForm:
+        for w in constructive_witnesses(form, 1, hi + 1):
+            _, profile, core = construction_frame(form, w.core)
+            yield profile, core, w.construction
+
+
+def frames_at_limit(rng, above, per_case):
+    """per_case (profile, frame core, q, t, b) for every constructive case
+    id whose y bound isqrt(delta_factor*q // gamma) lies within 32 above
+    SCAN_Y_LIMIT, or within 32 at or below it, drawn from rng.  T2D's
+    frames are T1A's on m1 = core / 2."""
+    lo, hi = (SCAN_Y_LIMIT + 1, SCAN_Y_LIMIT + 32) if above else (SCAN_Y_LIMIT - 31, SCAN_Y_LIMIT)
+    frames = []
+    for case_id in PINNED_CASE_IDS[:-1]:
+        form = TernaryForm.D112 if case_id == "T2D" else PROFILES[case_id].form
+        target = PROFILES["T1A" if case_id == "T2D" else case_id]
+        scale = 2 if case_id == "T2D" else 1
+        # q is the first fitting prime above the frame core, so frame cores
+        # just below the window of q mostly give a q inside it
+        q_lo = -(-target.gamma * lo * lo // target.delta_factor)
+        q_hi = target.gamma * (hi + 1) ** 2 // target.delta_factor
+        found = 0
+        while found < per_case:
+            m = scale * rng.randrange(q_lo - 2000, q_hi)
+            if case_of(form, m) != case_id:
+                continue
+            _, profile, core = construction_frame(form, reduce_to_core(form, m)[2])
+            primes = primes_of(profile, core)
+            q = find_q(profile, core, primes)
+            if lo <= math.isqrt(profile.delta_factor * q // profile.gamma) <= hi:
+                b, _ = solve_bh(profile, profile.n0(core), q)
+                frames.append((profile, core, q, solve_t(profile, primes, q), b))
+                found += 1
+    return frames
 
 
 def eligible_frames(cores):
@@ -392,7 +432,7 @@ class TestEnumeratePoint:
         assert first_point_reference(profile, core, con.q, con.t, con.b) == con.point
         assert enumerate_point(profile, core, con.q, con.t, con.b) == con.point
 
-    @given(st.sampled_from(list(TernaryForm)), st.integers(1, 2**32))
+    @given(st.sampled_from(list(TernaryForm)), st.integers(1, 2**64 - 1))
     def test_point_is_on_the_nonpositive_y_side(self, form, m):
         # F(-point) = F(point), so the scan never needs y > 0
         w = build_witness(form, m)
@@ -409,24 +449,73 @@ class TestEnumeratePoint:
         with pytest.raises(ValueError, match="n0 >= 3"):
             enumerate_point(PROFILES[profile_id], core, 73, 1, 17)
 
-    def test_budget_caps_the_scan(self, monkeypatch):
-        # the golden T1A point sits at |y| = 4 and the scan's y bound is 8;
-        # the T1B point of m = 5 sits at |y| = 5, and T1B visits odd |y| only
-        cases = [(T1A, 3, (73, 1, 17), (1, -4, -2)), (T1B, 5, (41, 1, 35), (2, -5, 2))]
-        for profile, core, _, _ in cases:
-            assert build_witness(TernaryForm.D122, core).case_id == profile.id
-        for profile, core, (q, t, b), point in cases:
-            ay = -point[1]
-            monkeypatch.setattr(pipeline, "LATTICE_STEP_BUDGET", ay)
-            assert enumerate_point(profile, core, q, t, b) == point
-            monkeypatch.setattr(pipeline, "LATTICE_STEP_BUDGET", ay - 1)
-            with pytest.raises(ResourceCapError, match="budget of %d values of" % (ay - 1)):
-                enumerate_point(profile, core, q, t, b)
-            out, err = io.StringIO(), io.StringIO()
-            code = dispatch(["witness", "--form", "x2+2y2+2z2", "--m", str(core), "--json"],
-                            out, err)
-            assert (code, out.getvalue()) == (5, "")
-            assert err.getvalue().startswith("resource cap: lattice scan for core %d" % core)
+    def test_scan_runs_only_up_to_the_limit(self, monkeypatch):
+        # The scan visits |y| <= isqrt(delta_factor*q // gamma) only, and
+        # enumerate_point runs it only while that bound is at most
+        # SCAN_Y_LIMIT; above it the reduction runs and the scan does not.
+        ran = []
+        for name in ("_scan_point", "_reduced_point"):
+            def record(*args, _name=name, _fn=getattr(lattice, name)):
+                ran.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(lattice, name, record)
+        frames = [frame for above in (False, True)
+                  for frame in frames_at_limit(random.Random(24), above, 1)]
+        frames += [(profile, core, con.q, con.t, con.b) for profile, core, con
+                   in constructions_up_to(400)]
+        for profile, core, q, t, b in frames:
+            ran.clear()
+            point = enumerate_point(profile, core, q, t, b)
+            bound = math.isqrt(profile.delta_factor * q // profile.gamma)
+            if bound <= SCAN_Y_LIMIT:
+                assert ran == ["_scan_point"] and -point[1] <= bound
+            else:
+                assert ran == ["_reduced_point"]
+
+    def test_scan_and_reduction_agree_on_small_constructions(self):
+        for profile, core, con in constructions_up_to(5000):
+            args = (profile, core, con.q, con.t, con.b)
+            assert lattice._scan_point(*args) == lattice._reduced_point(*args) == con.point
+
+    @pytest.mark.parametrize("above", [False, True], ids=["below", "above"])
+    def test_scan_and_reduction_agree_at_the_limit(self, above):
+        # three frames per case id within 32 of SCAN_Y_LIMIT on each side:
+        # T1B and T2C step |y| by 2, T1C-T1E double x, T2D runs T1A on core/2
+        frames = frames_at_limit(random.Random(2015 + above), above, 3)
+        assert {profile.id for profile, *_ in frames} == set(PROFILES)
+        for frame in frames:
+            scanned = lattice._scan_point(*frame)
+            assert scanned is not None
+            assert lattice._reduced_point(*frame) == scanned
+
+    def test_enumeration_visits_at_most_13_vectors(self, monkeypatch):
+        # F is integral and F = 0 (mod n0) on the whole lattice, so every
+        # nonzero vector of the box Q <= T has F = n0 and is a shortest
+        # vector.  A lattice in dimension 3 has at most 12 (the kissing
+        # number), so the box holds at most 13 coefficient vectors.
+        counts = []
+
+        def counting(*args):
+            found = list(fincke_pohst(*args))
+            counts.append(found)
+            return iter(found)
+
+        fincke_pohst = lattice._fincke_pohst
+        monkeypatch.setattr(lattice, "_fincke_pohst", counting)
+        rng = random.Random(80)
+        for bits in range(14, 81, 6):
+            for form, m in seeded_case_inputs(rng, per_case=1, min_bits=bits,
+                                              max_bits=bits):
+                _, profile, core = construction_frame(form, reduce_to_core(form, m)[2])
+                primes = primes_of(profile, core)
+                q = find_q(profile, core, primes)
+                t = solve_t(profile, primes, q)
+                b, _ = solve_bh(profile, profile.n0(core), q)
+                assert lattice._reduced_point(profile, core, q, t, b) is not None
+        assert len(counts) == 12 * 11
+        for found in counts:
+            assert 3 <= len(found) <= 13
+            assert [c for *c, excess in found if excess] == [[0, 0, 0]]
 
     def test_substituted_lattice_coordinate_is_even(self):
         for w in constructive_witnesses(TernaryForm.D122, 1, 300):
@@ -533,6 +622,29 @@ JSON_VALUES = st.recursive(
     max_leaves=6)
 # The producer's claims, which verify does not read
 CLAIMS = ("eligible", "verdict", "verified")
+
+
+class TestSupportedRange:
+    # Every eligible m below PRIMALITY_LIMIT gets a witness unless find_q
+    # or Pollard rho hits its budget (exit 5).  At the largest eligible m
+    # of each form, x2+y2+2z2 has a witness, and the other three forms run
+    # out of auxiliary primes below the proven primality bound.
+    @pytest.mark.parametrize("form, code", [(TernaryForm.D122, 5), (TernaryForm.D112, 0),
+                                            (TernaryForm.D113, 5), (TernaryForm.D117, 5)])
+    def test_largest_eligible_m(self, form, code):
+        m = PRIMALITY_LIMIT - 1
+        while not eligibility(form, m).eligible:
+            m -= 1
+        out, err = io.StringIO(), io.StringIO()
+        argv = ["witness", "--form", form.cli_name, "--m", str(m), "--json"]
+        assert dispatch(argv, out, err) == code
+        if code == 0:
+            assert run_verify(out.getvalue()) == (0, "", "")
+        else:
+            assert out.getvalue() == ""
+            assert err.getvalue() == (
+                "resource cap: no auxiliary prime for core %d below the proven"
+                " primality bound\n" % reduce_to_core(form, m)[2])
 
 
 class TestVerifyWitness:
@@ -870,6 +982,18 @@ def pinned_inputs():
 PINNED_WITNESS_SHA256 = "7f718611760b95d906b27e1bd928601ea5fcc63dc0cbdbe381b6acac714089ba"
 
 
+def large_pinned_inputs():
+    """Two seeded m of 44 to 80 bits per constructive case id: past the
+    old lattice scan's reach, so the reduction finds every point."""
+    return seeded_case_inputs(random.Random(20261020), per_case=2, min_bits=44,
+                              max_bits=80)
+
+
+# sha256 of the concatenated `witness --form F --m M --json` stdout over
+# large_pinned_inputs().
+PINNED_LARGE_WITNESS_SHA256 = "497e514d24a8d485c93292dbdbf51be7dc01236e4f3afc029309c0f5bfde62c4"
+
+
 class TestPinnedBytes:
     def test_witness_json_bytes(self):
         inputs = pinned_inputs()
@@ -881,6 +1005,16 @@ class TestPinnedBytes:
                      out, io.StringIO())
             digest.update(out.getvalue().encode())
         assert digest.hexdigest() == PINNED_WITNESS_SHA256
+
+    def test_large_witness_json_bytes(self):
+        digest = hashlib.sha256()
+        for form, m in large_pinned_inputs():
+            out = io.StringIO()
+            code = dispatch(["witness", "--form", form.cli_name, "--m", str(m), "--json"],
+                            out, io.StringIO())
+            assert code == 0 and run_verify(out.getvalue()) == (0, "", ""), (form, m)
+            digest.update(out.getvalue().encode())
+        assert digest.hexdigest() == PINNED_LARGE_WITNESS_SHA256
 
     def test_completed_square_identity(self):
         # delta*(u x^2 + w xy + v y^2) = (lam x + b y)^2 + gamma*n0*y^2 with
