@@ -27,12 +27,13 @@ from .errors import InternalError
 __all__ = ["SCAN_Y_LIMIT", "enumerate_point"]
 
 # enumerate_point scans when the bound on |y| is at most this, and reduces
-# above it.  On seeded cores of 16 to 26 bits, binned by the bound (2-vCPU
-# Xeon, Python 3.11.7), the reduction took 0.05-0.12 ms and the scan
-# 0.006-0.014 ms below 128, the two met between 1792 and 2048, and from
-# 4096 on the scan took 2 to 3 times as long.  A bound of 2048 means q near
-# 2^22 * gamma / delta_factor.
-SCAN_Y_LIMIT = 2048
+# above it.  On 200 seeded frames per bin of the bound (random.Random(2025),
+# 2-vCPU Xeon, Python 3.11.7), the scan against the reduction took, in mean
+# ms per call, 0.022 and 0.035 at 128-255, 0.033 and 0.037 at 256-319,
+# 0.045 and 0.044 at 320-383, where they meet, 0.051 and 0.045 at 384-511,
+# 0.100 and 0.047 at 512-1023, and 0.364 and 0.055 at 2048-4095.  A bound
+# of 384 means q near 9 * 2^14 * gamma / delta_factor.
+SCAN_Y_LIMIT = 384
 
 
 def enumerate_point(profile: CaseProfile, core: int, q: int, t: int, b: int) -> tuple:
@@ -145,30 +146,32 @@ def _reduced_point(profile: CaseProfile, core: int, q: int, t: int, b: int):
     """The least point under the key (|y|, x, z) among every point with
     Q = T and y <= 0, or None.
 
-    The rows (lam, 0, t*lam), (b, 1, t*b) and (0, 0, n0) are the images in
-    (e, y, R) of the x, y and z directions, so the reduced basis, kept in
-    coordinates of these rows, gives the points (x, y, z) directly.  The
-    enumeration runs over the whole box, which holds every point together
-    with its negative: a point with y = 0 comes in both signs, and of any
-    other pair the one with y < 0 is kept.  The box is small for any q: the
-    reduced basis has Gram-Schmidt norms B1 = Q(b1) >= T and
-    B_i >= B_(i-1) / 2, so |c3| <= 2.
+    The rows (0, 0, n0), (b, 1, t*b) and (lam, 0, t*lam), in the order z,
+    y, x, are the images in (e, y, R) of the z, y and x directions, so the
+    reduced basis, kept in coordinates of these rows, gives each point as
+    (z, y, x).  In this order LLL makes fewer than half the swaps it makes
+    in the order x, y, z.  The enumeration runs over the whole box, which
+    holds every point together with its negative: a point with y = 0 comes
+    in both signs, and of any other pair the one with y < 0 is kept.  The
+    box is small for any q: the reduced basis has Gram-Schmidt norms
+    B1 = Q(b1) >= T and B_i >= B_(i-1) / 2, so |c3| <= 2.
     """
     n0 = profile.n0(core)
     lam = profile.alpha * q
-    gn = profile.gamma * n0
     rho_delta = profile.rho * profile.delta_factor * q
-    rows = ((lam, 0, t * lam), (b, 1, t * b), (0, 0, n0))
-    gram = [[u[0] * v[0] + gn * u[1] * v[1] + rho_delta * u[2] * v[2] for v in rows]
-            for u in rows]
-    basis, d, lams = _lll(gram)
+    rn, tb, tl = rho_delta * n0, t * b, t * lam
+    yx = b * lam + rho_delta * tb * tl
+    basis, d, lams = _lll(((rn * n0, rn * tb, rn * tl),
+                           (rn * tb, b * b + profile.gamma * n0 + rho_delta * tb * tb, yx),
+                           (rn * tl, yx, lam * lam + rho_delta * tl * tl)))
+    (z1, y1, x1), (z2, y2, x2), (z3, y3, x3) = basis
     best = None
     for c1, c2, c3, excess in _fincke_pohst(d, lams, profile.delta_factor * q * n0):
-        if excess:
-            continue
-        x, y, z = (c1 * u + c2 * v + c3 * w for u, v, w in zip(*basis))
-        if y <= 0 and (best is None or (-y, x, z) < best):
-            best = (-y, x, z)
+        y = c1 * y1 + c2 * y2 + c3 * y3
+        if y <= 0 and not excess:
+            key = (-y, c1 * x1 + c2 * x2 + c3 * x3, c1 * z1 + c2 * z2 + c3 * z3)
+            if best is None or key < best:
+                best = key
     if best is None:
         return None
     ay, x, z = best
@@ -176,63 +179,56 @@ def _reduced_point(profile: CaseProfile, core: int, q: int, t: int, b: int):
 
 
 def _lll(gram):
-    """Integral LLL reduction with delta = 3/4 (Cohen, A Course in
-    Computational Algebraic Number Theory, Algorithm 2.6.7) of a positive
-    definite 3x3 Gram matrix, in exact integers.
+    """Integral LLL reduction with delta = 3/4 of a positive definite 3x3
+    Gram matrix, in exact integers: Cohen, A Course in Computational
+    Algebraic Number Theory, Algorithm 2.6.7, written out for n = 3.
 
     Returns (basis, d, lams): the reduced basis as rows of integer
     coordinates in the given one, the Gram determinants d = (d1, d2, d3)
     of its leading sub-bases, and lams = (l21, l31, l32), the integral
-    Gram-Schmidt coefficients l_kj = d_j * mu_kj.  Indices here are
-    Cohen's, from 1; index 0 of d is d0 = 1.
+    Gram-Schmidt coefficients l_kj = d_j * mu_kj.  Indices are Cohen's,
+    from 1, with d0 = 1.  The comments name his steps REDI(k, l) and
+    SWAPI(k); SWAPI(k) runs when 4*d_k*d_(k-2) < 3*d_(k-1)^2 - 4*l_k(k-1)^2.
     """
-    h = [None, [1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    d = [1, gram[0][0], 0, 0]
-    lam = [[0] * 4 for _ in range(4)]
-
-    def redi(k, l):
-        if 2 * abs(lam[k][l]) > d[l]:
-            r = (2 * lam[k][l] + d[l]) // (2 * d[l])
-            h[k] = [a - r * c for a, c in zip(h[k], h[l])]
-            lam[k][l] -= r * d[l]
-            for i in range(1, l):
-                lam[k][i] -= r * lam[l][i]
-
-    def swapi(k):
-        h[k], h[k - 1] = h[k - 1], h[k]
-        for j in range(1, k - 1):
-            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
-        v = lam[k][k - 1]
-        big = (d[k - 2] * d[k] + v * v) // d[k - 1]
-        for i in range(k + 1, k_max + 1):
-            s = lam[i][k]
-            lam[i][k] = (d[k] * lam[i][k - 1] - v * s) // d[k - 1]
-            lam[i][k - 1] = (big * s + v * lam[i][k]) // d[k]
-        d[k - 1] = big
-
-    k, k_max = 2, 1
-    while k <= 3:
-        if k > k_max:
-            # Incremental Gram-Schmidt: b_k is still the k-th given row.
-            k_max = k
-            row = gram[k - 1]
-            for j in range(1, k + 1):
-                u = sum(c * g for c, g in zip(h[j], row))
-                for i in range(1, j):
-                    u = (d[i] * u - lam[k][i] * lam[j][i]) // d[i - 1]
-                if j < k:
-                    lam[k][j] = u
-                else:
-                    d[k] = u
-        redi(k, k - 1)
-        if 4 * d[k] * d[k - 2] < 3 * d[k - 1] ** 2 - 4 * lam[k][k - 1] ** 2:
-            swapi(k)
-            k = max(2, k - 1)
-        else:
-            for l in range(k - 2, 0, -1):
-                redi(k, l)
-            k += 1
-    return h[1:], d[1:], (lam[2][1], lam[3][1], lam[3][2])
+    (g11, g12, g13), (_, g22, g23), (_, _, g33) = gram
+    h1, h2, h3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    d1, l21 = g11, g12
+    d2 = d1 * g22 - l21 * l21
+    l31 = l32 = None  # k_max = 2 until b3 joins
+    at_3 = False  # k = 3, else k = 2
+    while True:
+        if at_3:
+            if 2 * abs(l32) > d2:  # REDI(3, 2)
+                r = (2 * l32 + d2) // (2 * d2)
+                h3 = (h3[0] - r * h2[0], h3[1] - r * h2[1], h3[2] - r * h2[2])
+                l32 -= r * d2
+                l31 -= r * l21
+            if 4 * d3 * d1 >= 3 * d2 * d2 - 4 * l32 * l32:
+                break
+            h2, h3 = h3, h2  # SWAPI(3), then k = 2
+            l21, l31 = l31, l21
+            d2 = (d1 * d3 + l32 * l32) // d2
+        if 2 * abs(l21) > d1:  # REDI(2, 1)
+            r = (2 * l21 + d1) // (2 * d1)
+            h2 = (h2[0] - r * h1[0], h2[1] - r * h1[1], h2[2] - r * h1[2])
+            l21 -= r * d1
+        at_3 = 4 * d2 >= 3 * d1 * d1 - 4 * l21 * l21
+        if not at_3:  # SWAPI(2), and k stays 2
+            h1, h2 = h2, h1
+            big = (d2 + l21 * l21) // d1
+            if l31 is not None:
+                l31, l32 = l32, (d2 * l31 - l21 * l32) // d1
+                l31 = (big * l31 + l21 * l32) // d2
+            d1 = big
+        elif l31 is None:  # k = 3 > k_max: b3 is still the third given row
+            l31 = h1[0] * g13 + h1[1] * g23 + h1[2] * g33
+            l32 = d1 * (h2[0] * g13 + h2[1] * g23 + h2[2] * g33) - l31 * l21
+            d3 = (d2 * (d1 * g33 - l31 * l31) - l32 * l32) // d1
+    if 2 * abs(l31) > d1:  # REDI(3, 1)
+        r = (2 * l31 + d1) // (2 * d1)
+        h3 = (h3[0] - r * h1[0], h3[1] - r * h1[1], h3[2] - r * h1[2])
+        l31 -= r * d1
+    return (h1, h2, h3), (d1, d2, d3), (l21, l31, l32)
 
 
 def _fincke_pohst(d, lams, bound):

@@ -1,11 +1,13 @@
 """Independent references that the tests check the library against.
 
 None of them runs in the chain, the oracle or the CLI: the chain takes
-Legendre symbols at proven primes by Euler's criterion, and its descent
-is checked here against exhaustive search.
+Legendre symbols at proven primes by Euler's criterion, its descent is
+checked here against exhaustive search, and its lattice reduction against
+Gram-Schmidt over the rationals.
 """
 
 import math
+from fractions import Fraction
 
 from ternrep import NotRepresentableError, represent_binary, represented_bits
 
@@ -66,3 +68,21 @@ def descent_mismatches(limit: int) -> list:
             if (sound is None) == represented or sound is False:
                 failures.append((c, n))
     return failures
+
+
+def gram_schmidt(gram) -> tuple:
+    """(d, lams) of the rows of a positive definite Gram matrix, by
+    Gram-Schmidt over Fraction from scratch: d[k-1] = B1*...*Bk, the
+    product of the first k squared Gram-Schmidt norms, and lams the
+    l_kj = d_j * mu_kj in the order (l21, l31, l32, l41, ...)."""
+    n = len(gram)
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    norms = []
+    for k in range(n):
+        for j in range(k):
+            mu[k][j] = (Fraction(gram[k][j]) - sum(mu[j][i] * mu[k][i] * norms[i]
+                                                   for i in range(j))) / norms[j]
+        norms.append(Fraction(gram[k][k]) - sum(mu[k][i] ** 2 * norms[i] for i in range(k)))
+    d = [math.prod(norms[:k + 1]) for k in range(n)]
+    lams = [d[j] * mu[k][j] for k in range(n) for j in range(k)]
+    return d, lams

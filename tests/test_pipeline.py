@@ -49,7 +49,7 @@ from ternrep.pipeline import (
 )
 from ternrep.lattice import SCAN_Y_LIMIT
 
-from reference import jacobi
+from reference import gram_schmidt, jacobi
 
 T1A = PROFILES["T1A"]
 T1B = PROFILES["T1B"]
@@ -130,6 +130,19 @@ def constructions_up_to(hi):
         for w in constructive_witnesses(form, 1, hi + 1):
             _, profile, core = construction_frame(form, w.core)
             yield profile, core, w.construction
+
+
+def seeded_frames(rng, bits):
+    """(profile, frame core, q, t, b) of one seeded m of the given bit size
+    for every constructive case id, drawn from rng."""
+    frames = []
+    for form, m in seeded_case_inputs(rng, per_case=1, min_bits=bits, max_bits=bits):
+        _, profile, core = construction_frame(form, reduce_to_core(form, m)[2])
+        primes = primes_of(profile, core)
+        q = find_q(profile, core, primes)
+        b, _ = solve_bh(profile, profile.n0(core), q)
+        frames.append((profile, core, q, solve_t(profile, primes, q), b))
+    return frames
 
 
 def frames_at_limit(rng, above, per_case):
@@ -504,14 +517,8 @@ class TestEnumeratePoint:
         monkeypatch.setattr(lattice, "_fincke_pohst", counting)
         rng = random.Random(80)
         for bits in range(14, 81, 6):
-            for form, m in seeded_case_inputs(rng, per_case=1, min_bits=bits,
-                                              max_bits=bits):
-                _, profile, core = construction_frame(form, reduce_to_core(form, m)[2])
-                primes = primes_of(profile, core)
-                q = find_q(profile, core, primes)
-                t = solve_t(profile, primes, q)
-                b, _ = solve_bh(profile, profile.n0(core), q)
-                assert lattice._reduced_point(profile, core, q, t, b) is not None
+            for frame in seeded_frames(rng, bits):
+                assert lattice._reduced_point(*frame) is not None
         assert len(counts) == 12 * 11
         for found in counts:
             assert 3 <= len(found) <= 13
@@ -523,6 +530,60 @@ class TestEnumeratePoint:
             con = w.construction
             if profile.x_substituted:
                 assert con.point[0] % 2 == 0
+
+
+class TestLLL:
+    """lattice._lll, Cohen's Algorithm 2.6.7 written out for n = 3, against
+    Gram-Schmidt recomputed over Fraction (reference.gram_schmidt)."""
+
+    @staticmethod
+    def assert_reduced(gram, result):
+        """The basis is unimodular, d and lams are the Gram-Schmidt data of
+        basis*gram*basis^T, and the basis is size-reduced and meets Lovasz's
+        condition with delta = 3/4."""
+        basis, d, lams = result
+        (a, b, c), (e, f, g), (h, i, j) = basis
+        assert abs(a * (f * j - g * i) - b * (e * j - g * h) + c * (e * i - f * h)) == 1
+        reduced = [[sum(u[r] * gram[r][s] * v[s] for r in range(3) for s in range(3))
+                    for v in basis] for u in basis]
+        assert gram_schmidt(reduced) == (list(d), list(lams))
+        d0, d1, d2, d3 = (1, *d)
+        l21, l31, l32 = lams
+        assert 2 * abs(l21) <= d1 and 2 * abs(l31) <= d1 and 2 * abs(l32) <= d2
+        assert 4 * d2 * d0 >= 3 * d1 * d1 - 4 * l21 * l21
+        assert 4 * d3 * d1 >= 3 * d2 * d2 - 4 * l32 * l32
+
+    def test_reduces_the_seeded_grams_of_every_profile(self, monkeypatch):
+        calls = []
+
+        def recording(gram):
+            calls.append((gram, lll(gram)))
+            return calls[-1][1]
+
+        lll = lattice._lll
+        monkeypatch.setattr(lattice, "_lll", recording)
+        rng = random.Random(2515)
+        profiles = set()
+        for bits in range(14, 81, 6):
+            for frame in seeded_frames(rng, bits):
+                profiles.add(frame[0].id)
+                assert lattice._reduced_point(*frame) is not None
+        assert profiles == set(PROFILES) and len(calls) == 12 * 11
+        for gram, result in calls:
+            self.assert_reduced(gram, result)
+
+    @pytest.mark.parametrize("rows", [
+        ((10, 0, 0), (0, 10, 0), (0, 0, 1)),
+        ((20, 1, 0), (3, 20, 0), (1, 1, 1)),
+        ((7, 3, 0), (2, 8, 1), (1, -1, 1)),
+    ])
+    def test_short_last_row_ends_first(self, rows):
+        # b3 reaches the front only by a swap at k = 3 and then a swap at
+        # k = 2 with k_max = 3, which also moves l31 and l32
+        gram = [[sum(a * b for a, b in zip(u, v)) for v in rows] for u in rows]
+        result = lattice._lll(gram)
+        self.assert_reduced(gram, result)
+        assert result[0][0] in ((0, 0, 1), (0, 0, -1))
 
 
 class TestBuildWitness:
