@@ -8,8 +8,10 @@ fixes the whole shape of the construction:
   part of the core, and the character condition that makes it solvable:
   the Legendre symbol (-t_den_factor * q / p) = 1 at each prime p of n0,
 * the pair (b, h) with b^2 + gamma*n0 = d*q*h,
-* the integer quadratic form F(x, y, z) = rho*R^2 + u*x^2 + w*x*y + v*y^2
-  whose value at the searched lattice point equals the target, and
+* the integer quadratic form F = rho*R^2 + (e^2 + gamma*n0*y^2) / delta,
+  with delta = delta_factor*q, e = alpha*q*x + b*y and R = t*e + n0*z,
+  whose value at the searched lattice point equals the target (F is
+  stated once, in lattice.py), and
 * how the binary descent output (a, beta) and R1 assemble into a
   representation by the ternary form.
 
@@ -18,8 +20,7 @@ gamma, d, delta, alpha, rho and the assembly.
 What follows from them is derived, not stored:
 
 * the binary descent constant c, the form's third coefficient.
-* t's denominator.  With delta = delta_factor*q, e = alpha*q*x + b*y and
-  R = t*e + n0*z, delta*F = rho*delta*R^2 + e^2 + gamma*n0*y^2 is
+* t's denominator.  delta*F = rho*delta*R^2 + e^2 + gamma*n0*y^2 is
   (rho*delta*t^2 + 1)*e^2 (mod n0), so t_den_factor = rho*delta_factor.
 * b's divisibility rule.  b is the smaller of the roots r, q - r of
   b^2 = -gamma*n0 (mod q) with d*q dividing b^2 + gamma*n0
@@ -40,7 +41,8 @@ What follows from them is derived, not stored:
   Minkowski's convex body theorem (Cassels, An Introduction to the
   Geometry of Numbers, ch. III) some lattice point has 0 < F < 2*n0, since
   F is positive definite, and F = 0 (mod n0) forces F = n0 (the argument
-  of Ankeny, Sums of three squares, Proc. AMS 8, 1957).
+  of Ankeny, Sums of three squares, Proc. AMS 8, 1957).  tests/test_cases.py
+  checks the determinant and the bound in every row.
 * the parity of |y| at a point with F = n0, in two rows.  delta*F = n0*delta
   reads rho*delta*R^2 + e^2 + gamma*n0*y^2 = delta_factor*q*n0.  In T1B
   (rho = delta_factor = alpha = 2, gamma = 1) e = 2qx + by has the parity
@@ -53,8 +55,8 @@ What follows from them is derived, not stored:
   it for each row), so the lattice scan visits every |y| there.
 
 For the even-core profiles of x^2+2y^2+2z^2 the lattice is restricted to
-even x; the substitution x = 2x' is already folded into the coefficients,
-so the enumeration runs over free integers x'.
+even x: x = 2x' (x_substituted), F is taken in the free integer x', and
+lattice.py alone converts between x and x'.
 
 Even cores of x^2+y^2+2z^2 (case T2D) have no row here: they reuse the
 x^2+2y^2+2z^2 profile of m1 = core/2 and map its (u, v, w) to (2v, 2w, u),
@@ -62,7 +64,6 @@ as stated once in pipeline.construction_frame.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InternalError
 from .forms import TernaryForm
@@ -109,13 +110,6 @@ class CaseProfile:
         return self.rho * self.delta_factor
 
     @property
-    def det_factor(self) -> Fraction:
-        """rho*alpha^2*gamma/delta_factor^2: F's Gram determinant in lattice
-        coordinates is det_factor * n0^3, and a row needs
-        36*det_factor < 8*pi^2 for a lattice point with F = n0 to exist."""
-        return Fraction(self.rho * self.alpha ** 2 * self.gamma, self.delta_factor ** 2)
-
-    @property
     def y_parity(self) -> int | None:
         """The parity of |y| at every lattice point with F = n0: 1 in T1B,
         0 in T2C, and None where both occur."""
@@ -125,14 +119,6 @@ class CaseProfile:
         """Odd part of the core: the value F must take, the modulus of t
         and R's z-coefficient."""
         return core // 2 if self.core_parity == "even" else core
-
-    def binary_coefficients(self, core: int, q: int, b: int) -> tuple:
-        """(u, w, v) with binary part u*x^2 + w*x*y + v*y^2."""
-        delta = self.delta_factor * q
-        u = self.alpha * self.alpha * q * q // delta
-        w = 2 * self.alpha * q * b // delta
-        v = (b * b + self.gamma * self.n0(core)) // delta
-        return u, w, v
 
     def assemble(self, a: int, beta: int, r1: int) -> tuple:
         r1 = abs(r1)

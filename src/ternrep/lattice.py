@@ -1,22 +1,24 @@
-"""The lattice point of the construction: the first point with F = n0.
+"""The composed form F of the construction and its first point with F = n0.
 
-With delta = delta_factor*q, lam = alpha*q, e = lam*x + b*y and
-R = t*e + n0*z, delta*F is the positive definite form
-Q(e, y, R) = e^2 + gamma*n0*y^2 + rho*delta*R^2 on the lattice coordinates
-(x, y, z), and F = n0 reads Q = T with T = delta*n0.  Every point lies in
-|y| <= isqrt(delta_factor*q // gamma), and one exists (Minkowski's theorem
-on CaseProfile.det_factor, proved in cases.py).  The answer is pinned: the
-least point with y <= 0 under the key (|y|, x, z), the first point of the
-normative scan order.
+With delta = delta_factor*q, lam = alpha*q and x' the free coordinate
+(x = 2x' in the substituted profiles, x' = x elsewhere), e = lam*x' + b*y
+and R = t*e + n0*z, F = rho*R^2 + (e^2 + gamma*n0*y^2) / delta.  So delta*F
+is the positive definite form Q(e, y, R) = e^2 + gamma*n0*y^2 +
+rho*delta*R^2 on the lattice coordinates (x', y, z), and F = n0 reads
+Q = T with T = delta*n0.  composed_values evaluates F, and
+enumerate_point finds its first point with F = n0.  Every point lies in
+|y| <= isqrt(delta_factor*q // gamma), and one exists (Minkowski's theorem,
+proved in cases.py).  The answer is pinned: the least point with y <= 0
+under the key (|y|, x, z), the first point of the normative scan order.
 
-Two exact searches return it.  Up to SCAN_Y_LIMIT values of |y| a scan
-walks the completed square, at a few additions per candidate.  Above it
-an integral LLL reduction of Q and a Fincke-Pohst enumeration of Q <= T
-visit at most 13 coefficient vectors, whatever the size of q.  F is
-integral and F = 0 (mod n0) on the whole lattice (t makes it vanish, see
-cases.py), so every nonzero point has Q >= T, and the box Q <= T holds the
-zero vector and the shortest vectors alone: at most 12 of them, the kissing
-number in dimension 3.
+Two exact searches return it, in the coordinates (x', y, z).  Up to
+SCAN_Y_LIMIT values of |y| a scan walks the completed square, at a few
+additions per candidate.  Above it an integral LLL reduction of Q and a
+Fincke-Pohst enumeration of Q <= T visit at most 13 coefficient vectors,
+whatever the size of q.  F is integral and F = 0 (mod n0) on the whole
+lattice (t makes it vanish, see cases.py), so every nonzero point has
+Q >= T, and the box Q <= T holds the zero vector and the shortest vectors
+alone: at most 12 of them, the kissing number in dimension 3.
 """
 
 import math
@@ -24,7 +26,7 @@ import math
 from .cases import CaseProfile
 from .errors import InternalError
 
-__all__ = ["SCAN_Y_LIMIT", "enumerate_point"]
+__all__ = ["SCAN_Y_LIMIT", "composed_values", "enumerate_point"]
 
 # enumerate_point scans when the bound on |y| is at most this, and reduces
 # above it.  On 200 seeded frames per bin of the bound (random.Random(2025),
@@ -34,6 +36,32 @@ __all__ = ["SCAN_Y_LIMIT", "enumerate_point"]
 # 0.100 and 0.047 at 512-1023, and 0.364 and 0.055 at 2048-4095.  A bound
 # of 384 means q near 9 * 2^14 * gamma / delta_factor.
 SCAN_Y_LIMIT = 384
+
+
+def composed_values(profile: CaseProfile, core: int, q: int, t: int, b: int, point) -> tuple:
+    """(R, binary part, F) of the composed form at a lattice point (x, y, z):
+    R = t*e + n0*z, binary = (e^2 + gamma*n0*y^2) / delta and
+    F = rho*R^2 + binary, with e = lam*x' + b*y.
+
+    The binary part is taken as alpha*x'*(e + b*y) / delta_factor + v*y^2
+    with v = (b^2 + gamma*n0) / delta, since e^2 = lam*x'*(e + b*y) + b^2*y^2.
+    The first quotient is exact for every q and b, because alpha^2 and
+    2*alpha are multiples of delta_factor in every profile.  v is exact
+    for the b that solve_bh returns; for any other b, as verify may read,
+    v alone is rounded down.  For the substituted profiles x must be even
+    (ValueError otherwise).
+    """
+    x, y, z = point
+    if profile.x_substituted:
+        if x % 2 != 0:
+            raise ValueError("lattice x must be even for profile %s" % profile.id)
+        x //= 2
+    n0 = profile.n0(core)
+    e = profile.alpha * q * x + b * y
+    r_val = t * e + n0 * z
+    binary = (profile.alpha * x * (e + b * y) // profile.delta_factor
+              + (b * b + profile.gamma * n0) // (profile.delta_factor * q) * y * y)
+    return r_val, binary, profile.rho * r_val * r_val + binary
 
 
 def enumerate_point(profile: CaseProfile, core: int, q: int, t: int, b: int) -> tuple:
@@ -61,11 +89,12 @@ def enumerate_point(profile: CaseProfile, core: int, q: int, t: int, b: int) -> 
             "no lattice point with F = %d for core %d (profile %s)"
             % (target, core, profile.id)
         )
-    return point
+    x, y, z = point
+    return (2 * x if profile.x_substituted else x, y, z)
 
 
 def _scan_point(profile: CaseProfile, core: int, q: int, t: int, b: int):
-    """The first point of the normative scan, or None.
+    """The first point (x', y, z) of the normative scan, or None.
 
     The scan visits y = -|y| alone, |y| ascending, and at each |y| works on
     the completed square rho*delta*R^2 + e^2 = budget with
@@ -121,9 +150,7 @@ def _scan_point(profile: CaseProfile, core: int, q: int, t: int, b: int):
             if r <= r_max or r >= r_neg:
                 r_val = r if r <= r_max else r - target
                 if rho_delta * r_val * r_val + e * e == budget:
-                    x = (e + b * ay) // lam
-                    lattice_x = 2 * x if profile.x_substituted else x
-                    return (lattice_x, -ay, (r_val - t * e) // target)
+                    return ((e + b * ay) // lam, -ay, (r_val - t * e) // target)
             e += lam
             r += tl
             if r >= target:
@@ -143,8 +170,8 @@ def _scan_point(profile: CaseProfile, core: int, q: int, t: int, b: int):
 
 
 def _reduced_point(profile: CaseProfile, core: int, q: int, t: int, b: int):
-    """The least point under the key (|y|, x, z) among every point with
-    Q = T and y <= 0, or None.
+    """The least point (x', y, z) under the key (|y|, x', z) among every
+    point with Q = T and y <= 0, or None.
 
     The rows (0, 0, n0), (b, 1, t*b) and (lam, 0, t*lam), in the order z,
     y, x, are the images in (e, y, R) of the z, y and x directions, so the
@@ -165,17 +192,15 @@ def _reduced_point(profile: CaseProfile, core: int, q: int, t: int, b: int):
                            (rn * tb, b * b + profile.gamma * n0 + rho_delta * tb * tb, yx),
                            (rn * tl, yx, lam * lam + rho_delta * tl * tl)))
     (z1, y1, x1), (z2, y2, x2), (z3, y3, x3) = basis
-    best = None
+    keys = []
     for c1, c2, c3, excess in _fincke_pohst(d, lams, profile.delta_factor * q * n0):
         y = c1 * y1 + c2 * y2 + c3 * y3
         if y <= 0 and not excess:
-            key = (-y, c1 * x1 + c2 * x2 + c3 * x3, c1 * z1 + c2 * z2 + c3 * z3)
-            if best is None or key < best:
-                best = key
-    if best is None:
+            keys.append((-y, c1 * x1 + c2 * x2 + c3 * x3, c1 * z1 + c2 * z2 + c3 * z3))
+    if not keys:
         return None
-    ay, x, z = best
-    return (2 * x if profile.x_substituted else x, -ay, z)
+    ay, x, z = min(keys)
+    return (x, -ay, z)
 
 
 def _lll(gram):

@@ -14,7 +14,7 @@ that the bound allows.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .arith import (
     LEAST_FACTOR,
@@ -46,12 +46,13 @@ from .forms import (
     lift_representation,
     reduce_to_core,
 )
-from .lattice import enumerate_point
+from .lattice import composed_values, enumerate_point
 
 __all__ = [
     "Q_CANDIDATE_BUDGET",
     "SMALL_CORE",
     "ORACLE_CASE",
+    "CONSTRUCTION_KEYS",
     "WITNESS_KEYS",
     "Construction",
     "Witness",
@@ -62,7 +63,6 @@ __all__ = [
     "find_q",
     "solve_t",
     "solve_bh",
-    "composed_values",
     "build_witness",
     "verify_witness",
     "witness_problems",
@@ -123,11 +123,17 @@ class Witness:
     representation: tuple
 
 
-# The JSON keys of a witness, in output order.  The eight from q to
-# binary_rep hold the Construction's fields in its order, and are null
-# exactly when the construction is None.
+# The witness schema of the construction: each JSON key, in output order,
+# with the Construction attribute it holds and the value's shape, int or
+# the length of a tuple of ints (2, a pair, or 3, a triple).  The keys are
+# null exactly when the construction is None.
+CONSTRUCTION_KEYS = (("q", "q", int), ("t", "t", int), ("b", "b", int), ("h", "h", int),
+                     ("point", "point", 3), ("R", "r1", int), ("binary_value", "n", int),
+                     ("binary_rep", "binary", 2))
+
+# The JSON keys of a witness, in output order.
 WITNESS_KEYS = ("form", "m", "eligible", "verdict", "case", "k", "s", "core",
-                "q", "t", "b", "h", "point", "R", "binary_value", "binary_rep",
+                *(key for key, _, _ in CONSTRUCTION_KEYS),
                 "representation", "verified")
 
 
@@ -136,7 +142,7 @@ def witness_fields(w: Witness) -> dict:
     lists, and verified is verify_witness(w).  witness_from_fields reads
     it back."""
     con = w.construction
-    built = [None] * 8 if con is None else [getattr(con, f.name) for f in fields(con)]
+    built = [None if con is None else getattr(con, attr) for _, attr, _ in CONSTRUCTION_KEYS]
     values = [w.form.cli_name, w.m, True, Eligibility.ELIGIBLE.value, w.case_id,
               w.k, w.s, w.core, *built, w.representation, verify_witness(w)]
     return {key: list(v) if isinstance(v, tuple) else v
@@ -164,9 +170,10 @@ def witness_from_fields(d: dict) -> Witness:
     """The Witness that a JSON object in witness_fields' schema describes.
 
     It never raises: a list becomes a tuple and a form name its form, and
-    a value of the wrong type is kept for witness_problems to report.
-    Eight null or absent construction keys give a None construction.  The
-    producer's claims eligible, verdict and verified are not read.
+    a value of the wrong type is kept for witness_problems to report.  The
+    construction is None when every key of CONSTRUCTION_KEYS is null or
+    absent.  The producer's claims eligible, verdict and verified are not
+    read.
     """
     def get(key):
         value = d.get(key)
@@ -175,8 +182,8 @@ def witness_from_fields(d: dict) -> Witness:
     form = get("form")
     if isinstance(form, str):
         form = FORM_BY_NAME.get(form, form)
-    built = [get(key) for key in WITNESS_KEYS[8:16]]
-    con = None if all(v is None for v in built) else Construction(*built)
+    built = {attr: get(key) for key, attr, _ in CONSTRUCTION_KEYS}
+    con = None if all(v is None for v in built.values()) else Construction(**built)
     return Witness(form, get("m"), get("k"), get("s"), get("core"), get("case"),
                    con, get("representation"))
 
@@ -265,23 +272,6 @@ def solve_bh(profile: CaseProfile, n0: int, q: int) -> tuple:
     raise InternalError("no b in {r, q-r} has %d | b^2 + %d" % (d, gn))
 
 
-def composed_values(profile: CaseProfile, core: int, q: int, t: int, b: int, point) -> tuple:
-    """(R, binary part, F) of the composed form at a lattice point.
-
-    The point is given in lattice coordinates; for the substituted profiles
-    its x-coordinate must be even.
-    """
-    x, y, z = point
-    if profile.x_substituted:
-        if x % 2 != 0:
-            raise ValueError("lattice x must be even for profile %s" % profile.id)
-        x //= 2
-    u, w, v = profile.binary_coefficients(core, q, b)
-    binary = u * x * x + w * x * y + v * y * y
-    r_val = profile.alpha * t * q * x + b * t * y + profile.n0(core) * z
-    return r_val, binary, profile.rho * r_val * r_val + binary
-
-
 def construction_frame(form: TernaryForm, core: int) -> tuple:
     """(case id, profile, frame core) of the construction for a core.
 
@@ -347,9 +337,9 @@ def _is_int(v) -> bool:
 
 def _shape_problems(w: Witness) -> list:
     """Fields of the wrong type or length, each named by its JSON key:
-    integers are ints but not bools, point, binary_rep and representation
-    are tuples of ints, and the construction, when present, is a
-    Construction."""
+    integers are ints but not bools, pairs and triples are tuples of ints
+    (CONSTRUCTION_KEYS gives each construction field's shape), and the
+    construction, when present, is a Construction."""
     problems = []
     if not isinstance(w.form, TernaryForm):
         problems.append("form is not one of the four forms")
@@ -358,18 +348,17 @@ def _shape_problems(w: Witness) -> list:
     con = w.construction
     if con is not None and not isinstance(con, Construction):
         problems.append("construction is not a Construction")
-    ints = [(name, getattr(w, name)) for name in ("m", "k", "s", "core")]
-    tuples = [("representation", w.representation, 3)]
+    shapes = [(name, getattr(w, name), int) for name in ("m", "k", "s", "core")]
+    shapes.append(("representation", w.representation, 3))
     if isinstance(con, Construction):
-        ints += [("q", con.q), ("t", con.t), ("b", con.b), ("h", con.h),
-                 ("R", con.r1), ("binary_value", con.n)]
-        tuples += [("point", con.point, 3), ("binary_rep", con.binary, 2)]
-    for name, value in ints:
-        if not _is_int(value):
-            problems.append("%s is not an integer" % name)
-    for name, value, size in tuples:
-        if not isinstance(value, tuple) or len(value) != size:
-            problems.append("%s is not a %s" % (name, "pair" if size == 2 else "triple"))
+        shapes += [(key, getattr(con, attr), shape) for key, attr, shape in CONSTRUCTION_KEYS]
+    # the integers first, then the tuples, each in the order above
+    for name, value, shape in sorted(shapes, key=lambda item: item[2] is not int):
+        if shape is int:
+            if not _is_int(value):
+                problems.append("%s is not an integer" % name)
+        elif not isinstance(value, tuple) or len(value) != shape:
+            problems.append("%s is not a %s" % (name, "pair" if shape == 2 else "triple"))
         elif not all(_is_int(v) for v in value):
             problems.append("%s has a non-integer entry" % name)
     return problems

@@ -2,8 +2,9 @@
 
 None of them runs in the chain, the oracle or the CLI: the chain takes
 Legendre symbols at proven primes by Euler's criterion, its descent is
-checked here against exhaustive search, and its lattice reduction against
-Gram-Schmidt over the rationals.
+checked here against exhaustive search, its lattice reduction against
+Gram-Schmidt over the rationals, and its composed form F, which it takes
+on the completed square, against the binary coefficients (u, w, v).
 """
 
 import math
@@ -86,3 +87,38 @@ def gram_schmidt(gram) -> tuple:
     d = [math.prod(norms[:k + 1]) for k in range(n)]
     lams = [d[j] * mu[k][j] for k in range(n) for j in range(k)]
     return d, lams
+
+
+def binary_coefficients(profile, core: int, q: int, b: int) -> tuple:
+    """(u, w, v) with F's binary part u*x'^2 + w*x'*y + v*y^2 in the free
+    lattice coordinate x' (x = 2x' in the substituted profiles), from the
+    profile's constants: delta*u = (alpha*q)^2, delta*w = 2*alpha*q*b and
+    delta*v = b^2 + gamma*n0 with delta = delta_factor*q."""
+    delta = profile.delta_factor * q
+    u = profile.alpha * profile.alpha * q * q // delta
+    w = 2 * profile.alpha * q * b // delta
+    v = (b * b + profile.gamma * profile.n0(core)) // delta
+    return u, w, v
+
+
+def composed_reference(profile, core: int, q: int, t: int, b: int, point) -> tuple:
+    """(R, binary part, F) at a lattice point, from binary_coefficients and
+    R = alpha*t*q*x' + b*t*y + n0*z: lattice.composed_values by another
+    route.  x must be even in the substituted profiles."""
+    x, y, z = point
+    if profile.x_substituted:
+        assert x % 2 == 0
+        x //= 2
+    u, w, v = binary_coefficients(profile, core, q, b)
+    binary = u * x * x + w * x * y + v * y * y
+    r_val = profile.alpha * t * q * x + b * t * y + profile.n0(core) * z
+    return r_val, binary, profile.rho * r_val * r_val + binary
+
+
+def det_factor(profile) -> Fraction:
+    """rho*alpha^2*gamma/delta_factor^2: F's Gram determinant in lattice
+    coordinates is det_factor * n0^3, and a row needs
+    36*det_factor < 8*pi^2 for a lattice point with F = n0 to exist
+    (the Minkowski argument of the cases module)."""
+    return Fraction(profile.rho * profile.alpha ** 2 * profile.gamma,
+                    profile.delta_factor ** 2)

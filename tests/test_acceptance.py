@@ -33,7 +33,7 @@ from ternrep.oracle import dickson_excluded
 from ternrep.pipeline import (SMALL_CORE, construction_frame, witness_fields,
                               witness_from_fields)
 
-from reference import descent_mismatches
+from reference import binary_coefficients, descent_mismatches
 
 SWEEP_LIMIT = 50000
 ORACLE_LIMIT = 5000
@@ -108,7 +108,7 @@ def audit_witness(w):
     _, profile, core = construction_frame(w.form, w.core)
     target = profile.n0(core)
     con = w.construction
-    u, wc, v = profile.binary_coefficients(core, con.q, con.b)
+    u, wc, v = binary_coefficients(profile, core, con.q, con.b)
     c1 = profile.alpha * con.t * con.q
     c2 = con.b * con.t
     rho = profile.rho

@@ -17,7 +17,10 @@ from ternrep import (
     reduce_to_core,
     select_case,
 )
-from ternrep.pipeline import composed_values, construction_frame, find_q, solve_bh
+from ternrep.lattice import composed_values
+from ternrep.pipeline import construction_frame, find_q, solve_bh
+
+from reference import binary_coefficients, det_factor
 
 # Double entry of the normative recipe table: the paper's free constants of
 # each case, in COLUMNS order.
@@ -131,11 +134,11 @@ class TestExistenceBound:
     def test_gram_determinant(self, case_id):
         p = PROFILES[case_id]
         for core, con in constructions(p, 50).items():
-            assert gram_determinant(p, core, con) == p.det_factor * p.n0(core) ** 3, core
+            assert gram_determinant(p, core, con) == det_factor(p) * p.n0(core) ** 3, core
 
     @pytest.mark.parametrize("case_id", sorted(TABLE))
     def test_minkowski_bound(self, case_id):
-        assert 36 * PROFILES[case_id].det_factor < 8 * PI_LO ** 2
+        assert 36 * det_factor(PROFILES[case_id]) < 8 * PI_LO ** 2
 
 
 def admissible_y_parities(profile, modulus=64):
@@ -241,15 +244,18 @@ class TestProfileHelpers:
     def test_binary_coefficients_integral_and_definite(self):
         # u, w, v must come out integral with discriminant
         # -4 (alpha q / delta)^2 gamma n0 < 0 for real constructed (b, h).
+        # u and w are integral for every q and b, as lattice.composed_values
+        # relies on: delta_factor divides alpha^2 and 2*alpha.
         for case_id in sorted(TABLE):
             p = PROFILES[case_id]
+            assert p.alpha ** 2 % p.delta_factor == 0 == 2 * p.alpha % p.delta_factor
             core = next(
                 c for c in eligible_cores(p.form, 500)
                 if construction_frame(p.form, c)[1] is p and c > 2
             )
             q = find_q(p, core, [f for f, _ in factorize(p.n0(core))])
             b, _ = solve_bh(p, p.n0(core), q)
-            u, w, v = p.binary_coefficients(core, q, b)
+            u, w, v = binary_coefficients(p, core, q, b)
             delta = p.delta_factor * q
             lam = p.alpha * q
             assert u * delta == lam * lam

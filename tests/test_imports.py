@@ -1,8 +1,13 @@
 """The package's internal import graph: acyclic, and resolved at import
-time; and every public name has a reader in the package."""
+time; every public name, and every property and method of a public class,
+has a reader in the package; and importing the CLI leaves out the modules
+that only the tests need."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import ternrep
 
@@ -87,6 +92,39 @@ def names_read_in_package():
     return read
 
 
+def public_members():
+    """(class, member) for every public property and method of a class
+    whose name is public, such as CaseProfile."""
+    public = public_names()
+    members = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ClassDef) and node.name in public:
+                members.update((node.name, item.name) for item in node.body
+                               if isinstance(item, ast.FunctionDef)
+                               and not item.name.startswith("_"))
+    return members
+
+
 def test_every_public_name_is_read_in_the_package():
     # A helper that only the tests call belongs in tests/reference.py.
     assert sorted(public_names() - names_read_in_package()) == []
+
+
+def test_every_public_member_is_read_in_the_package():
+    members = public_members()
+    assert ("CaseProfile", "n0") in members
+    read = names_read_in_package()
+    assert sorted((cls, name) for cls, name in members if name not in read) == []
+
+
+def test_cli_import_leaves_out_fractions_and_decimal():
+    # -S keeps site's own imports out of the check; PYTHONPATH finds the
+    # package under test.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, ternrep.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

@@ -38,23 +38,23 @@ from ternrep import lattice, pipeline
 from ternrep.cli import dispatch
 from ternrep.forms import FORM_BY_NAME
 from ternrep.pipeline import (
+    CONSTRUCTION_KEYS,
     SMALL_CORE,
     WITNESS_KEYS,
     _SMALL_CORE_BASE,
-    composed_values,
     construction_frame,
     enumerate_point,
     witness_fields,
     witness_from_fields,
 )
-from ternrep.lattice import SCAN_Y_LIMIT
+from ternrep.lattice import SCAN_Y_LIMIT, composed_values
 
-from reference import gram_schmidt, jacobi
+from reference import binary_coefficients, composed_reference, gram_schmidt, jacobi
 
 T1A = PROFILES["T1A"]
 T1B = PROFILES["T1B"]
 T3A = PROFILES["T3A"]
-CONSTRUCTION_FIELDS = [f.name for f in dataclasses.fields(Construction)]
+CONSTRUCTION_FIELDS = [attr for _, attr, _ in CONSTRUCTION_KEYS]
 
 
 def primes_of(profile, core):
@@ -71,8 +71,8 @@ def edit(w, **changes):
     return dataclasses.replace(w, **changes)
 
 
-# The JSON key of each Witness or Construction field whose name differs
-JSON_KEY = {"case_id": "case", "r1": "R", "n": "binary_value", "binary": "binary_rep"}
+# The JSON key of each Witness or Construction field
+JSON_KEY = {"case_id": "case"} | {attr: key for key, attr, _ in CONSTRUCTION_KEYS}
 
 
 def json_edit(w, **changes):
@@ -87,8 +87,8 @@ def json_edit(w, **changes):
         if name == "construction":
             if value is not None and not isinstance(value, Construction):
                 return None
-            doc.update(zip(WITNESS_KEYS[8:16], [None] * 8 if value is None
-                           else dataclasses.astuple(value)))
+            doc.update((key, None if value is None else getattr(value, attr))
+                       for key, attr, _ in CONSTRUCTION_KEYS)
         else:
             doc[JSON_KEY.get(name, name)] = (
                 value.cli_name if isinstance(value, TernaryForm) else value)
@@ -374,7 +374,7 @@ def first_point_reference(profile, core, q, t, b):
     step of x past the bound that every point with F = n0 meets at y = 0.
     """
     target = profile.n0(core)
-    u, w, v = profile.binary_coefficients(core, q, b)
+    u, w, v = binary_coefficients(profile, core, q, b)
     c1 = profile.alpha * t * q
     c2 = b * t
     y_max = 0
@@ -486,9 +486,12 @@ class TestEnumeratePoint:
                 assert ran == ["_reduced_point"]
 
     def test_scan_and_reduction_agree_on_small_constructions(self):
+        # both return x' = x/2 in the substituted profiles
         for profile, core, con in constructions_up_to(5000):
             args = (profile, core, con.q, con.t, con.b)
-            assert lattice._scan_point(*args) == lattice._reduced_point(*args) == con.point
+            x, y, z = lattice._scan_point(*args)
+            assert lattice._reduced_point(*args) == (x, y, z)
+            assert (2 * x if profile.x_substituted else x, y, z) == con.point
 
     @pytest.mark.parametrize("above", [False, True], ids=["below", "above"])
     def test_scan_and_reduction_agree_at_the_limit(self, above):
@@ -530,6 +533,45 @@ class TestEnumeratePoint:
             con = w.construction
             if profile.x_substituted:
                 assert con.point[0] % 2 == 0
+
+
+class TestComposedValues:
+    """lattice.composed_values, F on the completed square, against
+    reference.composed_reference, F from the binary coefficients."""
+
+    def test_agrees_with_the_reference(self):
+        # the witness point and four seeded nonzero points of every
+        # construction with m <= 2000, and of a 40-bit frame per profile;
+        # each frame once more with b + 1, where v = (b^2 + gamma*n0) /
+        # delta need not be integral, as in a witness that verify rejects
+        rng = random.Random(26)
+        frames = [((profile, core, con.q, con.t, con.b), con.point)
+                  for profile, core, con in constructions_up_to(2000)]
+        frames += [(frame, enumerate_point(*frame))
+                   for frame in seeded_frames(random.Random(40), 40)]
+        assert {frame[0].id for frame, _ in frames} == set(PROFILES)
+        frames += [(frame[:4] + (frame[4] + 1,), point) for frame, point in frames]
+        for frame, point in frames:
+            step = 2 if frame[0].x_substituted else 1
+            points = [point]
+            while len(points) < 5:
+                seeded = (step * rng.randint(-60, 60), rng.randint(-60, 60),
+                          rng.randint(-60, 60))
+                if seeded != (0, 0, 0):
+                    points.append(seeded)
+            for p in points:
+                assert composed_values(*frame, p) == composed_reference(*frame, p)
+
+    def test_odd_x_is_refused_in_the_substituted_profiles(self):
+        seen = set()
+        for profile, core, con in constructions_up_to(2000):
+            if profile.x_substituted:
+                seen.add(profile.id)
+                x, y, z = con.point
+                with pytest.raises(ValueError) as info:
+                    composed_values(profile, core, con.q, con.t, con.b, (x + 1, y, z))
+                assert str(info.value) == "lattice x must be even for profile %s" % profile.id
+        assert seen == {"T1C", "T1D", "T1E"}
 
 
 class TestLLL:
@@ -929,7 +971,7 @@ class TestWitnessIdentities:
             for w in constructive_witnesses(form, 1, 300):
                 _, profile, core = construction_frame(w.form, w.core)
                 con = w.construction
-                u, wc, v = profile.binary_coefficients(core, con.q, con.b)
+                u, wc, v = binary_coefficients(profile, core, con.q, con.b)
                 assert u > 0 and v > 0
                 assert wc * wc - 4 * u * v < 0
 
@@ -1092,7 +1134,7 @@ class TestPinnedBytes:
             profile = PROFILES[profile_id]
             assert len(by_core) >= 3
             for core, con in sorted(by_core.items())[:3]:
-                u, wc, v = profile.binary_coefficients(core, con.q, con.b)
+                u, wc, v = binary_coefficients(profile, core, con.q, con.b)
                 delta = profile.delta_factor * con.q
                 lam = profile.alpha * con.q
                 gn = profile.gamma * profile.n0(core)
