@@ -20,7 +20,6 @@ _MR_TIERS = (
     (1373653, (2, 3)),
     (9080191, (31, 73)),
     (25326001, (2, 3, 5)),
-    (3215031751, (2, 3, 5, 7)),
     (4759123141, (2, 7, 61)),
     (1122004669633, (2, 13, 23, 1662803)),
     (2152302898747, (2, 3, 5, 7, 11)),

@@ -23,6 +23,7 @@ import io
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .errors import InternalError, ResourceCapError
 from .forms import Eligibility, FORM_BY_NAME, TernaryForm, eligibility
@@ -72,11 +73,35 @@ def _equation(form: TernaryForm, m: int, rep) -> str:
     return "%d = %s" % (m, " + ".join(parts))
 
 
+def _json_text(fields: dict) -> str:
+    """json.dumps(fields, indent=2) + "\n", byte for byte, for a non-empty
+    flat dict whose values are None, bools, ints, strs and lists of ints.
+    indent sends json.dumps to its pure-Python encoder, which costs more
+    than this direct writer.  Keys and strs go through the string encoder
+    that json.dumps itself calls under its default ensure_ascii."""
+    lines = []
+    for key, value in fields.items():
+        if value is None:
+            value = "null"
+        elif value is True or value is False:
+            value = "true" if value else "false"
+        elif isinstance(value, int):
+            value = str(value)
+        elif isinstance(value, str):
+            value = encode_basestring_ascii(value)
+        elif value:
+            value = "[\n    %s\n  ]" % ",\n    ".join(map(str, value))
+        else:
+            value = "[]"
+        lines.append("  %s: %s" % (encode_basestring_ascii(key), value))
+    return "{\n%s\n}\n" % ",\n".join(lines)
+
+
 def _emit(args, fields: dict, text: str, trail: bool = False) -> str:
     """The stdout text of one result: fields as JSON under --json, fields as
     `key: value` lines for a trail, and the text line otherwise."""
     if args.json:
-        return json.dumps(fields, indent=2) + "\n"
+        return _json_text(fields)
     if not trail:
         return text + "\n"
     lines = []

@@ -15,6 +15,7 @@ that the bound allows.
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 from .arith import (
     LEAST_FACTOR,
@@ -25,7 +26,7 @@ from .arith import (
     is_prime,
     sqrt_mod_prime,
 )
-from .cases import CaseProfile, select_case
+from .cases import PROFILES, CaseProfile, select_case
 from .descent import represent_binary
 from .errors import (
     InternalError,
@@ -73,6 +74,18 @@ __all__ = [
 # forms (5,152,766 constructions), the most any core needs is 3,307: core
 # 3,293,745 under T1B and T2C, with q = 3,320,201.
 Q_CANDIDATE_BUDGET = 10**6
+
+# From TABLE_LIMIT up, find_q sieves q's class in windows of _Q_WINDOW
+# values by the odd primes below _Q_SIEVE_BOUND.  _Q_SIEVE maps each
+# modulus of a profile's class to its (p, 1/modulus mod p) for the primes p
+# that do not divide it.
+_Q_WINDOW = 256
+_Q_SIEVE_BOUND = 64
+_Q_SIEVE = {
+    modulus: tuple((p, pow(modulus, -1, p)) for p in range(3, _Q_SIEVE_BOUND, 2)
+                   if is_prime(p) and modulus % p)
+    for modulus in {profile.q_residue[1] for profile in PROFILES.values()}
+}
 
 # Cores whose odd part is 1 make every modulus in the construction
 # degenerate, so they are settled by inspection: each base is the first hit
@@ -188,6 +201,15 @@ def witness_from_fields(d: dict) -> Witness:
                    con, get("representation"))
 
 
+def _residue_at_each(a: int, primes) -> bool:
+    """Whether a is a nonzero square mod each odd prime p in primes, by
+    Euler's criterion: a^((p-1)/2) = 1 (mod p)."""
+    for p in primes:
+        if pow(a, p >> 1, p) != 1:
+            return False
+    return True
+
+
 def find_q(profile: CaseProfile, core: int, primes) -> int:
     """Smallest prime q > max(core, 2) in the profile's residue class with
     the Legendre symbol (-t_den_factor * q / p) = 1 for each p in primes,
@@ -195,37 +217,50 @@ def find_q(profile: CaseProfile, core: int, primes) -> int:
     every p.  Each p is an odd prime, so the symbol is taken by Euler's
     criterion, (-t_den_factor * q)^((p-1)/2) = 1 (mod p).
 
-    Each value of the class meets the cheaper test first.  Below TABLE_LIMIT
-    that is primality, one byte of arith.LEAST_FACTOR (every class holds odd
-    numbers only), and then the characters.  From TABLE_LIMIT up it is the
-    characters, each of which fails for about half of the values, and
-    is_prime runs only on a value that passes them all.  The order of the
-    tests does not change which q is returned.
+    Below TABLE_LIMIT each value of the class meets primality first, one
+    byte of arith.LEAST_FACTOR (every class holds odd numbers only), and
+    then the characters.  From TABLE_LIMIT up the class is walked in
+    windows of _Q_WINDOW values, and a sieve marks in each window the
+    multiples of the odd primes below _Q_SIEVE_BOUND that do not divide
+    the modulus: composites, since every value is at least TABLE_LIMIT.
+    Only an unmarked value meets the characters, each of which fails for
+    about half of the values, and then is_prime.  Neither the order of the
+    tests nor the sieve changes which q is returned.
 
     Raises ResourceCapError after Q_CANDIDATE_BUDGET values of the residue
-    class have been examined, or when q reaches PRIMALITY_LIMIT.
+    class have been examined, sieved ones included, or at the first value,
+    sieved or not, that reaches PRIMALITY_LIMIT.
     """
     r, modulus = profile.q_residue
     den = profile.t_den_factor
     q = max(core, 2) + 1
     q += (r - q) % modulus
-    for _ in range(Q_CANDIDATE_BUDGET):
-        if q < TABLE_LIMIT:
-            if LEAST_FACTOR[q >> 1]:
-                q += modulus
-                continue
-        elif q >= PRIMALITY_LIMIT:
+    left = Q_CANDIDATE_BUDGET
+    while q < TABLE_LIMIT and left:
+        left -= 1
+        if not LEAST_FACTOR[q >> 1] and _residue_at_each(-den * q, primes):
+            return q
+        q += modulus
+    while left:
+        size = min(_Q_WINDOW, left)
+        # the first `below` values of the window lie below PRIMALITY_LIMIT;
+        # none of them when below <= 0
+        below = min(size, (PRIMALITY_LIMIT - q + modulus - 1) // modulus)
+        unmarked = bytearray(b"\1") * _Q_WINDOW
+        for p, inverse in _Q_SIEVE[modulus]:
+            # q + i*modulus = 0 (mod p) exactly for i = -q/modulus (mod p)
+            i = -q * inverse % p
+            unmarked[i::p] = bytes((_Q_WINDOW - 1 - i) // p + 1)
+        for i in compress(range(below), unmarked):
+            value = q + i * modulus
+            if _residue_at_each(-den * value, primes) and is_prime(value):
+                return value
+        if below < size:
             raise ResourceCapError(
                 "no auxiliary prime for core %d below the proven primality bound" % core
             )
-        a = -den * q
-        for p in primes:
-            if pow(a, p >> 1, p) != 1:
-                break
-        else:
-            if q < TABLE_LIMIT or is_prime(q):
-                return q
-        q += modulus
+        q += size * modulus
+        left -= size
     raise ResourceCapError(
         "no auxiliary prime for core %d within %d candidates" % (core, Q_CANDIDATE_BUDGET)
     )

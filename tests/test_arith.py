@@ -28,6 +28,19 @@ def sieve(limit):
     return flags
 
 
+def strong_probable_prime(n, base):
+    """Whether odd n > 2 passes one Miller-Rabin round to base."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    x = pow(base, (n - 1) >> s, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
 PRIMES_10K = [p for p, f in enumerate(sieve(10000)) if f]
 ODD_PRIMES_10K = PRIMES_10K[1:]
 
@@ -132,6 +145,23 @@ class TestIsPrime:
     def test_out_of_supported_range(self):
         with pytest.raises(ValueError):
             is_prime(2**128 + 1)
+
+    def test_strong_pseudoprimes_at_the_tier_bounds(self):
+        # Each bound of a witness tier is the least strong pseudoprime to its
+        # bases; the (2, 7, 61) tier, exact below 4,759,123,141 (Jaeschke
+        # 1993), also covers 3,215,031,751, the least one to 2, 3, 5, 7
+        for n, bases in ((25326001, (2, 3, 5)), (3215031751, (2, 3, 5, 7)),
+                         (4759123141, (2, 7, 61))):
+            assert all(strong_probable_prime(n, base) for base in bases)
+            assert not is_prime(n)
+        assert 48781 * 97561 == 4759123141
+
+    @pytest.mark.parametrize("bound", [25326001, 3215031751, 4759123141])
+    def test_agrees_with_trial_division_around_the_tier_bounds(self, bound):
+        primes = [p for p, f in enumerate(sieve(math.isqrt(bound + 3000))) if f]
+        for n in range(bound - 3000, bound + 3001):
+            prime = all(n % p for p in primes if p * p <= n)
+            assert is_prime(n) == prime, n
 
 
 class TestSqrtModPrime:

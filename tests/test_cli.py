@@ -11,6 +11,7 @@ import time
 from unittest import mock
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ternrep import (
     PRIMALITY_LIMIT,
@@ -21,7 +22,7 @@ from ternrep import (
     eligibility,
     evaluate,
 )
-from ternrep import oracle, pipeline
+from ternrep import cli, oracle, pipeline
 from ternrep.cli import dispatch
 from ternrep.oracle import CSV_HEADER, dickson_excluded
 from ternrep.pipeline import witness_from_fields
@@ -676,6 +677,47 @@ class TestClosedStreams:
         assert (proc.returncode, proc.stdout) == (4, "")
         assert proc.stderr == ("stdin is not JSON: Expecting value: "
                                "line 1 column 1 (char 0)\n")
+
+
+class TestJsonWriter:
+    # cli writes each --json object itself; its bytes must stay those of
+    # json.dumps(fields, indent=2) with a trailing newline
+    @pytest.mark.parametrize("argv, key, value", [
+        (["witness", "--form", "x2+2y2+2z2", "--m", "3"], "case", "T1A"),
+        (["witness", "--form", "x2+2y2+2z2", "--m", "4"], "case", "SMALL_CORE"),
+        (["represent", "--form", "x2+2y2+2z2", "--m", "7"], "verdict", "obstructed"),
+        (["represent", "--form", "x2+y2+7z2", "--m", "11"],
+         "verdict", "outside-covered-cases"),
+        (["represent", "--form", "x2+y2+7z2", "--m", "11", "--fallback-oracle"],
+         "case", "ORACLE"),
+        (["check", "--form", "x2+y2+7z2", "--m", "11"], "detail",
+         "covered cases are 4^k(8l+5) with ord_7(m) even"),
+        (["oracle", "--form", "x2+2y2+2z2", "--m", "3"], "found", True),
+        (["oracle", "--form", "x2+2y2+2z2", "--m", "7"], "found", False),
+    ])
+    def test_every_kind_of_object(self, argv, key, value, monkeypatch):
+        objects = []
+        write = cli._json_text
+        monkeypatch.setattr(cli, "_json_text",
+                            lambda fields: objects.append(fields) or write(fields))
+        _, out, err = run_cli(argv + ["--json"])
+        assert err == ""
+        [fields] = objects
+        assert fields[key] == value
+        assert out == json.dumps(fields, indent=2) + "\n"
+
+    @given(st.dictionaries(
+        st.text(),
+        st.none() | st.booleans() | st.integers() | st.integers(2**64, 2**200)
+        | st.integers(-2**200, -1) | st.text()
+        | st.sampled_from(["", "\"", "\\", "\n\t\x00\x1f", "\u00e9\u2028\U0001f600", "\ud800"])
+        | st.lists(st.integers(-2**100, 2**100)),
+        min_size=1))
+    def test_flat_objects(self, fields):
+        assert cli._json_text(fields) == json.dumps(fields, indent=2) + "\n"
+
+    def test_empty_list(self):
+        assert cli._json_text({"a": [], "b": [0]}) == '{\n  "a": [],\n  "b": [\n    0\n  ]\n}\n'
 
 
 class TestPinnedBytes:

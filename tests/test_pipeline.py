@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+import re
 import sys
 from unittest import mock
 
@@ -269,6 +270,60 @@ class TestFindQ:
                 if core.bit_length() >= 24:
                     assert_matches_jacobi_search(profile, core)
                     found += 1
+
+    def test_matches_a_jacobi_search_on_large_seeded_cores(self):
+        # from 2^16 up find_q sieves q's class in windows; cores of 40 to 80
+        # bits, where q often lies past the first window
+        rng = random.Random(2117)
+        forms = list(TernaryForm)
+        found = 0
+        while found < 120:
+            bits = rng.randint(40, 80)
+            form = rng.choice(forms)
+            m = rng.getrandbits(bits) | 1 << (bits - 1)
+            if eligibility(form, m).eligible:
+                _, profile, core = construction_frame(form, reduce_to_core(form, m)[2])
+                if core.bit_length() >= 40:
+                    assert_matches_jacobi_search(profile, core)
+                    found += 1
+
+    @pytest.mark.parametrize("profile_id, core, index", [
+        ("T1C", 1082130, 255), ("T2B", 1053303, 255), ("T3A", 1019573, 255),
+        ("T1B", 1090873, 256), ("T3A", 1096845, 256), ("T3B", 1042457, 512),
+    ])
+    def test_q_at_the_edge_of_a_sieve_window(self, profile_id, core, index):
+        # q is the last value of a window (index 255) or the first of the
+        # next one, counted in values of q's class from the first one > core
+        profile = PROFILES[profile_id]
+        r, modulus = profile.q_residue
+        first = core + 1 + (r - core - 1) % modulus
+        q = find_q(profile, core, primes_of(profile, core))
+        assert first >= 2**16 and q == first + index * modulus
+        assert index % pipeline._Q_WINDOW in (0, pipeline._Q_WINDOW - 1)
+        assert_matches_jacobi_search(profile, core)
+
+    def test_a_sieved_value_at_the_primality_limit_stops_the_search(self, monkeypatch):
+        # q is the 513th value of its class, in the third window.  The limit
+        # is put on the last value before q that the sieve marks, with the
+        # budget ending at that value, so that the search must stop there;
+        # then on q itself, and just past q.
+        profile, core = PROFILES["T3B"], 1042457
+        primes = primes_of(profile, core)
+        q = find_q(profile, core, primes)
+        r, modulus = profile.q_residue
+        sieve_primes = [p for p in range(3, pipeline._Q_SIEVE_BOUND, 2)
+                        if is_prime(p) and modulus % p]
+        values = [v for v in range(core + 1, q) if v % modulus == r]
+        last = max(i for i, v in enumerate(values) if any(v % p == 0 for p in sieve_primes))
+        assert last >= pipeline._Q_WINDOW
+        message = "no auxiliary prime for core %d below the proven primality bound" % core
+        for limit, budget in ((values[last], last + 1), (q, len(values) + 1)):
+            monkeypatch.setattr(pipeline, "PRIMALITY_LIMIT", limit)
+            monkeypatch.setattr(pipeline, "Q_CANDIDATE_BUDGET", budget)
+            with pytest.raises(ResourceCapError, match="^%s$" % re.escape(message)):
+                find_q(profile, core, primes)
+        monkeypatch.setattr(pipeline, "PRIMALITY_LIMIT", q + 1)
+        assert find_q(profile, core, primes) == q
 
     def test_cap(self, monkeypatch):
         monkeypatch.setattr(pipeline, "Q_CANDIDATE_BUDGET", 1)
