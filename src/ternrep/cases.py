@@ -63,7 +63,7 @@ x^2+2y^2+2z^2 profile of m1 = core/2 and map its (u, v, w) to (2v, 2w, u),
 as stated once in pipeline.construction_frame.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InternalError
 from .forms import TernaryForm
@@ -77,19 +77,20 @@ ASSEMBLY_R_A_B = "r_a_b"      # (R1, a, beta)         m = R1^2 + a^2 + 2b^2
 ASSEMBLY_A_R_B = "a_r_b"      # (a, R1, beta)         m = a^2 + R1^2 + c*b^2
 
 
-@dataclass(frozen=True)
-class CaseProfile:
-    id: str
-    form: TernaryForm
-    core_parity: str          # "odd" or "even"
-    core_residues: tuple      # residues mod 8 of the core's odd part
-    q_residue: tuple          # (r, M): q = r (mod M)
-    gamma: int                # b^2 = -gamma * n0 (mod q)
-    d_factor: int             # b^2 + gamma*n0 = (d_factor * q) * h
-    delta_factor: int         # binary part clears to ((alpha*q*x + b*y)^2
-    alpha: int                #   + gamma*n0*y^2) / (delta_factor * q)
-    rho: int                  # F = rho * R^2 + binary part
-    assembly: str
+class CaseProfile(namedtuple("CaseProfile", [
+    "id",                     # str
+    "form",                   # TernaryForm
+    "core_parity",            # str, "odd" or "even"
+    "core_residues",          # tuple, residues mod 8 of the core's odd part
+    "q_residue",              # (r, M): q = r (mod M)
+    "gamma",                  # int, b^2 = -gamma * n0 (mod q)
+    "d_factor",               # int, b^2 + gamma*n0 = (d_factor * q) * h
+    "delta_factor",           # int, binary part clears to ((alpha*q*x + b*y)^2
+    "alpha",                  # int,   + gamma*n0*y^2) / (delta_factor * q)
+    "rho",                    # int, F = rho * R^2 + binary part
+    "assembly",               # str, an ASSEMBLY_* tag
+])):
+    __slots__ = ()
 
     @property
     def x_substituted(self) -> bool:

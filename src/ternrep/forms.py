@@ -14,7 +14,7 @@ not as unrepresentable).
 """
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InternalError
 from .factor import ord_p, squarefree_decompose
@@ -61,10 +61,10 @@ class Eligibility(enum.Enum):
     OUTSIDE_COVERED_CASES = "outside-covered-cases"
 
 
-@dataclass(frozen=True)
-class EligibilityVerdict:
-    kind: Eligibility
-    detail: str
+class EligibilityVerdict(namedtuple("EligibilityVerdict", "kind detail")):
+    """kind, an Eligibility, and detail, a str saying why."""
+
+    __slots__ = ()
 
     @property
     def eligible(self) -> bool:
@@ -88,7 +88,7 @@ def _strip_fours(m: int) -> tuple:
 
 
 # One shared verdict per form and branch, (covered, not covered): a verdict
-# is frozen, so every call returns the same object.
+# is immutable, so every call returns the same object.
 _VERDICTS = {
     TernaryForm.D122: (
         EligibilityVerdict(Eligibility.ELIGIBLE, "not of the form 4^k(8l+7)"),

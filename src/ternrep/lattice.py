@@ -47,9 +47,10 @@ def composed_values(profile: CaseProfile, core: int, q: int, t: int, b: int, poi
     with v = (b^2 + gamma*n0) / delta, since e^2 = lam*x'*(e + b*y) + b^2*y^2.
     The first quotient is exact for every q and b, because alpha^2 and
     2*alpha are multiples of delta_factor in every profile.  v is exact
-    for the b that solve_bh returns; for any other b, as verify may read,
-    v alone is rounded down.  For the substituted profiles x must be even
-    (ValueError otherwise).
+    when delta is a divisor of b^2 + gamma*n0, as for the b that solve_bh
+    returns; otherwise v alone is rounded down, and witness_problems reads
+    only R.  For the substituted profiles x must be even (ValueError
+    otherwise).
     """
     x, y, z = point
     if profile.x_substituted:

@@ -26,7 +26,7 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .arith import PRIMALITY_LIMIT
 from .errors import InternalError, ResourceCapError
@@ -186,16 +186,13 @@ def _bit_reader(bits: int, hi: int):
     return lambda v: table[v >> 3] >> (v & 7) & 1 == 1
 
 
-@dataclass(frozen=True)
-class ScanRow:
-    m: int
-    verdict: str
-    pipeline_found: bool
-    oracle_found: bool
-    agree: bool
-    representation: tuple | None
-    q: int | None
-    elapsed_micros: int = 0
+class ScanRow(namedtuple("ScanRow", "m verdict pipeline_found oracle_found agree "
+                                    "representation q elapsed_micros", defaults=(0,))):
+    """One scan row: m, q and elapsed_micros are ints (q None without a
+    construction), verdict is a str, the three found/agree flags are bools,
+    and representation is a triple or None."""
+
+    __slots__ = ()
 
     def cells(self) -> tuple:
         """The row's values in CSV_HEADER's column order; empty cells are None."""
@@ -204,16 +201,15 @@ class ScanRow:
                 self.agree, x, y, z, self.q, self.elapsed_micros)
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(namedtuple("ScanReport", "form lo hi rows", defaults=((),))):
     """The rows of one scan, rendered for the CLI by to_csv (CSV_HEADER,
     then one line per row) and to_json (a JSON array, one object per line
-    keyed by CSV_HEADER's columns; empty cells are null)."""
+    keyed by CSV_HEADER's columns; empty cells are null).
 
-    form: TernaryForm
-    lo: int
-    hi: int
-    rows: tuple = field(default_factory=tuple)
+    form is a TernaryForm, lo and hi are ints, and rows is a tuple of
+    ScanRow."""
+
+    __slots__ = ()
 
     @property
     def all_agree(self) -> bool:

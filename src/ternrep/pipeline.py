@@ -14,7 +14,7 @@ that the bound allows.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import compress
 
 from .arith import (
@@ -105,35 +105,27 @@ _SMALL_CORE_BASE = {
 ORACLE_CASE = "ORACLE"
 
 
-@dataclass(frozen=True)
-class Construction:
+class Construction(namedtuple("Construction", "q t b h point r1 n binary")):
     """The run of the construction on the frame core of
     construction_frame(form, core): for case T2D that is m1 = core / 2
-    under the x^2+2y^2+2z^2 profile of m1."""
+    under the x^2+2y^2+2z^2 profile of m1.
 
-    q: int
-    t: int
-    b: int
-    h: int
-    point: tuple
-    r1: int
-    n: int
-    binary: tuple
+    q, t, b, h, r1 and n are ints, point is an (x, y, z) triple and
+    binary the pair (a, beta) with a^2 + c*beta^2 = n."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(namedtuple("Witness",
+                         "form m k s core case_id construction representation")):
     """Full audit trail for one represented integer; construction is None
-    exactly on the small-core path."""
+    exactly on the small-core path.
 
-    form: TernaryForm
-    m: int
-    k: int
-    s: int
-    core: int
-    case_id: str
-    construction: Construction | None
-    representation: tuple
+    form is a TernaryForm, m, k, s and core are ints, case_id is a str,
+    construction is a Construction or None, and representation is the
+    triple of m."""
+
+    __slots__ = ()
 
 
 # The witness schema of the construction: each JSON key, in output order,
@@ -479,8 +471,14 @@ def witness_problems(w: Witness) -> list:
 
     if not 0 <= con.b < con.q:
         problems.append("b is not in canonical range")
-    if con.b * con.b + profile.gamma * n0 != profile.d_factor * con.q * con.h:
+    bh = con.b * con.b + profile.gamma * n0
+    if bh != profile.d_factor * con.q * con.h:
         problems.append("b^2 + gamma*n0 != d*h")
+    # F and the binary value are integral only when delta_factor * q
+    # divides b^2 + gamma*n0, and otherwise are not compared: the line
+    # above is then already reported, since delta_factor divides d_factor
+    # in every profile.  R is exact for every b.
+    integral = bh % (profile.delta_factor * con.q) == 0
 
     if con.point == (0, 0, 0):
         problems.append("point is zero")
@@ -489,11 +487,11 @@ def witness_problems(w: Witness) -> list:
         r1, n, f_val = composed_values(profile, frame_core, con.q, con.t, con.b, con.point)
     except ValueError as exc:
         return problems + [str(exc)]
-    if f_val != n0:
+    if integral and f_val != n0:
         problems.append("F(point) != target")
     if r1 != con.r1:
         problems.append("R does not match the point")
-    if n != con.n:
+    if integral and n != con.n:
         problems.append("binary_value does not match the point")
 
     a, beta = con.binary

@@ -269,7 +269,7 @@ def test_golden_fixture(report):
     w = build_witness(TernaryForm.D122, 3)
     expected = dict(q=73, t=1, b=17, h=2, point=(1, -4, -2), r1=-1, n=1,
                     binary=(1, 0), representation=(1, 0, 1))
-    actual = dict(dataclasses.asdict(w.construction), representation=w.representation)
+    actual = dict(w.construction._asdict(), representation=w.representation)
     ok = isinstance(w, Witness) and actual == expected and verify_witness(w)
     report("golden-fixture", ok, "got %r" % (actual,))
     assert actual == expected

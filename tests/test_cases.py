@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -6,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from ternrep import (
-    CaseProfile,
     InternalError,
     PROFILES,
     TernaryForm,
@@ -62,7 +60,7 @@ class TestProfileTable:
         # every stored column is pinned: a column added without a TABLE
         # value fails here
         p = PROFILES[case_id]
-        stored = {f.name: getattr(p, f.name) for f in dataclasses.fields(CaseProfile)}
+        stored = p._asdict()
         assert stored == dict(zip(COLUMNS, TABLE[case_id]), id=case_id)
 
     def test_descent_constant_is_third_coefficient(self):
@@ -83,6 +81,13 @@ class TestProfileTable:
         # visits at most that many values of |y|, as the README states.
         for p in PROFILES.values():
             assert p.delta_factor <= 2 * p.gamma, p.id
+
+    def test_delta_divides_d(self):
+        # so a b with b^2 + gamma*n0 != d*h is reported whenever
+        # delta_factor * q fails to divide b^2 + gamma*n0, and
+        # witness_problems can leave out the F lines that read a rounded v
+        for p in PROFILES.values():
+            assert p.d_factor % p.delta_factor == 0, p.id
 
     def test_x_substitution_marks_even_core_rows(self):
         for p in PROFILES.values():

@@ -1,4 +1,3 @@
-import dataclasses
 import errno
 import hashlib
 import io
@@ -618,8 +617,8 @@ class TestSingleWrite:
     def test_stdout_comes_before_the_stderr_line(self, monkeypatch):
         def disagreeing(*args, **kwargs):
             report = oracle.scan_compare(*args, **kwargs)
-            first = dataclasses.replace(report.rows[0], agree=False)
-            return dataclasses.replace(report, rows=(first,) + report.rows[1:])
+            first = report.rows[0]._replace(agree=False)
+            return report._replace(rows=(first,) + report.rows[1:])
 
         monkeypatch.setattr("ternrep.cli.scan_compare", disagreeing)
         shared = io.StringIO()

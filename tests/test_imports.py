@@ -1,7 +1,7 @@
 """The package's internal import graph: acyclic, and resolved at import
 time; every public name, and every property and method of a public class,
 has a reader in the package; and importing the CLI leaves out the modules
-that only the tests need."""
+that only the tests need and those that would slow every start."""
 
 import ast
 import os
@@ -118,13 +118,16 @@ def test_every_public_member_is_read_in_the_package():
     assert sorted((cls, name) for cls, name in members if name not in read) == []
 
 
-def test_cli_import_leaves_out_fractions_and_decimal():
-    # -S keeps site's own imports out of the check; PYTHONPATH finds the
-    # package under test.
+def test_cli_import_leaves_out_slow_stdlib_modules():
+    # fractions and decimal are for the tests only; dataclasses, and the
+    # inspect it imports, and typing would each add milliseconds to every
+    # start of the CLI.  -S keeps site's own imports out of the check;
+    # PYTHONPATH finds the package under test.
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    slow = {"fractions", "decimal", "dataclasses", "inspect", "typing"}
     proc = subprocess.run(
         [sys.executable, "-S", "-c",
-         "import sys, ternrep.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"],
+         "import sys, ternrep.cli; print(sorted(%r & set(sys.modules)))" % (slow,)],
         capture_output=True, text=True, env=env, timeout=120)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

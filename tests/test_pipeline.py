@@ -1,9 +1,9 @@
-import dataclasses
 import hashlib
 import io
 import itertools
 import json
 import math
+import pickle
 import random
 import re
 import sys
@@ -20,6 +20,8 @@ from ternrep import (
     Construction,
     ResourceCapError,
     SCAN_HI_LIMIT,
+    ScanReport,
+    ScanRow,
     TernaryForm,
     Witness,
     brute_force_ternary,
@@ -30,6 +32,7 @@ from ternrep import (
     find_q,
     is_prime,
     reduce_to_core,
+    scan_compare,
     solve_bh,
     solve_t,
     verify_witness,
@@ -63,13 +66,13 @@ def primes_of(profile, core):
 
 
 def edit(w, **changes):
-    """dataclasses.replace that routes the Construction fields into
+    """w._replace that routes the Construction fields into
     w.construction."""
     inner = {name: changes.pop(name) for name in CONSTRUCTION_FIELDS
              if name in changes}
     if inner:
-        changes["construction"] = dataclasses.replace(w.construction, **inner)
-    return dataclasses.replace(w, **changes)
+        changes["construction"] = w.construction._replace(**inner)
+    return w._replace(**changes)
 
 
 # The JSON key of each Witness or Construction field
@@ -755,7 +758,7 @@ class TestBuildWitness:
                 assert build_witness(form, m) == build_witness(form, m)
 
 
-WITNESS_FIELDS = [f.name for f in dataclasses.fields(Witness)]
+WITNESS_FIELDS = list(Witness._fields)
 FUZZ_WITNESSES = [build_witness(form, m) for form, m in (
     (TernaryForm.D122, 3), (TernaryForm.D122, 1), (TernaryForm.D112, 6),
     (TernaryForm.D113, 4), (TernaryForm.D117, 5), (TernaryForm.D122, 48))]
@@ -846,6 +849,14 @@ class TestVerifyWitness:
     def test_corrupted_b_parity(self):
         w = build_witness(TernaryForm.D122, 3)
         rejected(w, b=w.construction.b + 1)
+
+    def test_b_off_its_congruence_reports_only_exact_lines(self):
+        # delta_factor * q = 73 does not divide 18^2 + 3, so F and the
+        # binary value would come from a rounded v and are not compared;
+        # R is exact for every b
+        w = build_witness(TernaryForm.D122, 3)
+        assert w.construction.b == 17
+        assert rejected(w, b=18) == ["b^2 + gamma*n0 != d*h", "R does not match the point"]
 
     def test_corrupted_representation(self):
         w = build_witness(TernaryForm.D122, 3)
@@ -984,7 +995,7 @@ class TestVerifyWitness:
     def test_field_type_fuzz_raises_nothing(self, w, changes, inner):
         # inner edits the Construction of a constructed witness
         edits = [(getattr(w, k), v) for k, v in changes.items()]
-        bad = dataclasses.replace(w, **changes)
+        bad = w._replace(**changes)
         if w.construction is not None and inner and "construction" not in changes:
             edits += [(getattr(w.construction, k), v) for k, v in inner.items()]
             bad = edit(bad, **inner)
@@ -1015,9 +1026,54 @@ class TestVerifyWitness:
                 by_case.setdefault(w.case_id, w)
         for w in by_case.values():
             for core in range(-2, 80):
-                bad = dataclasses.replace(w, core=core)
+                bad = w._replace(core=core)
                 assert verify_witness(bad) == (core == w.core)
                 assert run_verify(json_edit(w, core=core))[0] == (0 if core == w.core else 1)
+
+
+# One witness per case id: the m of the installed-package check in CI
+CASE_WITNESSES = {case_id: build_witness(form, m) for case_id, form, m in (
+    ("T1A", TernaryForm.D122, 3), ("T1B", TernaryForm.D122, 5),
+    ("T1C", TernaryForm.D122, 6), ("T1D", TernaryForm.D122, 10),
+    ("T1E", TernaryForm.D122, 14), ("T2A", TernaryForm.D112, 3),
+    ("T2B", TernaryForm.D112, 7), ("T2C", TernaryForm.D112, 5),
+    ("T2D", TernaryForm.D112, 1000006), ("T3A", TernaryForm.D117, 53),
+    ("T3B", TernaryForm.D113, 433), (SMALL_CORE, TernaryForm.D122, 1))}
+
+
+class TestRecords:
+    """The six record types are named tuples with __slots__ = ()."""
+
+    def test_no_instance_dict(self):
+        w = CASE_WITNESSES["T1A"]
+        report = scan_compare(TernaryForm.D112, 1, 20)
+        records = [eligibility(TernaryForm.D122, 7), PROFILES["T1A"], w.construction, w,
+                   report.rows[0], report]
+        assert [type(r).__name__ for r in records] == [
+            "EligibilityVerdict", "CaseProfile", "Construction", "Witness",
+            "ScanRow", "ScanReport"]
+        for record in records:
+            assert not hasattr(record, "__dict__"), type(record).__name__
+
+    def test_scan_records_survive_pickle(self):
+        # the process pool of scan_compare returns its rows pickled
+        report = scan_compare(TernaryForm.D112, 1, 20)
+        assert {row.verdict for row in report.rows} == {"eligible", "obstructed"}
+        assert any(row.q is None and row.representation for row in report.rows)
+        back = pickle.loads(pickle.dumps(report))
+        assert back == report and type(back) is ScanReport
+        assert all(type(row) is ScanRow for row in back.rows)
+        assert back.to_csv() == report.to_csv()
+
+    def test_defaults(self):
+        assert ScanRow(14, "obstructed", False, False, True, None, None).elapsed_micros == 0
+        assert ScanReport(TernaryForm.D112, 1, 0).rows == ()
+
+    def test_json_round_trip_per_case(self):
+        assert set(CASE_WITNESSES) == set(PROFILES) | {"T2D", SMALL_CORE}
+        for case_id, w in CASE_WITNESSES.items():
+            assert w.case_id == case_id
+            assert witness_from_fields(witness_fields(w)) == w
 
 
 class TestWitnessIdentities:
