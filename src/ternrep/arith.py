@@ -14,9 +14,9 @@ __all__ = ["is_prime", "sqrt_mod_prime", "inv_mod", "crt", "PRIMALITY_LIMIT"]
 
 
 # Deterministic Miller-Rabin witness sets.  Each entry (bound, bases) is a
-# proven result: testing against `bases` is exact for all n < bound.
+# proven result: testing against `bases` is exact for all n < bound.  No
+# bound is below TABLE_LIMIT, where is_prime reads LEAST_FACTOR instead.
 _MR_TIERS = (
-    (2047, (2,)),
     (1373653, (2, 3)),
     (9080191, (31, 73)),
     (25326001, (2, 3, 5)),

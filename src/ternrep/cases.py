@@ -15,9 +15,10 @@ fixes the whole shape of the construction:
 * how the binary descent output (a, beta) and R1 assemble into a
   representation by the ternary form.
 
-The table holds only the free constants of each case: q's residue class,
-gamma, d, delta, alpha, rho and the assembly.
-What follows from them is derived, not stored:
+The table holds the free constants of each case: q's residue class,
+gamma, d, delta, alpha, rho and the assembly.  What follows from them is
+derived, and only the last fact below, the parity of |y|, is also stored,
+as the y_parity column:
 
 * the binary descent constant c, the form's third coefficient.
 * t's denominator.  delta*F = rho*delta*R^2 + e^2 + gamma*n0*y^2 is
@@ -89,7 +90,9 @@ class CaseProfile(namedtuple("CaseProfile", [
     "alpha",                  # int,   + gamma*n0*y^2) / (delta_factor * q)
     "rho",                    # int, F = rho * R^2 + binary part
     "assembly",               # str, an ASSEMBLY_* tag
-])):
+    "y_parity",               # the parity of |y| at every lattice point with
+                              #   F = n0, or None where both occur
+], defaults=(None,))):
     __slots__ = ()
 
     @property
@@ -109,12 +112,6 @@ class CaseProfile(namedtuple("CaseProfile", [
         """rho * delta_factor: t^2 = -1/(t_den_factor * q) (mod n0) makes
         F vanish mod n0."""
         return self.rho * self.delta_factor
-
-    @property
-    def y_parity(self) -> int | None:
-        """The parity of |y| at every lattice point with F = n0: 1 in T1B,
-        0 in T2C, and None where both occur."""
-        return {"T1B": 1, "T2C": 0}.get(self.id)
 
     def n0(self, core: int) -> int:
         """Odd part of the core: the value F must take, the modulus of t
@@ -149,7 +146,7 @@ PROFILES = {
         CaseProfile(
             id="T1B", form=TernaryForm.D122, core_parity="odd", core_residues=(1, 5),
             q_residue=(1, 8), gamma=1, d_factor=2, delta_factor=2, alpha=2, rho=2,
-            assembly=ASSEMBLY_A_B_R,
+            assembly=ASSEMBLY_A_B_R, y_parity=1,
         ),
         # even core 2*m1; the three profiles differ only in q's residue class.
         #   F = R^2 + 2q x'^2 + 2b x'y + h y^2, R = 2tq x' + bt y + m1 z
@@ -186,7 +183,7 @@ PROFILES = {
         CaseProfile(
             id="T2C", form=TernaryForm.D112, core_parity="odd", core_residues=(1, 5),
             q_residue=(1, 8), gamma=2, d_factor=1, delta_factor=1, alpha=1, rho=1,
-            assembly=ASSEMBLY_R_A_B,
+            assembly=ASSEMBLY_R_A_B, y_parity=0,
         ),
         # x^2 + y^2 + 7z^2, core = 5 (mod 8), 7 not dividing the core:
         #   F = R^2 + q x^2 + b xy + h y^2, R = 2tq x + bt y + core z

@@ -4,6 +4,10 @@ Every failure mode that callers are expected to distinguish gets its own
 class; the CLI maps them onto exit codes.
 """
 
+__all__ = ["TernrepError", "NonResidueError", "NotInvertibleError",
+           "NonCoprimeModuliError", "NotRepresentableError",
+           "ResourceCapError", "InternalError"]
+
 
 class TernrepError(Exception):
     """Base class for all package-specific errors."""

@@ -400,19 +400,20 @@ def witness_problems(w: Witness) -> list:
     problems = _shape_problems(w)
     if problems:
         return problems
-    if w.m < 1:
+    form, m, k, s, core, case, con, representation = w
+    if m < 1:
         return ["m < 1"]
-    if w.k < 0:
+    if k < 0:
         return ["k < 0"]
-    if 2 * w.k >= w.m.bit_length():
+    if 2 * k >= m.bit_length():
         return ["4^k * s^2 * core != m"]  # 4^k alone exceeds m
-    if not eligibility(w.form, w.m).eligible:
+    if not eligibility(form, m).eligible:
         problems.append("m is not eligible for this form")
-    if (1 << (2 * w.k)) * w.s * w.s * w.core != w.m:
+    if (1 << (2 * k)) * s * s * core != m:
         problems.append("4^k * s^2 * core != m")
-    if w.s < 1 or w.s % 2 == 0:
+    if s < 1 or s % 2 == 0:
         problems.append("s is not a positive odd integer")
-    odd_core = w.core // 2 if w.core % 2 == 0 else w.core
+    odd_core = core // 2 if core % 2 == 0 else core
     if odd_core >= PRIMALITY_LIMIT:
         return problems + ["core is beyond the proven primality range"]
     # Factored once: for a core of the expected shape its odd part is also
@@ -421,87 +422,87 @@ def witness_problems(w: Witness) -> list:
     odd_factors = factorize(odd_core) if odd_core > 0 and odd_core % 2 else []
     if odd_core < 1 or odd_core % 2 == 0 or any(e > 1 for _, e in odd_factors):
         problems.append("core is not squarefree of the expected shape")
-    if evaluate(w.form, w.representation) != w.m:
+    if evaluate(form, representation) != m:
         problems.append("representation does not evaluate to m")
 
-    if w.case_id == SMALL_CORE:
-        base = _SMALL_CORE_BASE.get((w.form, w.core))
+    if case == SMALL_CORE:
+        base = _SMALL_CORE_BASE.get((form, core))
         if base is None:
-            problems.append("no small-core base for core %d" % w.core)
-        elif w.representation != lift_representation(base, w.k, w.s):
+            problems.append("no small-core base for core %d" % core)
+        elif representation != lift_representation(base, k, s):
             problems.append("representation does not match the small-core base")
-        if w.construction is not None:
+        if con is not None:
             problems.append("small-core witness carries construction fields")
         return problems
 
     try:
-        case_id, profile, frame_core = construction_frame(w.form, w.core)
+        case_id, profile, frame_core = construction_frame(form, core)
     except (InternalError, ValueError):
-        return problems + ["no case covers core %d" % w.core]
-    if w.case_id != case_id:
-        return problems + ["unknown case id %r for core %d" % (w.case_id, w.core)]
+        return problems + ["no case covers core %d" % core]
+    if case != case_id:
+        return problems + ["unknown case id %r for core %d" % (case, core)]
 
-    con = w.construction
     if con is None:
         return problems + ["construction fields are incomplete"]
+    q, t, b, h, point, r1, n, binary = con
 
-    if con.q < 2:
+    if q < 2:
         return problems + ["q is not prime"]
     n0 = profile.n0(frame_core)
-    if con.q >= PRIMALITY_LIMIT:
+    if q >= PRIMALITY_LIMIT:
         problems.append("q is beyond the proven primality range")
-    elif not is_prime(con.q):
+    elif not is_prime(q):
         problems.append("q is not prime")
-    if con.q <= max(frame_core, 2):
+    if q <= max(frame_core, 2):
         problems.append("q is not above the core")
     r, modulus = profile.q_residue
-    if con.q % modulus != r:
+    if q % modulus != r:
         problems.append("q is outside its residue class")
-    den = profile.t_den_factor * con.q
+    den = profile.t_den_factor * q
     for p, _ in odd_factors:
         if pow(-den, p >> 1, p) != 1:
             problems.append("character condition fails at p = %d" % p)
 
-    if not 0 <= con.t < max(n0, 1):
+    if not 0 <= t < max(n0, 1):
         problems.append("t out of range")
     if math.gcd(den, n0) != 1:
         problems.append("t denominator shares a factor with the modulus")
-    elif (con.t * con.t + inv_mod(den % n0, n0)) % n0 != 0:
+    elif (t * t + inv_mod(den % n0, n0)) % n0 != 0:
         problems.append("t^2 != -1/den (mod modulus)")
 
-    if not 0 <= con.b < con.q:
+    if not 0 <= b < q:
         problems.append("b is not in canonical range")
-    bh = con.b * con.b + profile.gamma * n0
-    if bh != profile.d_factor * con.q * con.h:
+    bh = b * b + profile.gamma * n0
+    if bh != profile.d_factor * q * h:
         problems.append("b^2 + gamma*n0 != d*h")
     # F and the binary value are integral only when delta_factor * q
     # divides b^2 + gamma*n0, and otherwise are not compared: the line
     # above is then already reported, since delta_factor divides d_factor
     # in every profile.  R is exact for every b.
-    integral = bh % (profile.delta_factor * con.q) == 0
+    integral = bh % (profile.delta_factor * q) == 0
 
-    if con.point == (0, 0, 0):
+    if point == (0, 0, 0):
         problems.append("point is zero")
         return problems
     try:
-        r1, n, f_val = composed_values(profile, frame_core, con.q, con.t, con.b, con.point)
+        point_r1, point_n, f_val = composed_values(profile, frame_core, q, t, b, point)
     except ValueError as exc:
         return problems + [str(exc)]
     if integral and f_val != n0:
         problems.append("F(point) != target")
-    if r1 != con.r1:
+    if point_r1 != r1:
         problems.append("R does not match the point")
-    if integral and n != con.n:
+    if integral and point_n != n:
         problems.append("binary_value does not match the point")
 
-    a, beta = con.binary
+    a, beta = binary
     if a < 0 or beta < 0:
         problems.append("binary_rep not normalized")
-    if a * a + profile.c * beta * beta != con.n:
+    if a * a + profile.c * beta * beta != n:
         problems.append("binary_rep does not evaluate to n")
 
-    base = _assemble(case_id, profile, con.binary, con.r1)
-    if w.representation != lift_representation(base, w.k, w.s):
+    base = _assemble(case_id, profile, binary, r1)
+    if representation != lift_representation(base, k, s):
         problems.append("representation does not match the assembly")
     return problems
 

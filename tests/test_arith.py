@@ -156,6 +156,13 @@ class TestIsPrime:
             assert not is_prime(n)
         assert 48781 * 97561 == 4759123141
 
+    def test_every_tier_lies_above_the_table(self):
+        # is_prime answers every n < TABLE_LIMIT from LEAST_FACTOR, so a
+        # tier bounded below it would never be read
+        bounds = [bound for bound, _ in arith._MR_TIERS]
+        assert bounds == sorted(bounds)
+        assert bounds[0] >= arith.TABLE_LIMIT
+
     @pytest.mark.parametrize("bound", [25326001, 3215031751, 4759123141])
     def test_agrees_with_trial_division_around_the_tier_bounds(self, bound):
         primes = [p for p, f in enumerate(sieve(math.isqrt(bound + 3000))) if f]

@@ -23,18 +23,18 @@ from reference import binary_coefficients, det_factor
 # Double entry of the normative recipe table: the paper's free constants of
 # each case, in COLUMNS order.
 COLUMNS = ("form", "core_parity", "core_residues", "q_residue", "gamma",
-           "d_factor", "delta_factor", "alpha", "rho", "assembly")
+           "d_factor", "delta_factor", "alpha", "rho", "assembly", "y_parity")
 TABLE = {
-    "T1A": (TernaryForm.D122, "odd", (3,), (1, 8), 1, 2, 1, 1, 2, "a_b_r"),
-    "T1B": (TernaryForm.D122, "odd", (1, 5), (1, 8), 1, 2, 2, 2, 2, "a_b_r"),
-    "T1C": (TernaryForm.D122, "even", (1, 3), (1, 8), 2, 2, 2, 2, 1, "2b_a_r"),
-    "T1D": (TernaryForm.D122, "even", (5,), (5, 8), 2, 2, 2, 2, 1, "2b_a_r"),
-    "T1E": (TernaryForm.D122, "even", (7,), (3, 8), 2, 2, 2, 2, 1, "2b_a_r"),
-    "T2A": (TernaryForm.D112, "odd", (3,), (1, 8), 2, 2, 2, 2, 1, "r_a_b"),
-    "T2B": (TernaryForm.D112, "odd", (7,), (3, 8), 2, 2, 2, 2, 1, "r_a_b"),
-    "T2C": (TernaryForm.D112, "odd", (1, 5), (1, 8), 2, 1, 1, 1, 1, "r_a_b"),
-    "T3A": (TernaryForm.D117, "odd", (5,), (1, 28), 7, 4, 4, 2, 1, "a_r_b"),
-    "T3B": (TernaryForm.D113, "odd", (1,), (1, 12), 3, 4, 4, 2, 1, "a_r_b"),
+    "T1A": (TernaryForm.D122, "odd", (3,), (1, 8), 1, 2, 1, 1, 2, "a_b_r", None),
+    "T1B": (TernaryForm.D122, "odd", (1, 5), (1, 8), 1, 2, 2, 2, 2, "a_b_r", 1),
+    "T1C": (TernaryForm.D122, "even", (1, 3), (1, 8), 2, 2, 2, 2, 1, "2b_a_r", None),
+    "T1D": (TernaryForm.D122, "even", (5,), (5, 8), 2, 2, 2, 2, 1, "2b_a_r", None),
+    "T1E": (TernaryForm.D122, "even", (7,), (3, 8), 2, 2, 2, 2, 1, "2b_a_r", None),
+    "T2A": (TernaryForm.D112, "odd", (3,), (1, 8), 2, 2, 2, 2, 1, "r_a_b", None),
+    "T2B": (TernaryForm.D112, "odd", (7,), (3, 8), 2, 2, 2, 2, 1, "r_a_b", None),
+    "T2C": (TernaryForm.D112, "odd", (1, 5), (1, 8), 2, 1, 1, 1, 1, "r_a_b", 0),
+    "T3A": (TernaryForm.D117, "odd", (5,), (1, 28), 7, 4, 4, 2, 1, "a_r_b", None),
+    "T3B": (TernaryForm.D113, "odd", (1,), (1, 12), 3, 4, 4, 2, 1, "a_r_b", None),
 }
 # The binary descent constant c of each case: n = a^2 + c*beta^2.
 DESCENT_C = {"T1A": 2, "T1B": 2, "T1C": 2, "T1D": 2, "T1E": 2,

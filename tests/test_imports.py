@@ -1,5 +1,6 @@
 """The package's internal import graph: acyclic, and resolved at import
-time; every public name, and every property and method of a public class,
+time; the package's __all__ is its modules' lists, with no name in two of
+them; every public name, and every property and method of a public class,
 has a reader in the package; and importing the CLI leaves out the modules
 that only the tests need and those that would slow every start."""
 
@@ -64,17 +65,81 @@ def test_no_function_local_package_imports():
     assert local == []
 
 
-def public_names():
-    """The names in ternrep.__all__ and in each module's __all__, read from
-    the source, without __version__."""
-    names = set()
-    for path in PACKAGE.glob("*.py"):
+def module_lists():
+    """{module: its __all__} for each module of the package that has one,
+    read from the source.  __init__.py is left out: its __all__ is built
+    from these."""
+    lists = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if (isinstance(node, ast.Assign)
                     and any(isinstance(t, ast.Name) and t.id == "__all__"
                             for t in node.targets)):
-                names.update(ast.literal_eval(node.value))
-    return names - {"__version__"}
+                lists[path.stem] = ast.literal_eval(node.value)
+    return lists
+
+
+def public_names():
+    """The names in each module's __all__."""
+    return {name for names in module_lists().values() for name in names}
+
+
+def star_imports():
+    """The modules that __init__.py star-imports, in order; it must import
+    nothing else of the package."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert all(node.level == 1 and [a.name for a in node.names] == ["*"]
+               for node in imports)
+    return [node.module for node in imports]
+
+
+def test_package_all_is_the_module_lists():
+    # Every module's list but the CLI's is re-exported, in import order,
+    # and __init__.py names no public name by hand.
+    lists = module_lists()
+    modules = star_imports()
+    assert sorted(modules) == sorted(set(lists) - {"cli"})
+    assert ternrep.__all__ == ["__version__", *(n for m in modules for n in lists[m])]
+    assert all(hasattr(ternrep, name) for name in ternrep.__all__)
+
+
+def test_no_name_in_two_module_lists():
+    # a later star import would silently shadow an earlier module's name
+    seen = {}
+    for module, names in module_lists().items():
+        for name in names:
+            assert name not in seen, (name, seen.get(name), module)
+            seen[name] = module
+
+
+# ternrep.__all__ when it was written out by hand in __init__.py.
+HAND_KEPT_ALL = [
+    "__version__",
+    "is_prime", "sqrt_mod_prime", "inv_mod", "crt", "PRIMALITY_LIMIT",
+    "factorize", "squarefree_decompose", "ord_p", "RHO_STEP_BUDGET",
+    "TernaryForm", "Eligibility", "EligibilityVerdict",
+    "eligibility", "evaluate", "reduce_to_core", "lift_representation",
+    "CaseProfile", "PROFILES", "select_case",
+    "compose", "represent_binary",
+    "brute_force_ternary", "first_triples", "oracle_triple", "ORACLE_STEP_BUDGET",
+    "represented_bits", "SCAN_HI_LIMIT", "POOL_MIN_ROWS", "ScanRow", "ScanReport",
+    "scan_compare",
+    "Construction", "Witness", "build_witness", "construction_frame", "find_q",
+    "solve_t", "solve_bh", "enumerate_point", "Q_CANDIDATE_BUDGET",
+    "verify_witness",
+    "witness_problems", "witness_fields", "witness_from_fields",
+    "TernrepError", "NonResidueError", "NotInvertibleError",
+    "NonCoprimeModuliError", "NotRepresentableError",
+    "ResourceCapError", "InternalError",
+]
+
+
+def test_every_hand_kept_name_is_still_exported():
+    assert len(HAND_KEPT_ALL) == 52
+    assert sorted(set(HAND_KEPT_ALL) - set(ternrep.__all__)) == []
 
 
 def names_read_in_package():
