@@ -15,11 +15,10 @@ __all__ = ["is_prime", "sqrt_mod_prime", "inv_mod", "crt", "PRIMALITY_LIMIT"]
 
 # Deterministic Miller-Rabin witness sets.  Each entry (bound, bases) is a
 # proven result: testing against `bases` is exact for all n < bound.  No
-# bound is below TABLE_LIMIT, where is_prime reads LEAST_FACTOR instead.
+# bound is below TABLE_LIMIT, where is_prime reads LEAST_FACTOR instead, and
+# each tier has fewer bases than the next, which is exact on its range too.
 _MR_TIERS = (
-    (1373653, (2, 3)),
     (9080191, (31, 73)),
-    (25326001, (2, 3, 5)),
     (4759123141, (2, 7, 61)),
     (1122004669633, (2, 13, 23, 1662803)),
     (2152302898747, (2, 3, 5, 7, 11)),

@@ -12,8 +12,8 @@ proved in cases.py).  The answer is pinned: the least point with y <= 0
 under the key (|y|, x, z), the first point of the normative scan order.
 
 Two exact searches return it, in the coordinates (x', y, z).  Up to
-SCAN_Y_LIMIT values of |y| a scan walks the completed square, at a few
-additions per candidate.  Above it an integral LLL reduction of Q and a
+SCAN_Y_LIMIT values of |y| a scan walks the completed square, at one
+integer square root per |y| and a few additions per candidate.  Above it an integral LLL reduction of Q and a
 Fincke-Pohst enumeration of Q <= T visit at most 13 coefficient vectors,
 whatever the size of q.  F is integral and F = 0 (mod n0) on the whole
 lattice (t makes it vanish, see cases.py), so every nonzero point has
@@ -31,11 +31,11 @@ __all__ = ["SCAN_Y_LIMIT", "composed_values", "enumerate_point"]
 # enumerate_point scans when the bound on |y| is at most this, and reduces
 # above it.  On 200 seeded frames per bin of the bound (random.Random(2025),
 # 2-vCPU Xeon, Python 3.11.7), the scan against the reduction took, in mean
-# ms per call, 0.022 and 0.035 at 128-255, 0.033 and 0.037 at 256-319,
-# 0.045 and 0.044 at 320-383, where they meet, 0.051 and 0.045 at 384-511,
-# 0.100 and 0.047 at 512-1023, and 0.364 and 0.055 at 2048-4095.  A bound
-# of 384 means q near 9 * 2^14 * gamma / delta_factor.
-SCAN_Y_LIMIT = 384
+# ms per call, 0.014 and 0.021 at 128-191, 0.019 and 0.022 at 192-223,
+# 0.022 and 0.021 at 224-255, where they meet, 0.023 and 0.022 at 256-287,
+# 0.035 and 0.024 at 320-383, 0.074 and 0.027 at 512-1023, and 0.312 and
+# 0.028 at 2048-4095.  A bound of 256 means q near 2^16 * gamma / delta_factor.
+SCAN_Y_LIMIT = 256
 
 
 def composed_values(profile: CaseProfile, core: int, q: int, t: int, b: int, point) -> tuple:
@@ -100,28 +100,20 @@ def _scan_point(profile: CaseProfile, core: int, q: int, t: int, b: int):
     The scan visits y = -|y| alone, |y| ascending, and at each |y| works on
     the completed square rho*delta*R^2 + e^2 = budget with
     budget = delta*n0 - gamma*n0*y^2.  x ascends with e over the coset
-    b*y + lam*Z inside [-s, s], where s >= isqrt(budget).  As
-    |R| <= isqrt(n0 / rho) < n0 / 2 and n0 is odd, the only candidate R is
-    the centred residue of t*e mod n0, and z = (R - t*e) / n0 is exact.
-    The residue r = t*e mod n0 walks by t*lam with e, and two comparisons
-    reject it unless |R| <= isqrt(n0 / rho) before the exact test
-    rho*delta*R^2 + e^2 = budget.
+    b*y + lam*Z inside [-s, s], with s = isqrt(budget), from its least
+    member e0 = (s - b*|y|) mod lam - s.  As |R| <= isqrt(n0 / rho) < n0 / 2
+    and n0 is odd, the only candidate R is the centred residue of t*e mod
+    n0, and z = (R - t*e) / n0 is exact.  The residue r = t*e mod n0 starts
+    at t*e0 mod n0 and walks by t*lam with e, and two comparisons reject it
+    unless |R| <= isqrt(n0 / rho) before the exact test
+    rho*delta*R^2 + e^2 = budget.  Each |y| derives its budget, s, e0 and
+    r afresh, and the scan ends where the budget turns negative, at
+    |y| = isqrt(delta_factor*q // gamma).
 
     In T1B every point has |y| odd, and in T2C every point has |y| even
     (CaseProfile.y_parity, proved in cases.py), so there the scan starts at
     |y| = 1 or 0 and steps by 2; elsewhere it visits every |y|.  Skipping
     |y| values without a point keeps the first point.
-
-    The next |y| takes additions and comparisons only.  The budget drops
-    by a carried difference, which grows by 2*step^2*gamma*n0.  The
-    coset's least member e0 >= -s and r0 = t*e0 mod n0 are carried: y falls
-    by step, so the coset moves by step*b, and e0 falls by step*b mod lam
-    and r0 by t times that.  One wrap by lam (and t*lam) then restores
-    e0 >= -s.  s = isqrt(budget), e0 and r0 are re-derived only once the
-    budget falls below (s - lam//4)^2.  Until then s exceeds isqrt(budget)
-    by at most lam/4, which adds at most one candidate per side, and the
-    exact test rejects it as e^2 > budget.  The scan ends where the budget
-    turns negative, at |y| = isqrt(delta_factor*q // gamma).
     """
     target = profile.n0(core)
     r_max = math.isqrt(target // profile.rho)
@@ -129,24 +121,14 @@ def _scan_point(profile: CaseProfile, core: int, q: int, t: int, b: int):
     gn = profile.gamma * target
     rho_delta = profile.rho * profile.delta_factor * q
     lam = profile.alpha * q
-    quarter = lam // 4
-    start, step = (0, 1) if profile.y_parity is None else (profile.y_parity, 2)
-    eb = step * b % lam  # the coset's shift per visited |y|, reduced mod lam
-    tb, tl = t * eb % target, t * lam % target
+    tl = t * lam % target
     full = profile.delta_factor * q * target
-    ay_max = math.isqrt(full // gn)
-    budget = full - gn * start * start
-    drop = gn * step * (2 * start + step)  # budget(|y|) - budget(|y| + step)
-    drop_step = 2 * gn * step * step
-    refresh = budget + 1  # s, e0 and r0 are re-derived once budget < refresh
-
-    for ay in range(start, ay_max + 1, step):
-        if budget < refresh:
-            s = math.isqrt(budget)
-            e0 = (s - b * ay) % lam - s
-            r0 = t * e0 % target
-            refresh = (s - quarter) ** 2 if s > quarter else -1
-        e, r = e0, r0
+    start, step = (0, 1) if profile.y_parity is None else (profile.y_parity, 2)
+    for ay in range(start, math.isqrt(full // gn) + 1, step):
+        budget = full - gn * ay * ay
+        s = math.isqrt(budget)
+        e = (s - b * ay) % lam - s
+        r = t * e % target
         while e <= s:
             if r <= r_max or r >= r_neg:
                 r_val = r if r <= r_max else r - target
@@ -156,17 +138,6 @@ def _scan_point(profile: CaseProfile, core: int, q: int, t: int, b: int):
             r += tl
             if r >= target:
                 r -= target
-        budget -= drop
-        drop += drop_step
-        e0 -= eb
-        r0 -= tb
-        if r0 < 0:
-            r0 += target
-        if e0 < -s:
-            e0 += lam
-            r0 += tl
-            if r0 >= target:
-                r0 -= target
     return None
 
 

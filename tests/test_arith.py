@@ -148,9 +148,12 @@ class TestIsPrime:
 
     def test_strong_pseudoprimes_at_the_tier_bounds(self):
         # Each bound of a witness tier is the least strong pseudoprime to its
-        # bases; the (2, 7, 61) tier, exact below 4,759,123,141 (Jaeschke
-        # 1993), also covers 3,215,031,751, the least one to 2, 3, 5, 7
-        for n, bases in ((25326001, (2, 3, 5)), (3215031751, (2, 3, 5, 7)),
+        # bases; the (31, 73) tier, exact below 9,080,191, covers 1,373,653,
+        # the least one to 2, 3, and the (2, 7, 61) tier, exact below
+        # 4,759,123,141 (Jaeschke 1993), covers 25,326,001 and 3,215,031,751,
+        # the least ones to 2, 3, 5 and to 2, 3, 5, 7
+        for n, bases in ((1373653, (2, 3)), (9080191, (31, 73)),
+                         (25326001, (2, 3, 5)), (3215031751, (2, 3, 5, 7)),
                          (4759123141, (2, 7, 61))):
             assert all(strong_probable_prime(n, base) for base in bases)
             assert not is_prime(n)
@@ -163,7 +166,14 @@ class TestIsPrime:
         assert bounds == sorted(bounds)
         assert bounds[0] >= arith.TABLE_LIMIT
 
-    @pytest.mark.parametrize("bound", [25326001, 3215031751, 4759123141])
+    def test_each_tier_uses_fewer_bases_than_the_next(self):
+        # a tier with as many bases as the next one up costs as much per n
+        # as that one, which is exact on its range too, so it gains nothing
+        counts = [len(bases) for _, bases in arith._MR_TIERS]
+        assert all(a < b for a, b in zip(counts, counts[1:])), counts
+
+    @pytest.mark.parametrize("bound", [1373653, 9080191, 25326001, 3215031751,
+                                       4759123141])
     def test_agrees_with_trial_division_around_the_tier_bounds(self, bound):
         primes = [p for p, f in enumerate(sieve(math.isqrt(bound + 3000))) if f]
         for n in range(bound - 3000, bound + 3001):

@@ -150,11 +150,16 @@ def seeded_frames(rng, bits):
 
 
 def frames_at_limit(rng, above, per_case):
-    """per_case (profile, frame core, q, t, b) for every constructive case
-    id whose y bound isqrt(delta_factor*q // gamma) lies within 32 above
-    SCAN_Y_LIMIT, or within 32 at or below it, drawn from rng.  T2D's
-    frames are T1A's on m1 = core / 2."""
+    """per_case frames of every constructive case id whose y bound lies
+    within 32 above SCAN_Y_LIMIT, or within 32 at or below it."""
     lo, hi = (SCAN_Y_LIMIT + 1, SCAN_Y_LIMIT + 32) if above else (SCAN_Y_LIMIT - 31, SCAN_Y_LIMIT)
+    return frames_with_bound(rng, lo, hi, per_case)
+
+
+def frames_with_bound(rng, lo, hi, per_case):
+    """per_case (profile, frame core, q, t, b) for every constructive case
+    id whose y bound isqrt(delta_factor*q // gamma) lies in [lo, hi],
+    drawn from rng.  T2D's frames are T1A's on m1 = core / 2."""
     frames = []
     for case_id in PINNED_CASE_IDS[:-1]:
         form = TernaryForm.D112 if case_id == "T2D" else PROFILES[case_id].form
@@ -486,8 +491,12 @@ class TestEnumeratePoint:
             con = w.construction
             assert first_point_reference(profile, core, con.q, con.t, con.b) == con.point
 
-    # The scan re-derives s = isqrt(budget) once the budget falls below
-    # (s - lam//4)^2; each of these hits lies past the first such |y|
+    # Two frames with q > 2^20, far above SCAN_Y_LIMIT, whose hits lie at
+    # |y| = 938 and 625, past the first |y| where the budget delta*n0 -
+    # gamma*n0*y^2 has fallen below (isqrt(delta*n0) - lam//4)^2, that is,
+    # after the point where a scan carrying s = isqrt(delta*n0) from y = 0
+    # would have to refresh it: the reduction returns the reference scan's
+    # point that far along the order
     @pytest.mark.parametrize("form, m", [(TernaryForm.D112, 3646777),
                                          (TernaryForm.D117, 5910740)])
     def test_hit_after_a_refresh(self, form, m):
@@ -500,8 +509,28 @@ class TestEnumeratePoint:
         first = next(ay for ay in itertools.count()
                      if budget - profile.gamma * n0 * ay * ay < floor)
         assert con.q > 2**20 and first <= -con.point[1]
+        assert math.isqrt(profile.delta_factor * con.q // profile.gamma) > SCAN_Y_LIMIT
         assert first_point_reference(profile, core, con.q, con.t, con.b) == con.point
         assert enumerate_point(profile, core, con.q, con.t, con.b) == con.point
+
+    def test_scan_finds_hits_in_the_last_third_of_the_bound(self):
+        # frames with bound <= SCAN_Y_LIMIT whose hit lies at |y| > 2/3 of
+        # the bound, where the budget and s = isqrt(budget) are furthest
+        # below their values at y = 0: the scan, the reference scan and
+        # the reduction return the same point
+        rng = random.Random(30)
+        late = 0
+        while late < 8:
+            for frame in frames_with_bound(rng, SCAN_Y_LIMIT // 2, SCAN_Y_LIMIT, 1):
+                profile, _, q, _, _ = frame
+                bound = math.isqrt(profile.delta_factor * q // profile.gamma)
+                point = lattice._scan_point(*frame)
+                if 3 * -point[1] > 2 * bound:
+                    late += 1
+                    assert lattice._reduced_point(*frame) == point
+                    x, y, z = point
+                    assert first_point_reference(*frame) == (
+                        2 * x if profile.x_substituted else x, y, z)
 
     @given(st.sampled_from(list(TernaryForm)), st.integers(1, 2**64 - 1))
     def test_point_is_on_the_nonpositive_y_side(self, form, m):
