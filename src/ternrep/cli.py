@@ -224,9 +224,12 @@ def _cmd_verify(args) -> tuple:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument tree, built once per process; parse_args leaves it
-    unchanged.  Each subcommand binds its handler as args.run."""
+def _build_parser() -> tuple:
+    """The argument tree, built once per process, and the parser of each
+    command by name; parsing leaves both unchanged.  Each command's parser
+    binds its handler as args.run.  The top-level parser answers --help,
+    unknown commands and leftover arguments; a command's parser answers
+    its own --help and usage errors."""
     parser = _Parser(prog="ternrep",
                      description="Constructive representation by the ternary "
                                  "forms x^2+2y^2+2z^2, x^2+y^2+2z^2, "
@@ -234,6 +237,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
     forms = sorted(FORM_BY_NAME)
+    commands = {}
 
     for name, help_text, run in (
         ("represent", "construct one representation",
@@ -243,7 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("check", "eligibility only", _cmd_check),
         ("oracle", "brute force only", _cmd_oracle),
     ):
-        p = sub.add_parser(name, help=help_text)
+        p = commands[name] = sub.add_parser(name, help=help_text)
         p.add_argument("--form", required=True, choices=forms)
         p.add_argument("--m", required=True, type=int)
         p.add_argument("--json", action="store_true")
@@ -251,7 +255,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--fallback-oracle", action="store_true")
         p.set_defaults(run=run)
 
-    p_scan = sub.add_parser("scan", help="compare pipeline and oracle over a range")
+    p_scan = commands["scan"] = sub.add_parser(
+        "scan", help="compare pipeline and oracle over a range")
     p_scan.add_argument("--form", required=True, choices=forms)
     p_scan.add_argument("--lo", required=True, type=int)
     p_scan.add_argument("--hi", required=True, type=int)
@@ -260,21 +265,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--jobs", type=int, default=1, metavar="N")
     p_scan.set_defaults(run=_cmd_scan)
 
-    sub.add_parser("verify", help="re-check a witness JSON object read from stdin"
-                   ).set_defaults(run=_cmd_verify)
-    return parser
+    commands["verify"] = sub.add_parser(
+        "verify", help="re-check a witness JSON object read from stdin")
+    commands["verify"].set_defaults(run=_cmd_verify)
+    return parser, commands
 
 
 def _answer(argv) -> tuple:
     """(exit code, stdout text, stderr line or None) of one command.
 
+    When argv[0] names a command, that command's parser alone parses the
+    rest, the call the top-level parser would make itself.  The top-level
+    parser parses the whole argv when argv[0] names no command or arguments
+    are left over, so that its own usage and errors answer those.
     argparse's --help text and usage errors are caught in StringIOs and
     answered like a command's; so are the errors a command raises."""
+    parser, commands = _build_parser()
     help_text, usage = io.StringIO(), io.StringIO()
     try:
         try:
             with contextlib.redirect_stdout(help_text), contextlib.redirect_stderr(usage):
-                args = _build_parser().parse_args(argv)
+                command = commands.get(argv[0]) if argv else None
+                args, rest = command.parse_known_args(argv[1:]) if command else (None, None)
+                if command is None or rest:
+                    args = parser.parse_args(argv)
         except SystemExit as exc:
             return (exc.code if isinstance(exc.code, int) else EXIT_USAGE,
                     help_text.getvalue(), usage.getvalue().rstrip("\n") or None)

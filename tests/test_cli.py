@@ -1,3 +1,4 @@
+import contextlib
 import errno
 import hashlib
 import io
@@ -10,7 +11,7 @@ import time
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ternrep import (
     PRIMALITY_LIMIT,
@@ -460,8 +461,11 @@ class TestStreams:
         ["scan", "--form", "x2+y2+2z2", "--lo", "1", "--hi", "2", "--bogus"],
         ["check", "--form", "x2+y2+2z2"],
         ["represent", "--form", "x2+y2+5z2", "--m", "3"],
+        ["witness", "--form", "x2+y2+2z2", "--m", "5", "--bogus"],
+        ["verify", "extra"],
     ]
-    USAGE_IDS = ["unknown-flag", "missing-m", "bad-form"]
+    USAGE_IDS = ["unknown-flag", "missing-m", "bad-form", "witness-unknown-flag",
+                 "verify-extra"]
 
     # argparse's text goes to dispatch's streams, never to sys.stdout/stderr
     @pytest.mark.parametrize("command", COMMANDS,
@@ -476,6 +480,8 @@ class TestStreams:
         "ternrep: error: unrecognized arguments: --bogus",
         "ternrep check: error: the following arguments are required: --m",
         "ternrep represent: error: argument --form: invalid choice: 'x2+y2+5z2'",
+        "ternrep: error: unrecognized arguments: --bogus",
+        "ternrep: error: unrecognized arguments: extra",
     ])), ids=USAGE_IDS)
     def test_usage_error_goes_to_err(self, argv, message, capsys):
         code, out, err = run_cli(argv)
@@ -496,6 +502,102 @@ class TestStreams:
             monkeypatch.setenv("COLUMNS", columns)
             results.append(run_cli(argv))
         assert results[0] == results[1]
+
+
+def parse_all_at_top(argv):
+    """cli._answer with every argv parsed by the top-level parser's
+    parse_args, which hands a command's arguments on to its parser."""
+    parser, _ = cli._build_parser()
+    help_text, usage = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(help_text), contextlib.redirect_stderr(usage):
+            args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return exc.code, help_text.getvalue(), usage.getvalue().rstrip("\n") or None
+    return args.run(args)
+
+
+class TestOneParse:
+    """dispatch parses a command's arguments once, with that command's
+    parser; the top-level parser parses only what it answers itself."""
+
+    FORM = "x2+y2+2z2"
+    WELL_FORMED = {
+        "represent": ["represent", "--form", FORM, "--m", "5"],
+        "witness": ["witness", "--form", FORM, "--m", "5", "--json"],
+        "check": ["check", "--form", FORM, "--m", "5"],
+        "oracle": ["oracle", "--form", FORM, "--m", "5"],
+        "scan": ["scan", "--form", FORM, "--lo", "1", "--hi", "30"],
+        "verify": ["verify"],
+    }
+    # OUT and DIR stand for a file and a directory under tmp_path
+    TOKENS = sorted(WELL_FORMED) + [
+        "--form", "--fo", "--f", "--m", "--json", "--js", "--j",
+        "--fallback-oracle", "--fa", "--lo", "--hi", "--h", "--he", "--out",
+        "--o", "--jobs", "--jo", "--bogus", "-h", "--help", "--", "-", "-x",
+        "--form=x2+y2+3z2", "--fo=x2+2y2+2z2", "--m=5", "--m=-5", "--lo=1",
+        "--hi=30", "--out=OUT", "--jobs=2", "--json=1", "--help=x", "-hx",
+        "x2+y2+5z2", "-5", "0", "1", "2", "7", "30", "x", "", "OUT", "DIR",
+        "bogus", "extra",
+    ] + FORMS
+    EDGE_ARGVS = [
+        [], ["-h"], ["--help"], ["--he"], ["--"], ["-5"], ["--bogus"], ["bogus"],
+        ["Witness"], ["-h", "witness"], ["--", "witness", "--form", FORM, "--m", "5"],
+        ["witness"], ["witness", "--help"], ["witness", "--he"], ["witness", "-h", "x"],
+        ["witness", "--fo", FORM, "--m", "5", "--js"],
+        ["witness", "--form=" + FORM, "--m=5", "extra"],
+        ["witness", "--f", FORM, "--m", "5"],
+        ["witness", "--form", FORM, "--m", "-5"],
+        ["witness", "--form", FORM, "--m", "5", "--", "extra"],
+        ["witness", "--form", FORM, "--", "--m", "5"],
+        ["represent", "--m", "5", "--form", FORM, "--fallback", "--json", "--json"],
+        ["check", "--form", FORM, "--m", "5", "-5"],
+        ["scan", "--form", FORM, "--lo", "1", "--hi", "30", "--j", "2"],
+        ["scan", "--form", FORM, "--lo", "1", "--h", "30"],
+        ["scan", "--form", FORM, "--lo", "1", "--hi", "30", "--jo", "2", "--out", "OUT"],
+        ["scan", "--form", FORM, "--lo", "1", "--hi", "30", "--out=DIR"],
+        ["verify", "extra"], ["verify", "--", "extra"], ["verify", "-5"],
+    ]
+    STDIN = witness_json(FORM, 5)
+
+    def assert_same_answer(self, argv, tmp_path):
+        argv = [token.replace("OUT", str(tmp_path / "scan.csv"))
+                .replace("DIR", str(tmp_path)) for token in argv]
+        answer = run_cli(argv, self.STDIN)
+        with mock.patch.object(cli, "_answer", parse_all_at_top):
+            assert answer == run_cli(argv, self.STDIN)
+
+    @pytest.mark.parametrize("argv", EDGE_ARGVS, ids=lambda argv: " ".join(argv) or "empty")
+    def test_edge_argvs_answer_as_parsed_at_the_top(self, argv, tmp_path):
+        self.assert_same_answer(argv, tmp_path)
+
+    # The file and directory under tmp_path are shared by every example
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=st.one_of(
+        st.lists(st.sampled_from(TOKENS), max_size=6),
+        st.tuples(st.sampled_from(list(WELL_FORMED.values())),
+                  st.lists(st.sampled_from(TOKENS), max_size=3),
+                  st.lists(st.sampled_from(TOKENS), max_size=3)).map(
+            lambda bpq: bpq[0][:1] + bpq[1] + bpq[0][1:] + bpq[2])))
+    def test_random_argvs_answer_as_parsed_at_the_top(self, argv, tmp_path):
+        self.assert_same_answer(argv, tmp_path)
+
+    def code_and_top_level_parses(self, argv):
+        parser, _ = cli._build_parser()
+        with mock.patch.object(parser, "parse_known_args",
+                               wraps=parser.parse_known_args) as spy:
+            code = run_cli(argv, self.STDIN)[0]
+        return code, spy.call_count
+
+    @pytest.mark.parametrize("command", sorted(WELL_FORMED))
+    def test_a_command_is_parsed_by_its_parser_alone(self, command):
+        assert self.code_and_top_level_parses(self.WELL_FORMED[command]) == (0, 0)
+
+    @pytest.mark.parametrize("argv, code", [
+        ([], 4), (["--help"], 0), (["bogus"], 4), (WELL_FORMED["witness"] + ["extra"], 4),
+    ], ids=["empty", "help", "unknown", "leftover"])
+    def test_the_top_level_parser_answers_the_rest(self, argv, code):
+        assert self.code_and_top_level_parses(argv) == (code, 1)
 
 
 class FailingOut(io.StringIO):
