@@ -9,6 +9,14 @@ by prime.  What is left goes to Brent's variant of Pollard rho, with fixed,
 documented parameters so results are reproducible.  Trial division stops at
 2**12 because rho finds a factor p in about sqrt(p) steps, so past a few
 thousand it beats dividing by every prime up to p.
+
+The rho stage keeps a stack of parts of the cofactor and settles the
+smaller part of each split first.  Before a part is tested for primality,
+for being a square or by rho, it sheds every prime found so far, so rho
+runs only on numbers that no found prime divides: s**2 * P takes one rho
+call, since when rho returns s, the part s * P sheds s and leaves P.  Rho
+itself multiplies the differences of two steps before it reduces their
+product mod n, which halves the reductions of q in its inner loop.
 """
 
 import math
@@ -48,6 +56,13 @@ def _pollard_rho(n: int) -> int:
     f(x) = x^2 + c starting from x0 = 2; c starts at 1 and is bumped when a
     cycle degenerates, so the outcome is deterministic.  Raises
     ResourceCapError rather than let the steps pass RHO_STEP_BUDGET.
+
+    Each batch of up to 128 steps takes the odd step first, if any, then
+    two steps y1, y2 at a time and one reduction
+    q = q * ((x - y1) * (x - y2)) % n.  So q is congruent to the product
+    of the |x - y| up to sign, as when every step is reduced on its own:
+    the gcd at each batch's end, the factor returned and the steps counted
+    do not depend on the pairing.
     """
     steps = 0
 
@@ -74,9 +89,13 @@ def _pollard_rho(n: int) -> int:
                 ys = y
                 chunk = min(128, r - k)
                 spend(chunk)
-                for _ in range(chunk):
+                if chunk & 1:
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
+                for _ in range(chunk >> 1):
+                    y1 = (y * y + c) % n
+                    y = (y1 * y1 + c) % n
+                    q = q * ((x - y1) * (x - y)) % n
                 g = math.gcd(q, n)
                 k += 128
             r *= 2
@@ -96,7 +115,8 @@ def factorize(n: int) -> list:
     """Prime factorization of n >= 1 as [(p, e), ...] with p strictly
     increasing.  factorize(1) == [].
 
-    Raises ResourceCapError when n is at or above PRIMALITY_LIMIT.
+    Raises ResourceCapError when n is at or above PRIMALITY_LIMIT, and
+    when Pollard rho on a cofactor passes RHO_STEP_BUDGET steps.
     """
     if n < 1:
         raise ValueError("factorize requires n >= 1, got %r" % (n,))
@@ -131,21 +151,29 @@ def factorize(n: int) -> list:
     if g > 1:
         factors[g] = ord_p(n, g)
         n //= g ** factors[g]
-    # Whatever is left has no prime factor below _TRIAL_LIMIT.
-    stack = [n] if n > 1 else []
+    # Whatever is left has no prime factor below _TRIAL_LIMIT.  Parts are
+    # settled depth first, the smaller part of a split first, and each
+    # sheds the primes found so far before it is tested.
+    found = []
+    stack = [n]
     while stack:
         m = stack.pop()
+        for p in found:
+            while m % p == 0:
+                m //= p
+                factors[p] += 1
         if m == 1:
             continue
         if is_prime(m):
-            factors[m] = factors.get(m, 0) + 1
+            factors[m] = 1
+            found.append(m)
             continue
         root = math.isqrt(m)
         if root * root == m:
             stack.extend((root, root))
             continue
         d = _pollard_rho(m)
-        stack.extend((d, m // d))
+        stack.extend(sorted((d, m // d), reverse=True))
     return sorted(factors.items())
 
 

@@ -3,8 +3,10 @@
 None of them runs in the chain, the oracle or the CLI: the chain takes
 Legendre symbols at proven primes by Euler's criterion, its descent is
 checked here against exhaustive search, its lattice reduction against
-Gram-Schmidt over the rationals, and its composed form F, which it takes
-on the completed square, against the binary coefficients (u, w, v).
+Gram-Schmidt over the rationals, its composed form F, which it takes
+on the completed square, against the binary coefficients (u, w, v), its
+factorizations against trial division, and its Pollard rho, which
+reduces once per two steps, against the loop that reduces at every step.
 """
 
 import math
@@ -32,6 +34,62 @@ def jacobi(a: int, n: int) -> int:
             result = -result
         a, n = n % a, a
     return result if n == 1 else 0
+
+
+def trial_division(n: int) -> list:
+    """Prime factorization of n >= 1 by dividing by every d up to sqrt(n)."""
+    pairs = []
+    d = 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            pairs.append((d, e))
+        d += 1 if d == 2 else 2
+    if n > 1:
+        pairs.append((n, 1))
+    return pairs
+
+
+def brent_rho(n: int) -> tuple:
+    """(factor, steps, c, backtracked) of Brent's rho on composite odd n
+    with the parameters of factor._pollard_rho, but one step of
+    f(x) = x^2 + c and one reduction of the product q at a time.  steps
+    counts every evaluation of f over every c, so it is the least
+    RHO_STEP_BUDGET under which _pollard_rho finishes; c is the constant
+    that split n, and backtracked says whether the split came from
+    walking back one step at a time after a batch's gcd reached n."""
+    steps = 0
+    c = 1
+    while True:
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            steps += r
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                    steps += 1
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        backtracked = g == n
+        if backtracked:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+                steps += 1
+        if g != n:
+            return g, steps, c, backtracked
+        c += 1
 
 
 def brute_force_binary(c: int, n: int):

@@ -1,5 +1,6 @@
 import io
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,22 +16,30 @@ from ternrep import (
 )
 from ternrep.cli import dispatch
 
+from reference import brent_rho, trial_division
 
-def trial_division(n):
-    """Prime factorization of n >= 1 by dividing by every d up to sqrt(n)."""
-    pairs = []
-    d = 2
-    while d * d <= n:
-        e = 0
-        while n % d == 0:
-            n //= d
-            e += 1
-        if e:
-            pairs.append((d, e))
-        d += 1 if d == 2 else 2
-    if n > 1:
-        pairs.append((n, 1))
-    return pairs
+
+def seeded_rho_inputs():
+    """24 seeded odd composites free of primes below 2**12, as factorize
+    hands them to rho: two or three primes, or a prime cube."""
+    rng = random.Random(1980)
+
+    def prime(bits):
+        while True:
+            p = rng.randrange(2**(bits - 1), 2**bits) | 1
+            if p > 2**12 and is_prime(p):
+                return p
+
+    composites = []
+    for _ in range(24):
+        shape = rng.randrange(3)
+        if shape == 0:
+            composites.append(prime(rng.randint(13, 26)) * prime(rng.randint(13, 40)))
+        elif shape == 1:
+            composites.append(math.prod(prime(rng.randint(13, 20)) for _ in range(3)))
+        else:
+            composites.append(prime(rng.randint(13, 24)) ** 3)
+    return composites
 
 
 class TestFactorize:
@@ -139,6 +148,64 @@ class TestFactorize:
         code = dispatch(["represent", "--form", "x2+2y2+2z2", "--m", str(n)], out, err)
         assert (code, out.getvalue()) == (5, "")
         assert err.getvalue().startswith("resource cap: factorize: Pollard rho on %d" % n)
+
+
+class TestRhoStage:
+    # Seeded n = small * shape, each prime of the shape drawn from
+    # (2**lo, 2**hi) with lo >= 12, so trial division leaves exactly the
+    # shape's primes to the rho stage.  Each shape splits in one rho call:
+    # the other prime comes out of a division by the first or of the square
+    # root, except p**3 * q when rho returns q and leaves p**3 to split.
+    @pytest.mark.parametrize("draw, max_calls", [
+        pytest.param(lambda prime: prime(12, 14) ** 2 * prime(15, 17), 1, id="s^2*P, s < P"),
+        pytest.param(lambda prime: prime(15, 17) ** 2 * prime(12, 14), 1, id="s^2*P, s > P"),
+        pytest.param(lambda prime: prime(12, 17) ** 3 * prime(12, 17), 2, id="p^3*q"),
+        pytest.param(lambda prime: (prime(12, 17) * prime(12, 17)) ** 2, 1, id="(p*q)^2"),
+    ])
+    def test_rho_runs_once_per_new_prime(self, monkeypatch, draw, max_calls):
+        rho, calls = factor._pollard_rho, []
+
+        def spy(m):
+            calls.append(m)
+            return rho(m)
+
+        monkeypatch.setattr(factor, "_pollard_rho", spy)
+        rng = random.Random(32)
+
+        def prime(lo, hi):
+            while True:
+                p = rng.randrange(2**lo, 2**hi)
+                if is_prime(p):
+                    return p
+
+        for _ in range(8):
+            small, n = rng.choice((1, 3, 20, 105)), draw(prime)
+            calls.clear()
+            assert factorize(small * n) == trial_division(small * n)
+            assert len(calls) <= min(max_calls, len(trial_division(n)))
+
+    # rho reduces q once per two steps, so each q differs from the one-step
+    # loop's only in sign: the same gcds, the same factor and the same step
+    # count, hence the same least budget under which rho finishes.
+    @pytest.mark.parametrize("n", [
+        1000003 * 1000033, 16924771, 16965761, 17515027, *seeded_rho_inputs(),
+    ])
+    def test_rho_matches_one_step_reference(self, monkeypatch, n):
+        d, steps, _, _ = brent_rho(n)
+        monkeypatch.setattr(factor, "RHO_STEP_BUDGET", steps)
+        assert factor._pollard_rho(n) == d
+        monkeypatch.setattr(factor, "RHO_STEP_BUDGET", steps - 1)
+        with pytest.raises(ResourceCapError, match="budget of %d steps" % (steps - 1)):
+            factor._pollard_rho(n)
+
+    def test_reference_reaches_every_path(self):
+        # test_rho_step_budget pins 1022 steps through factorize and the CLI
+        assert brent_rho(1000003 * 1000033) == (1000033, 1022, 1, False)
+        # a batch's gcd reaches n, and walking back one step splits it
+        assert brent_rho(16924771) == (4099, 128, 1, True)
+        assert brent_rho(16965761) == (4099, 128, 1, True)
+        # walking back with c = 1 reaches n too, so rho restarts with c = 2
+        assert brent_rho(17515027) == (4273, 257, 2, True)
 
 
 class TestSquarefreeDecompose:
