@@ -13,7 +13,8 @@ fixes the whole shape of the construction:
   whose value at the searched lattice point equals the target (F is
   stated once, in lattice.py), and
 * how the binary descent output (a, beta) and R1 assemble into a
-  representation by the ternary form.
+  representation by the ternary form: the assembly tag names the (x, y, z)
+  slots, each a, b (beta), 2b (2*beta) or r (|R1|).
 
 The table holds the free constants of each case: q's residue class,
 gamma, d, delta, alpha, rho and the assembly.  What follows from them is
@@ -71,12 +72,6 @@ from .forms import TernaryForm
 
 __all__ = ["CaseProfile", "PROFILES", "select_case"]
 
-# Assembly tags: how (a, beta, R1) fills the (x, y, z) slots of the form.
-ASSEMBLY_A_B_R = "a_b_r"      # (a, beta, R1)         e.g. m = a^2 + 2b^2 + 2R1^2
-ASSEMBLY_2B_A_R = "2b_a_r"    # (2*beta, a, R1)       m = (2b)^2 + 2a^2 + 2R1^2
-ASSEMBLY_R_A_B = "r_a_b"      # (R1, a, beta)         m = R1^2 + a^2 + 2b^2
-ASSEMBLY_A_R_B = "a_r_b"      # (a, R1, beta)         m = a^2 + R1^2 + c*b^2
-
 
 class CaseProfile(namedtuple("CaseProfile", [
     "id",                     # str
@@ -89,7 +84,7 @@ class CaseProfile(namedtuple("CaseProfile", [
     "delta_factor",           # int, binary part clears to ((alpha*q*x + b*y)^2
     "alpha",                  # int,   + gamma*n0*y^2) / (delta_factor * q)
     "rho",                    # int, F = rho * R^2 + binary part
-    "assembly",               # str, an ASSEMBLY_* tag
+    "assembly",               # str, the (x, y, z) slots, "_"-joined
     "y_parity",               # the parity of |y| at every lattice point with
                               #   F = n0, or None where both occur
 ], defaults=(None,))):
@@ -119,16 +114,10 @@ class CaseProfile(namedtuple("CaseProfile", [
         return core // 2 if self.core_parity == "even" else core
 
     def assemble(self, a: int, beta: int, r1: int) -> tuple:
-        r1 = abs(r1)
-        if self.assembly == ASSEMBLY_A_B_R:
-            return (a, beta, r1)
-        if self.assembly == ASSEMBLY_2B_A_R:
-            return (2 * beta, a, r1)
-        if self.assembly == ASSEMBLY_R_A_B:
-            return (r1, a, beta)
-        if self.assembly == ASSEMBLY_A_R_B:
-            return (a, r1, beta)
-        raise InternalError("unknown assembly tag %r" % (self.assembly,))
+        """(x, y, z) from the descent output (a, beta) and R1, in the slots
+        that the assembly tag names."""
+        slots = {"a": a, "b": beta, "2b": 2 * beta, "r": abs(r1)}
+        return tuple(slots[slot] for slot in self.assembly.split("_"))
 
 
 PROFILES = {
@@ -139,64 +128,64 @@ PROFILES = {
         CaseProfile(
             id="T1A", form=TernaryForm.D122, core_parity="odd", core_residues=(3,),
             q_residue=(1, 8), gamma=1, d_factor=2, delta_factor=1, alpha=1, rho=2,
-            assembly=ASSEMBLY_A_B_R,
+            assembly="a_b_r",
         ),
         # odd core = 1, 5 (mod 8):
         #   F = 2R^2 + 2q x^2 + 2b xy + h y^2, R = 2tq x + bt y + core z
         CaseProfile(
             id="T1B", form=TernaryForm.D122, core_parity="odd", core_residues=(1, 5),
             q_residue=(1, 8), gamma=1, d_factor=2, delta_factor=2, alpha=2, rho=2,
-            assembly=ASSEMBLY_A_B_R, y_parity=1,
+            assembly="a_b_r", y_parity=1,
         ),
         # even core 2*m1; the three profiles differ only in q's residue class.
         #   F = R^2 + 2q x'^2 + 2b x'y + h y^2, R = 2tq x' + bt y + m1 z
         CaseProfile(
             id="T1C", form=TernaryForm.D122, core_parity="even", core_residues=(1, 3),
             q_residue=(1, 8), gamma=2, d_factor=2, delta_factor=2, alpha=2, rho=1,
-            assembly=ASSEMBLY_2B_A_R,
+            assembly="2b_a_r",
         ),
         CaseProfile(
             id="T1D", form=TernaryForm.D122, core_parity="even", core_residues=(5,),
             q_residue=(5, 8), gamma=2, d_factor=2, delta_factor=2, alpha=2, rho=1,
-            assembly=ASSEMBLY_2B_A_R,
+            assembly="2b_a_r",
         ),
         CaseProfile(
             id="T1E", form=TernaryForm.D122, core_parity="even", core_residues=(7,),
             q_residue=(3, 8), gamma=2, d_factor=2, delta_factor=2, alpha=2, rho=1,
-            assembly=ASSEMBLY_2B_A_R,
+            assembly="2b_a_r",
         ),
         # x^2 + y^2 + 2z^2, odd core = 3 (mod 8):
         #   F = R^2 + 2q x^2 + 2b xy + h y^2, R = 2tq x + bt y + core z
         CaseProfile(
             id="T2A", form=TernaryForm.D112, core_parity="odd", core_residues=(3,),
             q_residue=(1, 8), gamma=2, d_factor=2, delta_factor=2, alpha=2, rho=1,
-            assembly=ASSEMBLY_R_A_B,
+            assembly="r_a_b",
         ),
         # odd core = 7 (mod 8): as T2A but q = 3 (mod 8)
         CaseProfile(
             id="T2B", form=TernaryForm.D112, core_parity="odd", core_residues=(7,),
             q_residue=(3, 8), gamma=2, d_factor=2, delta_factor=2, alpha=2, rho=1,
-            assembly=ASSEMBLY_R_A_B,
+            assembly="r_a_b",
         ),
         # odd core = 1, 5 (mod 8):
         #   F = R^2 + q x^2 + 2b xy + h y^2, R = tq x + bt y + core z
         CaseProfile(
             id="T2C", form=TernaryForm.D112, core_parity="odd", core_residues=(1, 5),
             q_residue=(1, 8), gamma=2, d_factor=1, delta_factor=1, alpha=1, rho=1,
-            assembly=ASSEMBLY_R_A_B, y_parity=0,
+            assembly="r_a_b", y_parity=0,
         ),
         # x^2 + y^2 + 7z^2, core = 5 (mod 8), 7 not dividing the core:
         #   F = R^2 + q x^2 + b xy + h y^2, R = 2tq x + bt y + core z
         CaseProfile(
             id="T3A", form=TernaryForm.D117, core_parity="odd", core_residues=(5,),
             q_residue=(1, 28), gamma=7, d_factor=4, delta_factor=4, alpha=2, rho=1,
-            assembly=ASSEMBLY_A_R_B,
+            assembly="a_r_b",
         ),
         # x^2 + y^2 + 3z^2, core = 1 (mod 8), 3 not dividing the core.
         CaseProfile(
             id="T3B", form=TernaryForm.D113, core_parity="odd", core_residues=(1,),
             q_residue=(1, 12), gamma=3, d_factor=4, delta_factor=4, alpha=2, rho=1,
-            assembly=ASSEMBLY_A_R_B,
+            assembly="a_r_b",
         ),
     )
 }

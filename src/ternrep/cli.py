@@ -46,8 +46,6 @@ _VERDICT_EXIT = {
     Eligibility.OUTSIDE_COVERED_CASES: EXIT_OUTSIDE,
 }
 
-_FALLBACK_FORMS = (TernaryForm.D113, TernaryForm.D117)
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse maps its own errors to exit code 2; the contract says 4.
@@ -128,9 +126,9 @@ def _cmd_represent(args, trail: bool) -> tuple:
     if args.m < 1:
         return EXIT_USAGE, "", "--m must be at least 1"
     form = FORM_BY_NAME[args.form]
-    if args.fallback_oracle and form not in _FALLBACK_FORMS:
-        return (EXIT_USAGE, "",
-                "--fallback-oracle applies only to x2+y2+3z2 and x2+y2+7z2")
+    if args.fallback_oracle and form.exact:
+        return EXIT_USAGE, "", "--fallback-oracle applies only to " + " and ".join(
+            f.cli_name for f in TernaryForm if not f.exact)
 
     result = build_witness(form, args.m)
     if isinstance(result, Witness):

@@ -8,9 +8,9 @@ Covered forms and the classical facts driving eligibility:
 * x^2 +  y^2 + 7z^2 represents m  if   m = 4^k(8l+5) and ord_7(m) is even
 * x^2 +  y^2 + 3z^2 represents m  if   m = 4^k(8l+1) and ord_3(m) is even
 
-The first two are equivalences; the last two are the sufficient families
-this pipeline covers (other m are reported as outside the covered cases,
-not as unrepresentable).
+The first two are equivalences (TernaryForm.exact); the last two are the
+sufficient families this pipeline covers (other m are reported as outside
+the covered cases, not as unrepresentable).  Each fact is one _RULES row.
 """
 
 import enum
@@ -51,6 +51,11 @@ class TernaryForm(enum.Enum):
             return "%s%s2" % ("" if c == 1 else str(c), var)
         return "x2+%s+%s" % (term(c2, "y"), term(c3, "z"))
 
+    @property
+    def exact(self) -> bool:
+        """True when every m that eligibility rules out is obstructed."""
+        return _RULES[self][2] is None
+
 
 FORM_BY_NAME = {form.cli_name: form for form in TernaryForm}
 
@@ -87,75 +92,59 @@ def _strip_fours(m: int) -> tuple:
     return k, m
 
 
-# One shared verdict per form and branch, (covered, not covered): a verdict
-# is immutable, so every call returns the same object.
-_VERDICTS = {
-    TernaryForm.D122: (
-        EligibilityVerdict(Eligibility.ELIGIBLE, "not of the form 4^k(8l+7)"),
-        EligibilityVerdict(
-            Eligibility.OBSTRUCTED,
-            "stripped residue 7 (mod 8): m lies in the excluded family 4^k(8l+7)",
-        ),
-    ),
-    TernaryForm.D112: (
-        EligibilityVerdict(Eligibility.ELIGIBLE, "not of the form 4^k(16l+14)"),
-        EligibilityVerdict(
-            Eligibility.OBSTRUCTED,
-            "stripped residue 14 (mod 16): m lies in the excluded family 4^k(16l+14)",
-        ),
-    ),
-    TernaryForm.D117: (
-        EligibilityVerdict(Eligibility.ELIGIBLE, "of the form 4^k(8l+5) with ord_7(m) even"),
-        EligibilityVerdict(
-            Eligibility.OUTSIDE_COVERED_CASES,
-            "covered cases are 4^k(8l+5) with ord_7(m) even",
-        ),
-    ),
-    TernaryForm.D113: (
-        EligibilityVerdict(Eligibility.ELIGIBLE, "of the form 4^k(8l+1) with ord_3(m) even"),
-        EligibilityVerdict(
-            Eligibility.OUTSIDE_COVERED_CASES,
-            "covered cases are 4^k(8l+1) with ord_3(m) even",
-        ),
-    ),
+# (modulus, residue, prime) per form: an exact form (prime None) represents
+# m iff m / 4^k != residue (mod modulus); the others cover the m with
+# m / 4^k = residue (mod modulus) and ord_prime(m) even.
+_RULES = {
+    TernaryForm.D122: (8, 7, None),
+    TernaryForm.D112: (16, 14, None),
+    TernaryForm.D117: (8, 5, 7),
+    TernaryForm.D113: (8, 1, 3),
 }
+
+
+def _verdict_pair(modulus: int, residue: int, prime) -> tuple:
+    """(covered, not covered) verdicts of a _RULES row, shared by all calls."""
+    family = "4^k(%dl+%d)" % (modulus, residue)
+    if prime is None:
+        return (EligibilityVerdict(Eligibility.ELIGIBLE, "not of the form " + family),
+                EligibilityVerdict(Eligibility.OBSTRUCTED, "stripped residue %d (mod %d): m lies "
+                                   "in the excluded family %s" % (residue, modulus, family)))
+    cases = "%s with ord_%d(m) even" % (family, prime)
+    return (EligibilityVerdict(Eligibility.ELIGIBLE, "of the form " + cases),
+            EligibilityVerdict(Eligibility.OUTSIDE_COVERED_CASES, "covered cases are " + cases))
+
+
+_VERDICTS = {form: _verdict_pair(*rule) for form, rule in _RULES.items()}
 
 
 def eligibility(form: TernaryForm, m: int) -> EligibilityVerdict:
     """Classify m >= 1 for the given form without any searching.
 
     The verdict is purely arithmetic: strip factors of 4, then test the
-    residue (and the 3- or 7-adic valuation for the two covered-case forms).
+    residue (and the 3- or 7-adic valuation) that the form's _RULES row names.
     """
     if m < 1:
         raise ValueError("eligibility requires m >= 1, got %r" % (m,))
+    modulus, residue, prime = _RULES[form]
     _, stripped = _strip_fours(m)
-    if form is TernaryForm.D122:
-        covered = stripped % 8 != 7
-    elif form is TernaryForm.D112:
-        covered = stripped % 16 != 14
-    elif form is TernaryForm.D117:
-        covered = stripped % 8 == 5 and ord_p(m, 7) % 2 == 0
-    elif form is TernaryForm.D113:
-        covered = stripped % 8 == 1 and ord_p(m, 3) % 2 == 0
+    if prime is None:
+        covered = stripped % modulus != residue
     else:
-        raise InternalError("unknown form %r" % (form,))
+        covered = stripped % modulus == residue and ord_p(stripped, prime) % 2 == 0
     return _VERDICTS[form][0 if covered else 1]
 
 
-def reduce_to_core(form: TernaryForm, m: int) -> tuple:
-    """Split m = 4^k * s^2 * core with s odd and core squarefree (core is
-    odd or twice an odd squarefree number).
+def reduce_to_core(m: int) -> tuple:
+    """Split m >= 1 as 4^k * s^2 * core with s odd and core squarefree: 2
+    divides m / 4^k at most once, so core is odd or twice an odd number.
 
     Eligibility of m implies eligibility of core for the same form.
     """
-    verdict = eligibility(form, m)
-    if not verdict.eligible:
-        raise ValueError("reduce_to_core requires eligible m: %s" % verdict.detail)
+    if m < 1:
+        raise ValueError("reduce_to_core requires m >= 1, got %r" % (m,))
     k, m = _strip_fours(m)
-    odd = m // 2 if m % 2 == 0 else m
-    s, odd_core = squarefree_decompose(odd)
-    core = odd_core * 2 if m % 2 == 0 else odd_core
+    s, core = squarefree_decompose(m)
     return k, s, core
 
 

@@ -5,9 +5,9 @@ measured against; their scan orders are fixed so results are reproducible.
 A single search costs Theta(m) when m is not represented, so it is bounded:
 brute_force_ternary stops with ResourceCapError after ORACLE_STEP_BUDGET
 (x, y) steps, and oracle_triple answers the m that a classical criterion
-rules out (the local obstruction of the two exact forms, Dickson's
-9^k(9l+6) for x^2+y^2+3z^2) without searching at all, and refuses any m
-at or above PRIMALITY_LIMIT.
+rules out (the local obstruction of an exact form, TernaryForm.exact,
+Dickson's 9^k(9l+6) for x^2+y^2+3z^2) without searching at all, and
+refuses any m at or above PRIMALITY_LIMIT.
 
 Range checks decide representability for every value at once instead:
 represented_bits marks all values <= hi of a diagonal form in one bitset,
@@ -138,7 +138,7 @@ def first_triples(form: TernaryForm, ms) -> dict:
 def oracle_triple(form: TernaryForm, m: int):
     """brute_force_ternary(form, m), except that an m >= 1 which a proven
     criterion rules out is answered None without a search: the obstructed
-    m of the two exact forms (their obstruction is local) and, for the
+    m of an exact form (its obstruction is local) and, for the
     regular form x^2+y^2+3z^2, Dickson's exceptions 9^k(9l+6).  It raises
     ResourceCapError for m >= PRIMALITY_LIMIT, where steps grow too costly."""
     if m >= PRIMALITY_LIMIT:
@@ -235,12 +235,11 @@ def _scan_rows(form: TernaryForm, lo: int, hi: int, window: int) -> list:
     Each row's verdict is what build_witness returns, so eligibility runs
     once per row, and a ResourceCapError from the pipeline ends the scan.
     A pipeline find agrees when the oracle finds m too.  A miss agrees
-    unless the oracle finds m on one of the two exact forms; the misses
-    the oracle finds are the only rows that print the oracle's triple, and
-    one first_triples sweep finds all of them once the pipeline is done.
+    unless the oracle finds m and the form is exact; the misses the oracle
+    finds are the only rows that print the oracle's triple, and one
+    first_triples sweep finds all of them once the pipeline is done.
     """
     represented = _bit_reader(window, hi - lo)
-    exact = form in (TernaryForm.D122, TernaryForm.D112)
     rows, missed = [], []
     for m in range(lo, hi + 1):
         result = build_witness(form, m)
@@ -263,7 +262,7 @@ def _scan_rows(form: TernaryForm, lo: int, hi: int, window: int) -> list:
                 "bitset marks %d as represented by %s but the search "
                 "finds nothing" % (m, form.cli_name)
             )
-        rows[i] = ScanRow(m, verdict_label, False, True, not exact, rep, None)
+        rows[i] = ScanRow(m, verdict_label, False, True, not form.exact, rep, None)
     return rows
 
 

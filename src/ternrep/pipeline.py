@@ -329,7 +329,7 @@ def build_witness(form: TernaryForm, m: int):
     verdict = eligibility(form, m)
     if not verdict.eligible:
         return verdict
-    k, s, core = reduce_to_core(form, m)
+    k, s, core = reduce_to_core(m)
 
     base = _SMALL_CORE_BASE.get((form, core))
     if base is not None:

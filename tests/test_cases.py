@@ -11,6 +11,7 @@ from ternrep import (
     Witness,
     build_witness,
     eligibility,
+    evaluate,
     factorize,
     reduce_to_core,
     select_case,
@@ -39,6 +40,20 @@ TABLE = {
 # The binary descent constant c of each case: n = a^2 + c*beta^2.
 DESCENT_C = {"T1A": 2, "T1B": 2, "T1C": 2, "T1D": 2, "T1E": 2,
              "T2A": 2, "T2B": 2, "T2C": 2, "T3A": 7, "T3B": 3}
+# The form's value at each case's assembled triple, in the descent output
+# (a, beta) and R = R1.
+ASSEMBLED_VALUE = {
+    "T1A": lambda a, b, r: a * a + 2 * b * b + 2 * r * r,
+    "T1B": lambda a, b, r: a * a + 2 * b * b + 2 * r * r,
+    "T1C": lambda a, b, r: (2 * b) ** 2 + 2 * a * a + 2 * r * r,
+    "T1D": lambda a, b, r: (2 * b) ** 2 + 2 * a * a + 2 * r * r,
+    "T1E": lambda a, b, r: (2 * b) ** 2 + 2 * a * a + 2 * r * r,
+    "T2A": lambda a, b, r: r * r + a * a + 2 * b * b,
+    "T2B": lambda a, b, r: r * r + a * a + 2 * b * b,
+    "T2C": lambda a, b, r: r * r + a * a + 2 * b * b,
+    "T3A": lambda a, b, r: a * a + r * r + 7 * b * b,
+    "T3B": lambda a, b, r: a * a + r * r + 3 * b * b,
+}
 # t^2 = -1/(t_den * q) (mod n0) in the paper's statement of each case.
 T_DEN = {"T1A": 2, "T1B": 4, "T1C": 2, "T1D": 2, "T1E": 2,
          "T2A": 2, "T2B": 2, "T2C": 1, "T3A": 4, "T3B": 4}
@@ -47,7 +62,7 @@ T_DEN = {"T1A": 2, "T1B": 4, "T1C": 2, "T1D": 2, "T1E": 2,
 def eligible_cores(form, limit):
     for core in range(1, limit):
         verdict = eligibility(form, core)
-        if verdict.eligible and reduce_to_core(form, core)[2] == core:
+        if verdict.eligible and reduce_to_core(core)[2] == core:
             yield core
 
 
@@ -245,6 +260,17 @@ class TestProfileHelpers:
         assert PROFILES["T1C"].assemble(3, 2, -5) == (4, 3, 5)
         assert PROFILES["T2A"].assemble(1, 2, 3) == (3, 1, 2)
         assert PROFILES["T3A"].assemble(1, 2, -3) == (1, 3, 2)
+
+    @pytest.mark.parametrize("case_id", sorted(TABLE))
+    def test_assembly_identity(self, case_id):
+        # At the lattice point F = rho*R^2 + a^2 + c*beta^2 = n0, and the
+        # assembled triple represents the core, n0 or 2*n0.
+        p = PROFILES[case_id]
+        scale = 2 if p.core_parity == "even" else 1
+        for a, b, r in itertools.product(range(-3, 4), repeat=3):
+            value = evaluate(p.form, p.assemble(a, b, r))
+            assert value == ASSEMBLED_VALUE[case_id](a, b, r)
+            assert value == scale * (p.rho * r * r + a * a + p.c * b * b)
 
     def test_binary_coefficients_integral_and_definite(self):
         # u, w, v must come out integral with discriminant

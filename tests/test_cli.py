@@ -176,7 +176,7 @@ class TestRepresent:
             code, _, err = run_cli(
                 ["represent", "--form", name, "--m", "5", "--fallback-oracle"])
             assert code == 4
-            assert "fallback-oracle" in err
+            assert err == "--fallback-oracle applies only to x2+y2+3z2 and x2+y2+7z2\n"
 
     def test_resource_cap_exit(self, monkeypatch):
         monkeypatch.setattr(pipeline, "Q_CANDIDATE_BUDGET", 1)

@@ -16,6 +16,8 @@ from ternrep import (
 from ternrep.forms import FORM_BY_NAME, checked_representation
 
 ALL_FORMS = list(TernaryForm)
+# Double entry: the forms whose eligibility is an equivalence.
+EXACT_FORMS = {TernaryForm.D122, TernaryForm.D112}
 
 
 def stripped(m):
@@ -30,6 +32,9 @@ class TestTernaryForm:
         assert TernaryForm.D112.coefficients == (1, 1, 2)
         assert TernaryForm.D113.coefficients == (1, 1, 3)
         assert TernaryForm.D117.coefficients == (1, 1, 7)
+
+    def test_exact(self):
+        assert {form for form in ALL_FORMS if form.exact} == EXACT_FORMS
 
     def test_cli_names(self):
         assert FORM_BY_NAME == {
@@ -70,13 +75,12 @@ class TestEligibility:
                 eligibility(form, 0)
 
     def test_kind_is_form_specific(self):
+        # the m a form does not cover are obstructed iff the form is exact
         for form in ALL_FORMS:
-            for m in range(1, 3000):
-                kind = eligibility(form, m).kind
-                if form in (TernaryForm.D122, TernaryForm.D112):
-                    assert kind is not Eligibility.OUTSIDE_COVERED_CASES
-                else:
-                    assert kind is not Eligibility.OBSTRUCTED
+            kinds = {eligibility(form, m).kind for m in range(1, 3000)}
+            not_covered = (Eligibility.OBSTRUCTED if form in EXACT_FORMS
+                           else Eligibility.OUTSIDE_COVERED_CASES)
+            assert kinds == {Eligibility.ELIGIBLE, not_covered}
 
     def test_arithmetic_criteria(self):
         for m in range(1, 3000):
@@ -109,20 +113,23 @@ class TestEligibility:
 
 class TestReduceToCore:
     def test_pinned_values(self):
-        assert reduce_to_core(TernaryForm.D122, 12) == (1, 1, 3)
-        assert reduce_to_core(TernaryForm.D122, 45) == (0, 3, 5)
-        assert reduce_to_core(TernaryForm.D117, 245) == (0, 7, 5)
+        assert reduce_to_core(12) == (1, 1, 3)
+        assert reduce_to_core(45) == (0, 3, 5)
+        assert reduce_to_core(245) == (0, 7, 5)
+        assert reduce_to_core(4 * 9 * 2 * 15) == (1, 3, 30)
 
-    def test_requires_eligibility(self):
-        with pytest.raises(ValueError):
-            reduce_to_core(TernaryForm.D122, 7)
+    def test_rejects_nonpositive(self):
+        # 0 and -4 would never leave the loop that strips factors of 4
+        for m in (0, -4):
+            with pytest.raises(ValueError):
+                reduce_to_core(m)
 
     def test_decomposition_shape(self):
         for form in ALL_FORMS:
             for m in range(1, 4000):
                 if not eligibility(form, m).eligible:
                     continue
-                k, s, core = reduce_to_core(form, m)
+                k, s, core = reduce_to_core(m)
                 assert 4**k * s * s * core == m
                 assert s % 2 == 1
                 odd = core // 2 if core % 2 == 0 else core

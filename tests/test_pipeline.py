@@ -141,7 +141,7 @@ def seeded_frames(rng, bits):
     for every constructive case id, drawn from rng."""
     frames = []
     for form, m in seeded_case_inputs(rng, per_case=1, min_bits=bits, max_bits=bits):
-        _, profile, core = construction_frame(form, reduce_to_core(form, m)[2])
+        _, profile, core = construction_frame(form, reduce_to_core(m)[2])
         primes = primes_of(profile, core)
         q = find_q(profile, core, primes)
         b, _ = solve_bh(profile, profile.n0(core), q)
@@ -174,7 +174,7 @@ def frames_with_bound(rng, lo, hi, per_case):
             m = scale * rng.randrange(q_lo - 2000, q_hi)
             if case_of(form, m) != case_id:
                 continue
-            _, profile, core = construction_frame(form, reduce_to_core(form, m)[2])
+            _, profile, core = construction_frame(form, reduce_to_core(m)[2])
             primes = primes_of(profile, core)
             q = find_q(profile, core, primes)
             if lo <= math.isqrt(profile.delta_factor * q // profile.gamma) <= hi:
@@ -192,7 +192,7 @@ def eligible_frames(cores):
         even = [2 * c for c in cores] if form is TernaryForm.D112 else []
         for core in itertools.chain(cores, even):
             if (eligibility(form, core).eligible
-                    and reduce_to_core(form, core) == (0, 1, core)
+                    and reduce_to_core(core) == (0, 1, core)
                     and (form, core) not in _SMALL_CORE_BASE):
                 _, profile, frame_core = construction_frame(form, core)
                 if frame_core in cores:
@@ -274,7 +274,7 @@ class TestFindQ:
             form = rng.choice(forms)
             m = rng.getrandbits(bits) | 1 << (bits - 1)
             if eligibility(form, m).eligible:
-                _, profile, core = construction_frame(form, reduce_to_core(form, m)[2])
+                _, profile, core = construction_frame(form, reduce_to_core(m)[2])
                 if core.bit_length() >= 24:
                     assert_matches_jacobi_search(profile, core)
                     found += 1
@@ -290,7 +290,7 @@ class TestFindQ:
             form = rng.choice(forms)
             m = rng.getrandbits(bits) | 1 << (bits - 1)
             if eligibility(form, m).eligible:
-                _, profile, core = construction_frame(form, reduce_to_core(form, m)[2])
+                _, profile, core = construction_frame(form, reduce_to_core(m)[2])
                 if core.bit_length() >= 40:
                     assert_matches_jacobi_search(profile, core)
                     found += 1
@@ -749,7 +749,7 @@ class TestBuildWitness:
         for form in TernaryForm:
             for m in range(1, 20001):
                 if eligibility(form, m).eligible:
-                    core = reduce_to_core(form, m)[2]
+                    core = reduce_to_core(m)[2]
                     if core <= 2:
                         small.add((form, core))
         assert small == set(_SMALL_CORE_BASE)
@@ -834,7 +834,7 @@ class TestSupportedRange:
             assert out.getvalue() == ""
             assert err.getvalue() == (
                 "resource cap: no auxiliary prime for core %d below the proven"
-                " primality bound\n" % reduce_to_core(form, m)[2])
+                " primality bound\n" % reduce_to_core(m)[2])
 
 
 class TestVerifyWitness:
@@ -1181,7 +1181,7 @@ def case_of(form, m):
     """Case id of an eligible m, from its core alone (no witness is built)."""
     if not eligibility(form, m).eligible:
         return None
-    core = reduce_to_core(form, m)[2]
+    core = reduce_to_core(m)[2]
     if (form, core) in _SMALL_CORE_BASE:
         return SMALL_CORE
     return construction_frame(form, core)[0]
