@@ -136,16 +136,15 @@ def eligibility(form: TernaryForm, m: int) -> EligibilityVerdict:
 
 
 def reduce_to_core(m: int) -> tuple:
-    """Split m >= 1 as 4^k * s^2 * core with s odd and core squarefree: 2
-    divides m / 4^k at most once, so core is odd or twice an odd number.
-
-    Eligibility of m implies eligibility of core for the same form.
-    """
+    """Split m >= 1 as 4^k * s^2 * core, s odd and core squarefree.  Past 4^k
+    at most one 2 is left, so only the odd part is factored and bounded by
+    PRIMALITY_LIMIT.  An eligible m has a core eligible for the same form."""
     if m < 1:
         raise ValueError("reduce_to_core requires m >= 1, got %r" % (m,))
     k, m = _strip_fours(m)
-    s, core = squarefree_decompose(m)
-    return k, s, core
+    even = m % 2 == 0
+    s, core = squarefree_decompose(m >> even)
+    return k, s, core << even
 
 
 def lift_representation(vec, k: int, s: int) -> tuple:

@@ -836,6 +836,23 @@ class TestSupportedRange:
                 "resource cap: no auxiliary prime for core %d below the proven"
                 " primality bound\n" % reduce_to_core(m)[2])
 
+    @pytest.mark.parametrize("form", [TernaryForm.D122, TernaryForm.D112])
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_bound_is_on_the_odd_part(self, form, k):
+        # m / 4^k = 2p^2 is at or above PRIMALITY_LIMIT but its odd part
+        # p^2 is below it, so m reduces to core 2 and gets a witness
+        p = math.isqrt(PRIMALITY_LIMIT - 1)
+        while not is_prime(p):
+            p -= 1
+        assert 2 * p * p >= PRIMALITY_LIMIT
+        m = 4**k * 2 * p * p
+        assert reduce_to_core(m) == (k, p, 2)
+        for command in ("witness", "represent"):
+            out, err = io.StringIO(), io.StringIO()
+            argv = [command, "--form", form.cli_name, "--m", str(m), "--json"]
+            assert (dispatch(argv, out, err), err.getvalue()) == (0, "")
+            assert run_verify(out.getvalue()) == (0, "", "")
+
 
 class TestVerifyWitness:
     def test_accepts_pipeline_output(self):
